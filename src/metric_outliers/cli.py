@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .bourgain import BourgainParams, bourgain_embed
-from .errors import DomainError
+from .errors import DomainError, IndexOutOfRange
 from .hardness_gadgets import l1_gadget, lp_gadget
 from .lp_geometry import PointSet, read_embedding
 from .metric_core import (
@@ -24,6 +24,7 @@ from .metric_core import (
     metric_to_text,
     read_graph_text,
     read_metric_text,
+    write_graph_text,
     write_metric_text,
 )
 from .nested_composition import (
@@ -155,6 +156,8 @@ def _cmd_compose_estimate(args) -> int:
     pair = _parse_indices(args.pair)
     if len(pair) != 2:
         raise DomainError(f"--pair wants two indices, got {args.pair!r}")
+    if not all(0 <= i < inputs.m.n for i in pair):
+        raise IndexOutOfRange(f"--pair {args.pair!r} needs indices in 0..{inputs.m.n - 1}")
     rng = np.random.default_rng(args.seed)
     mean, stderr = estimate_expected_expansion(inputs, (pair[0], pair[1]), args.trials, rng)
     payload = {
@@ -268,7 +271,6 @@ def _cmd_gadget(args) -> int:
         "provenance": _provenance(args.seed, {"graph": args.graph}),
     }
     if args.graph_out:
-        from .metric_core import write_graph_text
         write_graph_text(args.graph_out, gm.graph)
         payload["graph_file"] = args.graph_out
     return _emit(payload, args,
@@ -290,6 +292,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="seed echoed into the output (default 0)")
         p.add_argument("--output", "-o", default=None, help="write JSON to this file instead of stdout")
         p.add_argument("--human", action="store_true", help="plain-text summary instead of JSON")
+
+    def composition(p):
+        p.add_argument("--metric", required=True)
+        p.add_argument("--s", required=True, help="comma-separated indices of S")
+        p.add_argument("--alpha-s", required=True, help="embedding JSON over sorted(S)")
+        p.add_argument("--alpha-x", required=True, help="embedding JSON over all points")
+        p.add_argument("--tau", type=float, default=2.0)
 
     metric = sub.add_parser("metric", help="validate or derive metrics")
     metric_sub = metric.add_subparsers(dest="metric_cmd", required=True)
@@ -316,22 +325,12 @@ def _build_parser() -> argparse.ArgumentParser:
     compose = sub.add_parser("compose", help="nested composition of two embeddings")
     compose_sub = compose.add_subparsers(dest="compose_cmd", required=True)
     cr = compose_sub.add_parser("run", help="deterministic composition from sampled draws")
-    for p_ in (cr,):
-        p_.add_argument("--metric", required=True)
-        p_.add_argument("--s", required=True, help="comma-separated indices of S")
-        p_.add_argument("--alpha-s", required=True, help="embedding JSON over sorted(S)")
-        p_.add_argument("--alpha-x", required=True, help="embedding JSON over all points")
-        p_.add_argument("--tau", type=float, default=2.0)
+    composition(cr)
     cr.add_argument("--samples", type=int, default=64)
     common(cr)
     cr.set_defaults(func=_cmd_compose_run)
     ce = compose_sub.add_parser("estimate", help="Monte Carlo expected expansion of one pair")
-    for p_ in (ce,):
-        p_.add_argument("--metric", required=True)
-        p_.add_argument("--s", required=True)
-        p_.add_argument("--alpha-s", required=True)
-        p_.add_argument("--alpha-x", required=True)
-        p_.add_argument("--tau", type=float, default=2.0)
+    composition(ce)
     ce.add_argument("--pair", required=True, help="two indices, e.g. 3,5")
     ce.add_argument("--trials", type=int, default=1000)
     common(ce)
@@ -400,23 +399,14 @@ def dispatch(argv: list[str]) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except DomainError as exc:
-        sys.stderr.write(json.dumps({
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }, sort_keys=True) + "\n")
-        return 1
-    except FileNotFoundError as exc:
-        sys.stderr.write(json.dumps({
-            "error": "FileNotFound",
-            "message": str(exc),
-        }, sort_keys=True) + "\n")
-        return 1
-    except ValueError as exc:
-        sys.stderr.write(json.dumps({
-            "error": "InvalidArgument",
-            "message": str(exc),
-        }, sort_keys=True) + "\n")
+    except (DomainError, OSError, ValueError) as exc:
+        if isinstance(exc, DomainError):
+            name = type(exc).__name__
+        elif isinstance(exc, OSError):  # FileNotFound, IsADirectory, Permission, ...
+            name = type(exc).__name__.removesuffix("Error")
+        else:
+            name = "InvalidArgument"
+        sys.stderr.write(json.dumps({"error": name, "message": str(exc)}, sort_keys=True) + "\n")
         return 1
 
 

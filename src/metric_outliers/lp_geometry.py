@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DimMismatch, InvalidP, NotPSD
+from .errors import DimMismatch, InvalidP, NotPSD, SizeMismatch
 
 if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids a circular import
     from .metric_core import MetricSpace
@@ -162,6 +162,9 @@ def embedding_to_json(ps: PointSet) -> str:
 
 def embedding_from_json(text: str) -> PointSet:
     data = json.loads(text)
+    for key in ("p", "points"):
+        if key not in data:
+            raise SizeMismatch(f"embedding JSON has no {key!r} key")
     return PointSet(points=np.asarray(data["points"], dtype=float), p=float(data["p"]))
 
 

@@ -222,6 +222,8 @@ def read_metric_text(path: str, tol_tri: float = DEFAULT_TRIANGLE_TOL) -> Metric
     if not tokens:
         raise SizeMismatch("empty metric file")
     n = int(tokens[0])
+    if n < 1:
+        raise SizeMismatch(f"a metric needs at least one point, got n={n}")
     vals = tokens[1:]
     if len(vals) != n * n:
         raise SizeMismatch(f"expected {n * n} entries after n={n}, got {len(vals)}")

@@ -176,10 +176,15 @@ class CompositionTranscript:
 def sample_transcript(inputs: CompositionInputs, rng: np.random.Generator) -> CompositionTranscript:
     """Draw b uniform on [2, tau+2], a Fisher-Yates permutation of K, and run
     the greedy cluster loop."""
-    b = 2.0 + inputs.tau * float(rng.random())
-    outliers = inputs.outliers
+    return _draw(inputs.m, inputs.gamma, inputs.tau, rng)
+
+
+def _draw(m: MetricSpace, gamma: dict[int, int], tau: float,
+          rng: np.random.Generator) -> CompositionTranscript:
+    b = 2.0 + tau * float(rng.random())
+    outliers = tuple(gamma)  # nearest_anchors keys every outlier, in increasing order
     pi = tuple(int(v) for v in rng.permutation(np.asarray(outliers, dtype=int))) if outliers else ()
-    return _greedy_clusters(inputs.m, inputs.gamma, b, pi)
+    return _greedy_clusters(m, gamma, b, pi)
 
 
 def _greedy_clusters(m: MetricSpace, gamma: dict[int, int], b: float,
@@ -229,15 +234,15 @@ class ComposedEmbedding:
     alpha_prime_dims: int
 
 
-def _alpha_prime(inputs: CompositionInputs, tr: CompositionTranscript) -> np.ndarray:
-    """alpha' rows: alpha_S on S, alpha_S(gamma(center)) on each cluster."""
-    out = np.zeros((inputs.m.n, inputs.alpha_s.dims))
-    for orig, row in inputs.s_row.items():
-        out[orig] = inputs.alpha_s.points[row]
+def _alpha_prime(n: int, s: tuple[int, ...], alpha_s: PointSet, gamma: dict[int, int],
+                 tr: CompositionTranscript) -> np.ndarray:
+    """alpha' rows: alpha_S on S (rows of alpha_s follow sorted S), and
+    alpha_S(gamma(center)) on each cluster."""
+    out = np.zeros((n, alpha_s.dims))
+    out[list(s)] = alpha_s.points
+    s_row = {orig: row for row, orig in enumerate(s)}
     for center, members in tr.clusters:
-        anchor_row = inputs.s_row[inputs.gamma[center]]
-        for v in members:
-            out[v] = inputs.alpha_s.points[anchor_row]
+        out[list(members)] = alpha_s.points[s_row[gamma[center]]]
     return out
 
 
@@ -253,12 +258,17 @@ def _cluster_blocks(inputs: CompositionInputs, tr: CompositionTranscript) -> np.
     return out
 
 
+def _draw_coords(inputs: CompositionInputs, tr: CompositionTranscript) -> np.ndarray:
+    """alpha(v) = alpha'(v) | alpha_1(v) | ... | alpha_t(v) for one draw."""
+    prime = _alpha_prime(inputs.m.n, inputs.s, inputs.alpha_s, inputs.gamma, tr)
+    return np.hstack([prime, _cluster_blocks(inputs, tr)])
+
+
 def compose_once(inputs: CompositionInputs, transcript: CompositionTranscript) -> ComposedEmbedding:
     """Materialize one draw: alpha(v) = alpha'(v) | alpha_1(v) | ... | alpha_t(v)."""
     _check_transcript(inputs, transcript)
-    coords = np.hstack([_alpha_prime(inputs, transcript), _cluster_blocks(inputs, transcript)])
     return ComposedEmbedding(
-        embedding=PointSet(points=coords, p=inputs.p),
+        embedding=PointSet(points=_draw_coords(inputs, transcript), p=inputs.p),
         transcripts=(transcript,),
         alpha_prime_dims=inputs.alpha_s.dims,
     )
@@ -268,23 +278,20 @@ def compose_deterministic(inputs: CompositionInputs, m_samples: int,
                           rng: np.random.Generator) -> ComposedEmbedding:
     """Scaled concatenation of m_samples independent draws.
 
-    Each draw contributes its full coordinate block: the cluster part at
-    weight 1/m_samples (the empirical draw probability) and the alpha' part at
-    weight m_samples^(-1/p), so that pairs inside S keep exactly their alpha_S
-    distance for every p. For p=1 the result's distance on every pair equals
-    the arithmetic mean of the per-draw distances.
+    Each draw contributes its full coordinate block at weight
+    m_samples^(-1/p), so the p-th power of every pair distance is the mean of
+    the per-draw p-th powers. Pairs inside S therefore keep exactly their
+    alpha_S distance, and no pair falls below the per-draw 3^(1/p - 1) floor,
+    for every p. For p=1 the result's distance on every pair equals the
+    arithmetic mean of the per-draw distances.
     """
     if m_samples < 1:
         raise ValueError("m_samples must be >= 1")
     transcripts = tuple(sample_transcript(inputs, rng) for _ in range(m_samples))
-    w_prime = m_samples ** (-1.0 / inputs.p)
-    w_cluster = 1.0 / m_samples
-    parts = []
-    for tr in transcripts:
-        parts.append(w_prime * _alpha_prime(inputs, tr))
-        parts.append(w_cluster * _cluster_blocks(inputs, tr))
+    weight = m_samples ** (-1.0 / inputs.p)
     return ComposedEmbedding(
-        embedding=PointSet(points=np.hstack(parts), p=inputs.p),
+        embedding=PointSet(points=np.hstack([weight * _draw_coords(inputs, tr)
+                                             for tr in transcripts]), p=inputs.p),
         transcripts=transcripts,
         alpha_prime_dims=inputs.alpha_s.dims,
     )
@@ -469,7 +476,6 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
     """
     s_sorted = tuple(sorted(set(int(i) for i in s)))
     gamma = nearest_anchors(m, s_sorted)
-    s_row = {orig: row for row, orig in enumerate(s_sorted)}
     if alpha_s.n != len(s_sorted):
         raise SizeMismatch(f"alpha_s has {alpha_s.n} rows, |S|={len(s_sorted)}")
     if alpha_s.p != p:
@@ -477,10 +483,7 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
     _require_expanding(m, s_sorted, alpha_s, "alpha_s")
 
     if transcript is None:
-        b = 2.0 + tau * float(rng.random())
-        outliers = tuple(i for i in range(m.n) if i not in set(s_sorted))
-        pi = tuple(int(v) for v in rng.permutation(np.asarray(outliers, dtype=int))) if outliers else ()
-        transcript = _greedy_clusters(m, gamma, b, pi)
+        transcript = _draw(m, gamma, tau, rng)
 
     if cluster_embedder is None:
         def cluster_embedder(sub: MetricSpace, indices: tuple[int, ...], i: int) -> PointSet:
@@ -488,15 +491,7 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
             emb, _ = bourgain_embed(sub, BourgainParams(seed=seed, p=p))
             return emb
 
-    # alpha' exactly as in the single-embedding composition
-    prime = np.zeros((m.n, alpha_s.dims))
-    for orig, row in s_row.items():
-        prime[orig] = alpha_s.points[row]
-    for center, members in transcript.clusters:
-        for v in members:
-            prime[v] = alpha_s.points[s_row[gamma[center]]]
-
-    blocks = [prime]
+    blocks = [_alpha_prime(m.n, s_sorted, alpha_s, gamma, transcript)]
     for i, (center, members) in enumerate(transcript.clusters):
         subset = tuple(sorted(set(members) | {gamma[center]}))
         sub, kept = restrict(m, set(range(m.n)) - set(subset))

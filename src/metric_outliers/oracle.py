@@ -13,9 +13,11 @@ from typing import Optional
 
 import numpy as np
 
+from .bourgain import BourgainParams, bourgain_embed
 from .errors import BudgetExceeded, SolverFailure
 from .lp_geometry import is_l2_isometric
 from .metric_core import Graph, MetricSpace, from_graph, restrict
+from .outlier_sdp import SolveOpts, distortion_feasible
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,6 @@ def optimal_distortion_l2(m: MetricSpace, tol: float = 1e-3) -> float:
 
     The bracket starts at [1, measured Bourgain distortion].
     """
-    from .bourgain import BourgainParams, bourgain_embed  # local import: heavy neighbors
-    from .outlier_sdp import SolveOpts, distortion_feasible
-
     if m.n < 2 or is_l2_isometric(m):
         return 1.0
     _, stats = bourgain_embed(m, BourgainParams(seed=0, p=2.0))

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .bourgain import BourgainParams, bourgain_embed
 from .errors import Exhausted, GammaNotAboveOne, MissingZetaK, NumericalBreakdown
-from .lp_geometry import PointSet, points_from_gram, sorted_eigh
+from .lp_geometry import PointSet, centered_gram, points_from_gram
 from .metric_core import MetricSpace, distortion_stats, restrict
 from .nested_composition import harmonic_number
 
@@ -79,6 +79,11 @@ def _check_gamma(gamma: float) -> None:
         raise GammaNotAboveOne(f"gamma must be strictly above 1, got {gamma}")
 
 
+def _check_c(c: float) -> None:
+    if c < 1.0:
+        raise ValueError(f"target distortion must be >= 1, got {c}")
+
+
 # ---------------------------------------------------------------------------
 # instances and solutions
 # ---------------------------------------------------------------------------
@@ -90,8 +95,7 @@ class SdpInstance:
     f_k: float
 
     def __post_init__(self):
-        if self.c < 1.0:
-            raise ValueError(f"target distortion must be >= 1, got {self.c}")
+        _check_c(self.c)
         if self.f_k < 0.0:
             raise ValueError(f"f_k must be >= 0, got {self.f_k}")
 
@@ -278,10 +282,7 @@ def _lp_polish(work: _Work, g: np.ndarray, opts: SolveOpts) -> Optional[np.ndarr
 
 def _solution_from(inst: SdpInstance, work: _Work, g: np.ndarray, delta: np.ndarray,
                    iters: int, opts: SolveOpts) -> SdpSolution:
-    polished = _lp_polish(work, g, opts)
-    if polished is not None and work.residual(g, polished) <= opts.eps_feas \
-            and polished.sum() <= delta.sum() + 1e-12:
-        delta = polished
+    """Package an already polished (G, delta) with its residual."""
     res = work.residual(g, delta)
     return SdpSolution(
         instance=inst,
@@ -301,7 +302,6 @@ def _initial_gram(m: MetricSpace) -> np.ndarray:
     which the delta weights can absorb; that keeps the iteration out of the
     contracted basin where lower constraints must be bought back.
     """
-    from .lp_geometry import centered_gram
     b = _psd_project(centered_gram(m))
     n = m.n
     if n < 2:
@@ -375,8 +375,9 @@ def solve_sdp(inst: SdpInstance, opts: SolveOpts = SolveOpts()) -> SdpSolution:
         return SdpSolution(inst, np.zeros((n, n)), np.zeros(n), 0.0, 0.0, 0, True)
     g0 = _initial_gram(inst.m)
     g, delta, total, _ = _minimize_levels(inst, work, opts, g0, opts.max_iters)
+    delta, _ = _polished_sum(work, g, delta, opts)
     sol = _solution_from(inst, work, g, delta, total, opts)
-    if not sol.feasible and n >= 2:
+    if not sol.feasible:
         raise NumericalBreakdown("the always-feasible level n certificate was lost")
     return sol
 
@@ -398,6 +399,20 @@ def distortion_feasible(m: MetricSpace, c: float, opts: SolveOpts = SolveOpts(),
 # rounding and the k-search loop
 # ---------------------------------------------------------------------------
 
+def _survivor_embedding(m: MetricSpace, gram: np.ndarray, outliers: Sequence[int],
+                        scale: float) -> tuple[PointSet, float]:
+    """Survivor vectors factored from their Gram rows, scaled, and the
+    distortion they achieve on the metric minus the outliers."""
+    out = set(outliers)
+    survivors = [i for i in range(m.n) if i not in out]
+    pts = points_from_gram(gram[np.ix_(survivors, survivors)], tol_eig=1e-7)
+    embedding = PointSet(points=pts.points * scale, p=2.0)
+    if len(survivors) < 2:
+        return embedding, 1.0
+    sub_metric, _ = restrict(m, out)
+    return embedding, float(distortion_stats(sub_metric, embedding).distortion)
+
+
 def round_solution(sol: SdpSolution, c: float, gamma: float, f_k: float,
                    k: Optional[int] = None) -> OutlierResult:
     """Threshold the outlier weights at Delta = c^2 (gamma^2 - 1) /
@@ -407,16 +422,8 @@ def round_solution(sol: SdpSolution, c: float, gamma: float, f_k: float,
     m = sol.instance.m
     delta_cut = c ** 2 * (gamma ** 2 - 1.0) / (2.0 * f_k + 2.0 * c ** 2 * gamma ** 2)
     outliers = tuple(int(i) for i in np.flatnonzero(sol.delta >= delta_cut))
-    survivors = [i for i in range(m.n) if i not in set(outliers)]
     scale = 1.0 / math.sqrt(1.0 - 2.0 * delta_cut)
-    sub_gram = sol.gram[np.ix_(survivors, survivors)]
-    pts = points_from_gram(sub_gram, tol_eig=1e-7)
-    embedding = PointSet(points=pts.points * scale, p=2.0)
-    if len(survivors) >= 2:
-        sub_metric, _ = restrict(m, outliers)
-        achieved = distortion_stats(sub_metric, embedding).distortion
-    else:
-        achieved = 1.0
+    embedding, achieved = _survivor_embedding(m, sol.gram, outliers, scale)
     if k is not None:
         certified = (2.0 * f_k / c ** 2 + 2.0 * gamma ** 2) / (gamma ** 2 - 1.0) * k
     else:
@@ -425,7 +432,7 @@ def round_solution(sol: SdpSolution, c: float, gamma: float, f_k: float,
         outliers=outliers,
         embedding=embedding,
         gamma=gamma,
-        achieved_distortion=float(achieved),
+        achieved_distortion=achieved,
         certified_bound=float(certified),
         metadata={
             "delta_cut": delta_cut,
@@ -472,21 +479,14 @@ def _reclaim_outliers(sol: SdpSolution, result: OutlierResult, c: float,
             still_out.append(x)
     if len(still_out) == len(result.outliers):
         return result
-    kept = sorted(kept)
-    pts = points_from_gram(sol.gram[np.ix_(kept, kept)], tol_eig=1e-7)
-    embedding = PointSet(points=pts.points * scale, p=2.0)
-    if len(kept) >= 2:
-        sub_metric, _ = restrict(m, still_out)
-        achieved = distortion_stats(sub_metric, embedding).distortion
-    else:
-        achieved = 1.0
+    embedding, achieved = _survivor_embedding(m, sol.gram, still_out, scale)
     metadata = dict(result.metadata)
     metadata["reclaimed"] = len(result.outliers) - len(still_out)
     return OutlierResult(
         outliers=tuple(sorted(still_out)),
         embedding=embedding,
         gamma=result.gamma,
-        achieved_distortion=float(achieved),
+        achieved_distortion=achieved,
         certified_bound=result.certified_bound,
         metadata=metadata,
     )
@@ -505,6 +505,7 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
     strong_subset mode zeta_k defaults to that same measured value.
     """
     _check_gamma(gamma)
+    _check_c(c)
     zeta_source = "supplied"
     if zeta is None:
         if m.n >= 2:
@@ -542,9 +543,12 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
             g, delta, res, iters = _probe(work, level, g_warm,
                                           np.full(n, min(1.0, level / max(n, 1))),
                                           opts, per_probe, pin_delta=(n < 2))
+            if res <= opts.eps_feas:
+                delta, _ = _polished_sum(work, g, delta, opts)
         if res <= opts.eps_feas:
-            # accepted at this k: descend toward the true minimum before rounding
-            delta, level = _polished_sum(work, g, delta, opts)
+            # accepted at this k (a fast-path delta is already polished): descend
+            # toward the true minimum before rounding
+            level = float(delta.sum())
             while level > opts.eps_obj / 4.0:
                 target = level / 2.0
                 g2, d2, res2, it2 = _probe(work, target, g, delta, opts, per_probe)

@@ -171,8 +171,55 @@ def test_output_file(capsys, edge_file, tmp_path):
     assert json.loads(dest.read_text())["size"] == 1
 
 
+def error_of(capsys, argv) -> dict:
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    return json.loads(err)
+
+
 def test_invalid_argument_exits_1(capsys, claw_file):
-    code, _, err = run(capsys, ["outliers", "solve", "--metric", claw_file,
+    payload = error_of(capsys, ["outliers", "solve", "--metric", claw_file,
                                 "--c", "0.5", "--gamma", "1.5"])
-    assert code == 1
-    assert json.loads(err)["error"] == "InvalidArgument"
+    assert payload["error"] == "InvalidArgument"
+    assert "got 0.5" in payload["message"]  # the --c given, not gamma * c
+
+
+def test_directory_as_metric_exits_1(capsys, tmp_path):
+    payload = error_of(capsys, ["metric", "validate", "--metric", str(tmp_path)])
+    assert payload["error"] == "IsADirectory"
+
+
+def test_zero_point_metric_exits_1(capsys, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("0\n")
+    for argv in (["metric", "validate"], ["outliers", "solve", "--c", "1", "--gamma", "1.5"]):
+        assert error_of(capsys, argv + ["--metric", str(empty)])["error"] == "SizeMismatch"
+
+
+@pytest.fixture
+def compose_args(tmp_path, claw_metric, claw_file):
+    from metric_outliers import PointSet
+    alpha_s = tmp_path / "alpha_s.json"
+    alpha_x = tmp_path / "alpha_x.json"
+    write_embedding(str(alpha_s), PointSet(points=np.array([[0.0], [-1.0], [1.0]]), p=2.0))
+    emb, _ = bourgain_embed(claw_metric, BourgainParams(seed=2, p=2.0))
+    write_embedding(str(alpha_x), emb)
+    return ["--metric", claw_file, "--s", "0,1,2", "--alpha-s", str(alpha_s),
+            "--alpha-x", str(alpha_x)]
+
+
+def test_embedding_without_p_exits_1(capsys, tmp_path, compose_args):
+    nop = tmp_path / "nop.json"
+    nop.write_text('{"points": [[0.0], [-1.0], [1.0]]}')
+    args = list(compose_args)
+    args[args.index("--alpha-s") + 1] = str(nop)
+    payload = error_of(capsys, ["compose", "run"] + args)
+    assert payload["error"] == "SizeMismatch"
+    assert "'p'" in payload["message"]
+
+
+@pytest.mark.parametrize("pair", ["2,7", "2,-1"])
+def test_pair_out_of_range_exits_1(capsys, compose_args, pair):
+    payload = error_of(capsys, ["compose", "estimate"] + compose_args + ["--pair", pair])
+    assert payload["error"] == "IndexOutOfRange"
+    assert pair in payload["message"]

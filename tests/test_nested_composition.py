@@ -283,6 +283,9 @@ class TestDeterministicComposition:
             for i, x in enumerate(s):
                 for j in range(i + 1, len(s)):
                     assert full[x, s[j]] == pytest.approx(alpha_s_d[i, j], rel=1e-9)
+            # each draw keeps every pair above 3^(1/p - 1) d, and so must their concatenation
+            iu = np.triu_indices(m.n, k=1)
+            assert (full[iu] / m.dist[iu]).min() >= 3.0 ** (1.0 / p - 1.0) * (1.0 - 1e-9)
 
     def test_l1_distance_equals_sample_mean(self):
         rng = np.random.default_rng(59)
