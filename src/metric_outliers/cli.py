@@ -362,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ov.add_argument("--graph", required=True)
     oo = oracle_sub.add_parser("outliers", help="minimum isometric-l2 outlier set")
     oo.add_argument("--metric", required=True)
-    od = oracle_sub.add_parser("distortion", help="optimal l2 distortion via binary search")
+    od = oracle_sub.add_parser("distortion", help="upper bound on the optimal l2 distortion via binary search")
     od.add_argument("--metric", required=True)
     od.add_argument("--tol", type=float, default=1e-3)
     oh = oracle_sub.add_parser("hypercube", help="scale-s hypercube embeddability")

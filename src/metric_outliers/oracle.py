@@ -1,8 +1,10 @@
 """Exhaustive ground-truth computations on small instances.
 
 Everything here is exact (subject only to eigenvalue tolerance where noted),
-deterministic, and witness-producing. Budgets guard runtime, they never trade
-away exactness.
+deterministic, and witness-producing, except optimal_distortion_l2: it rests
+on a first-order feasibility probe that can reject a feasible distortion, so
+its answer is an upper bound on the optimal l2 distortion, not the optimum.
+Budgets guard runtime, they never trade away exactness.
 """
 from __future__ import annotations
 
@@ -76,10 +78,14 @@ def min_outlier_isometric_l2(m: MetricSpace, budget: OracleBudget = DEFAULT_BUDG
 
 
 def optimal_distortion_l2(m: MetricSpace, tol: float = 1e-3) -> float:
-    """Smallest c (within tol) for which the outlier-free distortion-c SDP is
-    feasible, by binary search over c.
+    """Upper bound on the optimal l2 distortion: the smallest c (within tol)
+    that the outlier-free feasibility probe accepts, by binary search over c.
 
-    The bracket starts at [1, measured Bourgain distortion].
+    The bracket starts at [1, measured Bourgain distortion]. An accepted c
+    comes with a Gram matrix meeting it, but a rejected c may still be
+    feasible: the probe gives up when its residual stops falling. On the 10-
+    and 12-cycles this returns 1.7272 and 2.4476, where the regular polygons
+    achieve 1.5451 and 1.5529.
     """
     if m.n < 2 or is_l2_isometric(m):
         return 1.0

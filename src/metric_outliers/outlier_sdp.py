@@ -9,9 +9,11 @@ minimizing sum(delta). The solver is a first-order splitting: damped
 simultaneous corrections for the linear pair constraints, exact projection of
 delta onto the box intersected with an objective level set, and projection of
 G onto the PSD cone by eigendecomposition with negative eigenvalues clamped.
-The objective is minimized by bisecting the level sum(delta) <= s, and the
-returned delta is polished by a small LP (G held fixed), which snaps
-unnecessary weights to exact zero.
+One minimization step serves solve_sdp and the k-search: an LP fast path over
+known Gram matrices (for a fixed G the best delta is a small LP), else one
+probe at the starting level sum(delta) <= s; a feasible result then descends
+by halving the level. Every accepted delta is polished by that LP, which
+snaps unnecessary weights to exact zero.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .bourgain import BourgainParams, bourgain_embed
-from .errors import Exhausted, GammaNotAboveOne, MissingZetaK, NumericalBreakdown
+from .errors import Exhausted, GammaNotAboveOne, MissingZetaK
 from .lp_geometry import PointSet, centered_gram, points_from_gram
 from .metric_core import MetricSpace, distortion_stats, restrict
 from .nested_composition import harmonic_number
@@ -116,7 +118,7 @@ def build_instance(m: MetricSpace, c: float, f_k: float) -> SdpInstance:
 class SolveOpts:
     eps_feas: float = 1e-6   # relative to d^2 per pair constraint
     eps_obj: float = 1e-3
-    max_iters: int = 50_000
+    max_iters: int = 50_000  # one probe runs at most max(2000, max_iters // 12)
     seed: int = 0
 
 
@@ -199,12 +201,16 @@ def _psd_project(g: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def _probe(work: _Work, level: float, g0: np.ndarray, delta0: np.ndarray,
-           opts: SolveOpts, iters_cap: int, pin_delta: bool = False,
-           omega: float = 1.6) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Run the splitting iteration at a fixed objective level.
+_OMEGA = 1.6  # over-relaxation of the pair corrections
 
-    Returns (G, delta, residual, iterations) for the best iterate seen.
+
+def _probe(work: _Work, level: float, g0: np.ndarray, delta0: np.ndarray,
+           opts: SolveOpts, pin_delta: bool = False
+           ) -> tuple[np.ndarray, np.ndarray, float, int]:
+    """Run the splitting iteration at a fixed objective level, for at most
+    max(2000, opts.max_iters // 12) iterations.
+
+    Returns (G, delta, residual) of the best iterate seen and the iterations run.
     """
     n = work.n
     g = _psd_project(g0.copy())
@@ -214,7 +220,7 @@ def _probe(work: _Work, level: float, g0: np.ndarray, delta0: np.ndarray,
         return best
     stall = 0
     milestone = best[2]
-    for it in range(1, iters_cap + 1):
+    for it in range(1, max(2000, opts.max_iters // 12) + 1):
         low_gap, up_gap = work.violations(g, delta)
         wl = np.clip(low_gap, 0.0, None) / work.low_norm2
         wu = np.clip(up_gap, 0.0, None) / work.up_norm2
@@ -223,15 +229,15 @@ def _probe(work: _Work, level: float, g0: np.ndarray, delta0: np.ndarray,
         diag_corr = np.zeros(n)
         np.add.at(diag_corr, work.xs, net)
         np.add.at(diag_corr, work.ys, net)
-        g[work.xs, work.ys] -= omega * net
-        g[work.ys, work.xs] -= omega * net
-        g[np.diag_indices(n)] += omega * diag_corr / work.deg
+        g[work.xs, work.ys] -= _OMEGA * net
+        g[work.ys, work.xs] -= _OMEGA * net
+        g[np.diag_indices(n)] += _OMEGA * diag_corr / work.deg
         if not pin_delta:
             dd = wl * work.d2 + wu * work.f * work.d2
             delta_corr = np.zeros(n)
             np.add.at(delta_corr, work.xs, dd)
             np.add.at(delta_corr, work.ys, dd)
-            delta = _project_level_box(delta + omega * delta_corr / work.deg, level)
+            delta = _project_level_box(delta + _OMEGA * delta_corr / work.deg, level)
         g = _psd_project(g)
         res = work.residual(g, delta)
         if res < best[2]:
@@ -247,7 +253,7 @@ def _probe(work: _Work, level: float, g0: np.ndarray, delta0: np.ndarray,
             stall += 1
         if stall > 400 and best[2] > 5 * opts.eps_feas:
             break
-    return best[0], best[1], best[2], iters_cap
+    return best[0], best[1], best[2], it
 
 
 def _lp_polish(work: _Work, g: np.ndarray, opts: SolveOpts) -> Optional[np.ndarray]:
@@ -282,7 +288,7 @@ def _lp_polish(work: _Work, g: np.ndarray, opts: SolveOpts) -> Optional[np.ndarr
 
 def _solution_from(inst: SdpInstance, work: _Work, g: np.ndarray, delta: np.ndarray,
                    iters: int, opts: SolveOpts) -> SdpSolution:
-    """Package an already polished (G, delta) with its residual."""
+    """Package (G, delta) with its residual."""
     res = work.residual(g, delta)
     return SdpSolution(
         instance=inst,
@@ -328,70 +334,75 @@ def _polished_sum(work: _Work, g: np.ndarray, delta: np.ndarray, opts: SolveOpts
     return delta, float(delta.sum())
 
 
-def _minimize_levels(inst: SdpInstance, work: _Work, opts: SolveOpts,
-                     g0: np.ndarray, budget: int) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Bisect the objective level, LP-tightening the upper end after every
-    feasible probe. Returns (G, delta, iterations, hit_budget)."""
+def _minimize(inst: SdpInstance, level: float, grams: Sequence[np.ndarray],
+              start: np.ndarray, opts: SolveOpts) -> SdpSolution:
+    """Minimize sum(delta) at or below `level`.
+
+    LP fast path: the cheapest delta any Gram matrix in `grams` admits within
+    the level. Otherwise one probe at the level from `start`. A feasible
+    result descends by halving the level until a probe fails or the polished
+    sum falls by less than 10%. Flagged infeasible if neither step meets the
+    level.
+    """
+    work = _Work(inst)
     n = work.n
-    per_probe = max(2000, opts.max_iters // 12)
-    total = 0
-
-    # level 0 first: many instances are feasible with no outlier weight at all
-    cap = min(per_probe, budget)
-    g, delta, res, it = _probe(work, 0.0, g0, np.zeros(n), opts, cap, pin_delta=True)
-    total += it
-    if res <= opts.eps_feas:
-        return g, delta, total, False
-
-    # level n is always feasible (delta = 1, G = 0)
-    best = (np.zeros((n, n)), np.ones(n))
-    lo, hi = 0.0, float(n)
-    warm_g, warm_d = g0, np.full(n, 0.5)
-    while hi - lo > opts.eps_obj and total < budget:
-        mid = (lo + hi) / 2.0
-        cap = min(per_probe, budget - total)
-        g, delta, res, it = _probe(work, mid, warm_g, warm_d, opts, cap)
-        total += it
-        if res <= opts.eps_feas:
-            delta, level = _polished_sum(work, g, delta, opts)
-            best = (g, delta)
-            warm_g, warm_d = g, delta
-            hi = min(mid, level)
-        else:
-            lo = mid
-    return best[0], best[1], total, total >= budget
+    iters = 0
+    g, delta = None, None
+    for cand in grams:
+        quick = _lp_polish(work, cand, opts)
+        if quick is None or quick.sum() > level:
+            continue
+        if work.residual(cand, quick) <= opts.eps_feas \
+                and quick.sum() < (delta.sum() if delta is not None else np.inf):
+            g, delta = cand.copy(), quick
+    if g is None:
+        g, delta, res, iters = _probe(work, level, start, np.full(n, min(1.0, level / n)), opts)
+        if res > opts.eps_feas:
+            return _solution_from(inst, work, g, delta, iters, opts)
+        delta, _ = _polished_sum(work, g, delta, opts)
+    level = float(delta.sum())
+    while level > opts.eps_obj / 4.0:
+        g2, d2, res2, it2 = _probe(work, level / 2.0, g, delta, opts)
+        iters += it2
+        if res2 > opts.eps_feas:
+            break
+        d2, new_level = _polished_sum(work, g2, d2, opts)
+        g, delta = g2, d2
+        if new_level > 0.9 * level:
+            break
+        level = new_level
+    return _solution_from(inst, work, g, delta, iters, opts)
 
 
 def solve_sdp(inst: SdpInstance, opts: SolveOpts = SolveOpts()) -> SdpSolution:
     """Minimize sum(delta) subject to the pair, box, and PSD constraints.
 
-    Bisects the objective level, running the splitting iteration at each
-    level; on iteration exhaustion the best iterate found so far is returned,
-    flagged infeasible if it misses the feasibility tolerance.
+    Runs the k-search's minimization step from level n and the rescaled
+    centered Gram. Should that come back infeasible, returns the level-n
+    certificate instead: G = 0 with its LP-polished delta, always feasible.
     """
     n = inst.m.n
-    work = _Work(inst)
-    if n < 2:
-        return SdpSolution(inst, np.zeros((n, n)), np.zeros(n), 0.0, 0.0, 0, True)
     g0 = _initial_gram(inst.m)
-    g, delta, total, _ = _minimize_levels(inst, work, opts, g0, opts.max_iters)
-    delta, _ = _polished_sum(work, g, delta, opts)
-    sol = _solution_from(inst, work, g, delta, total, opts)
-    if not sol.feasible:
-        raise NumericalBreakdown("the always-feasible level n certificate was lost")
-    return sol
+    sol = _minimize(inst, float(n), [g0], g0, opts)
+    if sol.feasible:
+        return sol
+    work = _Work(inst)
+    g = np.zeros((n, n))
+    delta, _ = _polished_sum(work, g, np.ones(n), opts)
+    return _solution_from(inst, work, g, delta, sol.iterations, opts)
 
 
-def distortion_feasible(m: MetricSpace, c: float, opts: SolveOpts = SolveOpts(),
-                        iters_cap: Optional[int] = None) -> tuple[bool, Optional[np.ndarray]]:
+def distortion_feasible(m: MetricSpace, c: float, opts: SolveOpts = SolveOpts()
+                        ) -> tuple[bool, Optional[np.ndarray]]:
     """Plain outlier-free feasibility: does a Gram matrix with distortion <= c
-    exist? Used by the optimal-distortion oracle's binary search."""
+    exist? One probe at level 0; True comes with the Gram matrix found, False
+    only means the probe stalled or ran out, which can happen at feasible c.
+    Used by the optimal-distortion oracle's binary search."""
     if m.n < 2:
         return True, np.zeros((m.n, m.n))
     inst = build_instance(m, c, 0.0)
     work = _Work(inst)
-    cap = iters_cap if iters_cap is not None else max(2000, opts.max_iters // 12)
-    g, _, res, _ = _probe(work, 0.0, _initial_gram(m), np.zeros(m.n), opts, cap, pin_delta=True)
+    g, _, res, _ = _probe(work, 0.0, _initial_gram(m), np.zeros(m.n), opts, pin_delta=True)
     return (res <= opts.eps_feas), (g if res <= opts.eps_feas else None)
 
 
@@ -499,10 +510,13 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
                         zeta_k: Optional[float] = None) -> OutlierResult:
     """Try k = 0, 1, 2, ... until the SDP with f(k) admits value <= k; round.
 
-    k = 0 runs the plain distortion-c feasibility step so isometric-enough
-    inputs exit with an empty outlier set. zeta defaults to the measured
-    distortion of a seeded Bourgain run (recorded in the metadata); in
-    strong_subset mode zeta_k defaults to that same measured value.
+    Each k runs the shared minimization step at level k + eps_obj/2, so k = 0
+    solves the f(0) SDP and isometric-enough inputs exit with an empty outlier
+    set. Its LP fast path tries the rescaled centered Gram, the Gram of one
+    plain feasibility run at distortion gamma*c (when that succeeds) and the
+    previous k's Gram; the probe starts from the previous k's. zeta defaults
+    to the measured distortion of a seeded Bourgain run (recorded in the
+    metadata); in strong_subset mode zeta_k defaults to that same value.
     """
     _check_gamma(gamma)
     _check_c(c)
@@ -516,63 +530,29 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
         zeta_source = f"bourgain(seed={opts.seed})"
     if mode == "strong_subset" and zeta_k is None:
         zeta_k = zeta
-    n = m.n
-    per_probe = max(2000, opts.max_iters // 12)
     g0 = _initial_gram(m)
     # a Gram feasible at the target distortion gamma*c concentrates the weight
     # needs on genuinely bad points; well worth one extra feasibility run
     target_ok, g_target = distortion_feasible(m, gamma * c, opts)
     candidates = [g0] + ([g_target] if target_ok and g_target is not None else [])
     g_warm = g0
-    for k in range(0, n + 1):
+    for k in range(0, m.n + 1):
         f_k = f_of_k(k, zeta, mode, zeta_k=zeta_k)
         inst = build_instance(m, c, f_k)
-        work = _Work(inst)
-        level = k + opts.eps_obj / 2.0
-        iters = 0
-        # LP fast path: a known Gram may already admit a cheap enough delta
-        g, delta, res = None, None, np.inf
-        for cand in candidates + [g_warm]:
-            quick = _lp_polish(work, cand, opts)
-            if quick is None or quick.sum() > level:
-                continue
-            cand_res = work.residual(cand, quick)
-            if cand_res <= opts.eps_feas and quick.sum() < (delta.sum() if delta is not None else np.inf):
-                g, delta, res = cand.copy(), quick, cand_res
-        if g is None:
-            g, delta, res, iters = _probe(work, level, g_warm,
-                                          np.full(n, min(1.0, level / max(n, 1))),
-                                          opts, per_probe, pin_delta=(n < 2))
-            if res <= opts.eps_feas:
-                delta, _ = _polished_sum(work, g, delta, opts)
-        if res <= opts.eps_feas:
-            # accepted at this k (a fast-path delta is already polished): descend
-            # toward the true minimum before rounding
-            level = float(delta.sum())
-            while level > opts.eps_obj / 4.0:
-                target = level / 2.0
-                g2, d2, res2, it2 = _probe(work, target, g, delta, opts, per_probe)
-                iters += it2
-                if res2 > opts.eps_feas:
-                    break
-                d2, new_level = _polished_sum(work, g2, d2, opts)
-                g, delta = g2, d2
-                if new_level > 0.9 * level:
-                    level = new_level
-                    break
-                level = new_level
-            sol = _solution_from(inst, work, g, delta, iters, opts)
-            if sol.objective <= k + opts.eps_obj and sol.feasible:
-                result = round_solution(sol, c, gamma, f_k, k=k)
-                result.metadata.update({
-                    "mode": mode,
-                    "g_value": weak_g(k) if mode == "weak_factor"
-                               else 382.0 * float(harmonic_number(k + 1)),
-                    "zeta": zeta,
-                    "zeta_k": zeta_k,
-                    "zeta_source": zeta_source,
-                    "seed": opts.seed,
-                })
-                return _reclaim_outliers(sol, result, c, gamma)
-        g_warm = g
+        # at k = 0 the warm start is g0 itself, already a candidate
+        grams = candidates if g_warm is g0 else candidates + [g_warm]
+        sol = _minimize(inst, k + opts.eps_obj / 2.0, grams, g_warm, opts)
+        if sol.objective <= k + opts.eps_obj and sol.feasible:
+            result = round_solution(sol, c, gamma, f_k, k=k)
+            result.metadata.update({
+                "mode": mode,
+                "g_value": weak_g(k) if mode == "weak_factor"
+                           else 382.0 * float(harmonic_number(k + 1)),
+                "zeta": zeta,
+                "zeta_k": zeta_k,
+                "zeta_source": zeta_source,
+                "seed": opts.seed,
+            })
+            return _reclaim_outliers(sol, result, c, gamma)
+        g_warm = sol.gram
     raise Exhausted("no k <= n admitted an SDP value <= k; this should be unreachable")

@@ -110,6 +110,14 @@ class TestSolve:
             assert objf[16.0] <= objf[4.0] + slack
             assert objf[64.0] <= objf[16.0] + slack
 
+    def test_level_n_certificate_when_the_step_fails(self):
+        # at f = 0 no weight can pay for an expanded pair; the cheapest level-n
+        # certificate is G = 0 with delta = 1/2 on every point
+        m = integer_metric(np.random.default_rng(2), 6)
+        sol = solve_sdp(build_instance(m, 1.0, 0.0))
+        assert sol.feasible
+        assert sol.objective == pytest.approx(m.n / 2.0)
+
     def test_distortion_feasibility_direction(self, claw_metric):
         opts = SolveOpts()
         ok_low, _ = distortion_feasible(claw_metric, 1.0, opts)
@@ -193,6 +201,13 @@ class TestSearch:
         sol = solve_sdp(build_instance(m, 1.0, f_of_k(2, max(stats.distortion, 1.0))))
         assert sol.feasible
         assert sol.objective <= 2.0 + 1e-3
+
+    def test_iterations_are_those_run(self):
+        # a probe stopped by the stall gate reports its own count, not the cap
+        m = integer_metric(np.random.default_rng([101]), 6)
+        opts = SolveOpts(seed=0)
+        res = search_min_outliers(m, 1.0, 1.5, opts=opts)
+        assert res.metadata["iterations"] < max(2000, opts.max_iters // 12)
 
     def test_strong_mode_runs(self, claw_metric):
         res = search_min_outliers(claw_metric, 1.0, 1.5, mode="strong_subset")
