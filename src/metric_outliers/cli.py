@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -218,12 +219,9 @@ def _cmd_outliers_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    budget = OracleBudget(
-        max_nodes=args.max_nodes,
-        max_subset_size=args.max_size,
-        max_columns=args.max_columns,
-        time_cap=args.time_cap,
-    )
+    # each oracle subcommand declares only the budget flags its oracle reads
+    budget = OracleBudget(**{f.name: getattr(args, f.name)
+                             for f in fields(OracleBudget) if hasattr(args, f.name)})
     if args.oracle_cmd == "vc":
         g = read_graph_text(args.graph)
         size, witness = min_vertex_cover(g, budget)
@@ -241,7 +239,7 @@ def _cmd_oracle(args) -> int:
         value = optimal_distortion_l2(m, tol=args.tol)
         payload = {"optimal_distortion": value, "tol": args.tol,
                    "provenance": _provenance(args.seed, {"metric": args.metric})}
-        summary = f"optimal l2 distortion {value:.6f} (within {args.tol:g})"
+        summary = f"upper bound on the optimal l2 distortion {value:.6f} (search tol {args.tol:g})"
     elif args.oracle_cmd == "hypercube":
         g = read_graph_text(args.graph)
         ok, witness = hypercube_embeddable(g, args.scale, budget)
@@ -370,11 +368,12 @@ def _build_parser() -> argparse.ArgumentParser:
     oh.add_argument("--scale", type=int, default=1)
     ow = oracle_sub.add_parser("dwclasses", help="theta-relation edge classes")
     ow.add_argument("--graph", required=True)
-    for p_ in (ov, oo, od, oh, ow):
+    for p_ in (ov, oo, oh):
         p_.add_argument("--max-nodes", type=int, default=16)
-        p_.add_argument("--max-size", type=int, default=None)
-        p_.add_argument("--max-columns", type=int, default=None)
         p_.add_argument("--time-cap", type=float, default=None)
+    oo.add_argument("--max-size", dest="max_subset_size", type=int, default=None)
+    oh.add_argument("--max-columns", type=int, default=None)
+    for p_ in (ov, oo, od, oh, ow):
         common(p_)
         p_.set_defaults(func=_cmd_oracle)
 

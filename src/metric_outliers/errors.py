@@ -99,10 +99,6 @@ class GammaNotAboveOne(DomainError):
     pass
 
 
-class NumericalBreakdown(DomainError):
-    pass
-
-
 class Exhausted(DomainError):
     pass
 

@@ -161,6 +161,11 @@ class _Work:
         self.low_norm2 = 4.0 + 2.0 * self.d2 ** 2
         self.up_norm2 = 4.0 + 2.0 * (self.f * self.d2) ** 2
         self.deg = max(n - 1, 1)
+        self.ends = np.concatenate((xs, ys))
+
+    def scatter(self, w: np.ndarray) -> np.ndarray:
+        """Per-point sum of the pair values w over both ends of each pair."""
+        return np.bincount(self.ends, np.concatenate((w, w)), self.n)
 
     def pair_r(self, g: np.ndarray) -> np.ndarray:
         diag = np.diag(g)
@@ -180,18 +185,21 @@ class _Work:
 
 
 def _project_level_box(delta: np.ndarray, level: float) -> np.ndarray:
-    """Projection onto {0 <= delta <= 1, sum(delta) <= level}."""
-    out = np.clip(delta, 0.0, 1.0)
-    if out.sum() <= level + 1e-15:
-        return out
-    lo_t, hi_t = 0.0, float(delta.max())
-    for _ in range(60):
-        theta = (lo_t + hi_t) / 2.0
-        if np.clip(delta - theta, 0.0, 1.0).sum() > level:
-            lo_t = theta
-        else:
-            hi_t = theta
-    return np.clip(delta - hi_t, 0.0, 1.0)
+    """Exact projection onto {0 <= delta <= 1, sum(delta) <= level}.
+
+    The projection is clip(delta - t, 0, 1) for the least t >= 0 meeting the
+    level (Wang & Lu 2015, capped simplex). The clipped sum is piecewise
+    linear in t with breakpoints delta and delta - 1, so t is interpolated
+    between the two breakpoints that bracket the level.
+    """
+    b = np.sort(np.concatenate((delta, delta - 1.0)))
+    b = np.concatenate(([0.0], b[b > 0.0]))
+    s = np.clip(delta - b[:, None], 0.0, 1.0).sum(axis=1)  # nonincreasing in t
+    if s[0] <= level:
+        return np.clip(delta, 0.0, 1.0)
+    j = int(np.argmax(s <= level))  # the last breakpoint, max(delta), has s = 0
+    t = b[j] - (level - s[j]) * (b[j] - b[j - 1]) / (s[j - 1] - s[j])
+    return np.clip(delta - t, 0.0, 1.0)
 
 
 def _psd_project(g: np.ndarray) -> np.ndarray:
@@ -205,16 +213,16 @@ _OMEGA = 1.6  # over-relaxation of the pair corrections
 
 
 def _probe(work: _Work, level: float, g0: np.ndarray, delta0: np.ndarray,
-           opts: SolveOpts, pin_delta: bool = False
-           ) -> tuple[np.ndarray, np.ndarray, float, int]:
+           opts: SolveOpts) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Run the splitting iteration at a fixed objective level, for at most
-    max(2000, opts.max_iters // 12) iterations.
+    max(2000, opts.max_iters // 12) iterations. At level 0 the only feasible
+    delta is 0, so only G moves.
 
     Returns (G, delta, residual) of the best iterate seen and the iterations run.
     """
     n = work.n
     g = _psd_project(g0.copy())
-    delta = np.zeros(n) if pin_delta else _project_level_box(delta0.copy(), level)
+    delta = _project_level_box(delta0, level)
     best = (g.copy(), delta.copy(), work.residual(g, delta), 0)
     if best[2] <= opts.eps_feas:
         return best
@@ -226,18 +234,12 @@ def _probe(work: _Work, level: float, g0: np.ndarray, delta0: np.ndarray,
         wu = np.clip(up_gap, 0.0, None) / work.up_norm2
         net = wl - wu
         # G corrections: +w on both diagonal entries, -w on the off-diagonal pair
-        diag_corr = np.zeros(n)
-        np.add.at(diag_corr, work.xs, net)
-        np.add.at(diag_corr, work.ys, net)
         g[work.xs, work.ys] -= _OMEGA * net
         g[work.ys, work.xs] -= _OMEGA * net
-        g[np.diag_indices(n)] += _OMEGA * diag_corr / work.deg
-        if not pin_delta:
+        g[np.diag_indices(n)] += _OMEGA * work.scatter(net) / work.deg
+        if level > 0:
             dd = wl * work.d2 + wu * work.f * work.d2
-            delta_corr = np.zeros(n)
-            np.add.at(delta_corr, work.xs, dd)
-            np.add.at(delta_corr, work.ys, dd)
-            delta = _project_level_box(delta + _OMEGA * delta_corr / work.deg, level)
+            delta = _project_level_box(delta + _OMEGA * work.scatter(dd) / work.deg, level)
         g = _psd_project(g)
         res = work.residual(g, delta)
         if res < best[2]:
@@ -402,7 +404,7 @@ def distortion_feasible(m: MetricSpace, c: float, opts: SolveOpts = SolveOpts()
         return True, np.zeros((m.n, m.n))
     inst = build_instance(m, c, 0.0)
     work = _Work(inst)
-    g, _, res, _ = _probe(work, 0.0, _initial_gram(m), np.zeros(m.n), opts, pin_delta=True)
+    g, _, res, _ = _probe(work, 0.0, _initial_gram(m), np.zeros(m.n), opts)
     return (res <= opts.eps_feas), (g if res <= opts.eps_feas else None)
 
 

@@ -145,6 +145,27 @@ def test_oracle_subcommands(capsys, tmp_path, edge_file, claw_file):
     assert code == 0 and json.loads(out)["num_classes"] == 1
 
 
+def test_oracle_distortion_is_an_upper_bound(capsys, claw_file):
+    code, out, _ = run(capsys, ["oracle", "distortion", "--metric", claw_file])
+    assert code == 0 and json.loads(out)["optimal_distortion"] >= 1.0
+    code, out, _ = run(capsys, ["oracle", "distortion", "--metric", claw_file, "--human"])
+    assert code == 0
+    assert out.startswith("upper bound on the optimal l2 distortion ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "distortion", "--metric", "m.txt", "--max-nodes", "3"],
+    ["oracle", "dwclasses", "--graph", "g.txt", "--time-cap", "1"],
+    ["oracle", "vc", "--graph", "g.txt", "--max-columns", "3"],
+    ["oracle", "vc", "--graph", "g.txt", "--max-size", "3"],
+    ["oracle", "outliers", "--metric", "m.txt", "--max-columns", "3"],
+    ["oracle", "hypercube", "--graph", "g.txt", "--max-size", "3"],
+])
+def test_budget_flag_the_oracle_ignores_exits_2(capsys, argv):
+    assert dispatch(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_gadget_commands(capsys, edge_file, tmp_path):
     code, out, _ = run(capsys, ["gadget", "lp", "--graph", edge_file])
     assert code == 0

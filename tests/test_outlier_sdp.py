@@ -25,6 +25,7 @@ from metric_outliers.lp_geometry import gram_of_points, pairwise_distances
 from metric_outliers.outlier_sdp import (
     SdpSolution,
     SolveOpts,
+    _project_level_box,
     bicriteria_bound_eps,
     distortion_feasible,
     round_solution,
@@ -124,6 +125,42 @@ class TestSolve:
         ok_high, g = distortion_feasible(claw_metric, 2.0, opts)
         assert not ok_low and ok_high
         assert g is not None
+
+
+class TestProjection:
+    """_project_level_box against a bisection on the threshold t of
+    clip(delta - t, 0, 1), the projection onto the box and the level set."""
+
+    @staticmethod
+    def reference(delta, level):
+        lo = np.zeros(len(delta))
+        hi = np.maximum(delta.max(axis=1), 0.0)
+        for _ in range(200):
+            mid = (lo + hi) / 2.0
+            over = np.clip(delta - mid[:, None], 0.0, 1.0).sum(axis=1) > level
+            lo, hi = np.where(over, mid, lo), np.where(over, hi, mid)
+        return np.clip(delta - hi[:, None], 0.0, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+    def test_matches_bisection(self, n):
+        rng = np.random.default_rng(n)
+        delta = rng.uniform(-1.0, 2.0, size=(600, n))
+        clipped = np.clip(delta, 0.0, 1.0).sum(axis=1)
+        levels = {
+            "binding": rng.uniform(0.0, 1.0, len(delta)) * clipped,
+            "at": clipped,
+            "above": clipped + rng.uniform(0.0, 2.0, len(delta)),
+        }
+        for name, level in levels.items():
+            ref = self.reference(delta, level)
+            got = np.array([_project_level_box(d, lv) for d, lv in zip(delta, level)])
+            assert np.abs(got - ref).max() <= 1e-12, name
+            assert ((got >= 0.0) & (got <= 1.0)).all(), name
+            binds = clipped > level
+            assert np.abs(got.sum(axis=1) - level)[binds].max(initial=0.0) <= 1e-12, name
+        # at level 0 the only feasible delta is exactly 0
+        zero = np.array([_project_level_box(d, 0.0) for d in delta])
+        assert np.array_equal(zero, np.zeros_like(delta))
 
 
 class TestRounding:
