@@ -41,6 +41,7 @@ from .nested_composition import (
 )
 from .oracle import (
     OracleBudget,
+    distortion_bracket,
     dw_edge_classes,
     hypercube_embeddable,
     min_outlier_isometric_l2,
@@ -53,7 +54,6 @@ from .outlier_sdp import (
     SdpSolution,
     SolveOpts,
     bicriteria_bound,
-    build_instance,
     f_of_k,
     round_solution,
     search_min_outliers,

@@ -38,11 +38,11 @@ from .nested_composition import (
 )
 from .oracle import (
     OracleBudget,
+    distortion_bracket,
     dw_edge_classes,
     hypercube_embeddable,
     min_outlier_isometric_l2,
     min_vertex_cover,
-    optimal_distortion_l2,
 )
 from .outlier_sdp import SolveOpts, search_min_outliers
 
@@ -236,10 +236,11 @@ def _cmd_oracle(args) -> int:
         summary = f"minimum isometric outlier set {size}: {list(witness)}"
     elif args.oracle_cmd == "distortion":
         m = read_metric_text(args.metric)
-        value = optimal_distortion_l2(m, tol=args.tol)
-        payload = {"optimal_distortion": value, "tol": args.tol,
+        lower, upper = distortion_bracket(m, tol=args.tol)
+        payload = {"optimal_distortion": upper, "lower_bound": lower, "tol": args.tol,
                    "provenance": _provenance(args.seed, {"metric": args.metric})}
-        summary = f"upper bound on the optimal l2 distortion {value:.6f} (search tol {args.tol:g})"
+        summary = (f"upper bound on the optimal l2 distortion {upper:.6f}, certified lower "
+                   f"bound {lower:.6f} (search tol {args.tol:g})")
     elif args.oracle_cmd == "hypercube":
         g = read_graph_text(args.graph)
         ok, witness = hypercube_embeddable(g, args.scale, budget)
@@ -360,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ov.add_argument("--graph", required=True)
     oo = oracle_sub.add_parser("outliers", help="minimum isometric-l2 outlier set")
     oo.add_argument("--metric", required=True)
-    od = oracle_sub.add_parser("distortion", help="upper bound on the optimal l2 distortion via binary search")
+    od = oracle_sub.add_parser("distortion", help="witnessed bracket on the optimal l2 distortion via binary search")
     od.add_argument("--metric", required=True)
     od.add_argument("--tol", type=float, default=1e-3)
     oh = oracle_sub.add_parser("hypercube", help="scale-s hypercube embeddability")

@@ -1,9 +1,9 @@
 """Exhaustive ground-truth computations on small instances.
 
 Everything here is exact (subject only to eigenvalue tolerance where noted),
-deterministic, and witness-producing, except optimal_distortion_l2: it rests
-on a first-order feasibility probe that can reject a feasible distortion, so
-its answer is an upper bound on the optimal l2 distortion, not the optimum.
+deterministic, and witness-producing. The optimal l2 distortion is a
+bracket: its upper end is the distortion of an embedding in hand and its
+lower end a Linial-London-Rabinovich dual certificate, both checked here.
 Budgets guard runtime, they never trade away exactness.
 """
 from __future__ import annotations
@@ -77,36 +77,42 @@ def min_outlier_isometric_l2(m: MetricSpace, budget: OracleBudget = DEFAULT_BUDG
     raise BudgetExceeded(f"no outlier set of size <= {limit} found within budget")
 
 
-def optimal_distortion_l2(m: MetricSpace, tol: float = 1e-3) -> float:
-    """Upper bound on the optimal l2 distortion: the smallest c (within tol)
-    that the outlier-free feasibility probe accepts, by binary search over c.
+def distortion_bracket(m: MetricSpace, tol: float = 1e-3) -> tuple[float, float]:
+    """Witnessed bracket (lower, upper) on the optimal l2 distortion c2(m).
 
-    The bracket starts at [1, measured Bourgain distortion]. An accepted c
-    comes with a Gram matrix meeting it, but a rejected c may still be
-    feasible: the probe gives up when its residual stops falling. On the 10-
-    and 12-cycles this returns 1.7272 and 2.4476, where the regular polygons
-    achieve 1.5451 and 1.5529.
+    Bisection over c on the three-valued feasibility run. upper is the
+    distortion of an embedding in hand: the seeded Bourgain embedding's, or
+    that of a Gram matrix the run accepted. lower is the best LLR certificate
+    found, 1.0 if there is none. An undecided run moves the search past its
+    c but not the certified lower end, so upper - lower <= tol holds unless a
+    run was undecided.
     """
     if m.n < 2 or is_l2_isometric(m):
-        return 1.0
+        return 1.0, 1.0
     _, stats = bourgain_embed(m, BourgainParams(seed=0, p=2.0))
-    hi = max(stats.distortion, 1.0 + 10 * tol)
+    hi = float(stats.distortion)
+    lo = lower = 1.0
     opts = SolveOpts()
-    feasible_hi, _ = distortion_feasible(m, hi, opts)
-    if not feasible_hi:
-        hi *= 2.0
-        feasible_hi, _ = distortion_feasible(m, hi, opts)
-        if not feasible_hi:
-            raise SolverFailure(f"feasibility solver rejected the bracket top c={hi:g}")
-    lo = 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        ok, _ = distortion_feasible(m, mid, opts)
-        if ok:
-            hi = mid
+        verdict, _, bound = distortion_feasible(m, mid, opts)
+        if verdict == "feasible":
+            hi = min(hi, bound)
+        elif verdict == "infeasible":
+            lower = max(lower, min(bound, hi))
+            lo = max(lo, lower)
         else:
             lo = mid
-    return hi
+    return lower, hi
+
+
+def optimal_distortion_l2(m: MetricSpace, tol: float = 1e-3) -> float:
+    """The optimal l2 distortion within tol: the upper end of
+    distortion_bracket, the distortion of an embedding in hand. Its lower end,
+    an LLR certificate, is within tol below unless a feasibility run was
+    undecided.
+    """
+    return distortion_bracket(m, tol)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ known Gram matrices (for a fixed G the best delta is a small LP), else one
 probe at the starting level sum(delta) <= s; a feasible result then descends
 by halving the level. Every accepted delta is polished by that LP, which
 snaps unnecessary weights to exact zero.
+
+Plain feasibility at distortion c (no outlier weights) has its own
+primal-dual run whose verdicts come with checked witnesses: a Gram matrix of
+distortion <= c, or a Linial-London-Rabinovich certificate above c.
 """
 from __future__ import annotations
 
@@ -69,13 +73,6 @@ def bicriteria_bound(k: int, c: float, gamma: float, g_value: float, zeta: float
     return 2.0 * ((g_value * zeta) ** 2 / c ** 2 + gamma ** 2) / (gamma ** 2 - 1.0) * k
 
 
-def bicriteria_bound_eps(k: int, c: float, eps: float, g_value: float, zeta: float) -> float:
-    """The gamma = 1 + eps form of the cap."""
-    if eps <= 0:
-        raise GammaNotAboveOne("eps must be positive")
-    return bicriteria_bound(k, c, 1.0 + eps, g_value, zeta)
-
-
 def _check_gamma(gamma: float) -> None:
     if not gamma > 1.0:
         raise GammaNotAboveOne(f"gamma must be strictly above 1, got {gamma}")
@@ -108,10 +105,6 @@ class SdpInstance:
     @property
     def num_inequalities(self) -> int:
         return 2 * self.num_pairs
-
-
-def build_instance(m: MetricSpace, c: float, f_k: float) -> SdpInstance:
-    return SdpInstance(m=m, c=c, f_k=f_k)
 
 
 @dataclass(frozen=True)
@@ -167,6 +160,12 @@ class _Work:
         """Per-point sum of the pair values w over both ends of each pair."""
         return np.bincount(self.ends, np.concatenate((w, w)), self.n)
 
+    def laplacian(self, w: np.ndarray) -> np.ndarray:
+        """sum over pairs of w (e_x - e_y)(e_x - e_y)^T."""
+        lap = np.diag(self.scatter(w))
+        lap[self.xs, self.ys] = lap[self.ys, self.xs] = -w
+        return lap
+
     def pair_r(self, g: np.ndarray) -> np.ndarray:
         diag = np.diag(g)
         return diag[self.xs] + diag[self.ys] - 2.0 * g[self.xs, self.ys]
@@ -179,7 +178,9 @@ class _Work:
         return low_gap, up_gap
 
     def residual(self, g: np.ndarray, delta: np.ndarray) -> float:
-        low_gap, up_gap = self.violations(g, delta)
+        return self.gap_residual(*self.violations(g, delta))
+
+    def gap_residual(self, low_gap: np.ndarray, up_gap: np.ndarray) -> float:
         rel = np.maximum(low_gap, up_gap) / self.d2
         return float(max(rel.max(initial=0.0), 0.0))
 
@@ -215,21 +216,21 @@ _OMEGA = 1.6  # over-relaxation of the pair corrections
 def _probe(work: _Work, level: float, g0: np.ndarray, delta0: np.ndarray,
            opts: SolveOpts) -> tuple[np.ndarray, np.ndarray, float, int]:
     """Run the splitting iteration at a fixed objective level, for at most
-    max(2000, opts.max_iters // 12) iterations. At level 0 the only feasible
-    delta is 0, so only G moves.
+    max(2000, opts.max_iters // 12) iterations.
 
     Returns (G, delta, residual) of the best iterate seen and the iterations run.
     """
     n = work.n
     g = _psd_project(g0.copy())
     delta = _project_level_box(delta0, level)
-    best = (g.copy(), delta.copy(), work.residual(g, delta), 0)
+    gaps = work.violations(g, delta)
+    best = (g.copy(), delta.copy(), work.gap_residual(*gaps), 0)
     if best[2] <= opts.eps_feas:
         return best
     stall = 0
     milestone = best[2]
     for it in range(1, max(2000, opts.max_iters // 12) + 1):
-        low_gap, up_gap = work.violations(g, delta)
+        low_gap, up_gap = gaps
         wl = np.clip(low_gap, 0.0, None) / work.low_norm2
         wu = np.clip(up_gap, 0.0, None) / work.up_norm2
         net = wl - wu
@@ -237,11 +238,11 @@ def _probe(work: _Work, level: float, g0: np.ndarray, delta0: np.ndarray,
         g[work.xs, work.ys] -= _OMEGA * net
         g[work.ys, work.xs] -= _OMEGA * net
         g[np.diag_indices(n)] += _OMEGA * work.scatter(net) / work.deg
-        if level > 0:
-            dd = wl * work.d2 + wu * work.f * work.d2
-            delta = _project_level_box(delta + _OMEGA * work.scatter(dd) / work.deg, level)
+        dd = wl * work.d2 + wu * work.f * work.d2
+        delta = _project_level_box(delta + _OMEGA * work.scatter(dd) / work.deg, level)
         g = _psd_project(g)
-        res = work.residual(g, delta)
+        gaps = work.violations(g, delta)
+        res = work.gap_residual(*gaps)
         if res < best[2]:
             best = (g.copy(), delta.copy(), res, it)
             if res <= opts.eps_feas:
@@ -394,18 +395,69 @@ def solve_sdp(inst: SdpInstance, opts: SolveOpts = SolveOpts()) -> SdpSolution:
     return _solution_from(inst, work, g, delta, sol.iterations, opts)
 
 
+def _llr_bound(work: _Work, w: np.ndarray) -> float:
+    """Lower bound on the l2 distortion from pair weights w (Linial, London &
+    Rabinovich 1995).
+
+    w is shifted by mu/n, which adds mu (I - 11^T/n) to its Laplacian, with mu
+    chosen so the shifted Laplacian L is PSD with smallest eigenvalue 0 on 1-perp.
+    Any Gram matrix G then has sum w r(G) = <L, G> >= 0, so an embedding with
+    d^2 <= r <= c^2 d^2 needs c^2 >= sum_{w<0} |w| d^2 / sum_{w>0} w d^2.
+    """
+    lap = work.laplacian(w)
+    # a lift of alpha >= any eigenvalue on 1-perp moves the eigenvalue 0 of 1 out of the way
+    alpha = abs(float(np.trace(lap))) + 1.0
+    lam_min = np.linalg.eigh(lap + alpha / work.n)[0][0]
+    w = w - lam_min / work.n
+    pos = float(w[w > 0.0] @ work.d2[w > 0.0])
+    neg = float(-w[w < 0.0] @ work.d2[w < 0.0])
+    return math.sqrt(neg / pos) if pos > 0.0 else 1.0
+
+
 def distortion_feasible(m: MetricSpace, c: float, opts: SolveOpts = SolveOpts()
-                        ) -> tuple[bool, Optional[np.ndarray]]:
+                        ) -> tuple[str, Optional[np.ndarray], Optional[float]]:
     """Plain outlier-free feasibility: does a Gram matrix with distortion <= c
-    exist? One probe at level 0; True comes with the Gram matrix found, False
-    only means the probe stalled or ran out, which can happen at feasible c.
-    Used by the optimal-distortion oracle's binary search."""
-    if m.n < 2:
-        return True, np.zeros((m.n, m.n))
-    inst = build_instance(m, c, 0.0)
-    work = _Work(inst)
-    g, _, res, _ = _probe(work, 0.0, _initial_gram(m), np.zeros(m.n), opts)
-    return (res <= opts.eps_feas), (g if res <= opts.eps_feas else None)
+    exist? Returns (verdict, gram, bound), each verdict checked by a witness:
+
+    - "feasible": gram, rescaled so no pair contracts, has distortion bound <= c;
+    - "infeasible": an LLR certificate proves the optimal l2 distortion is at
+      least bound > c (gram is None);
+    - "undecided": neither turned up within max(2000, opts.max_iters // 12)
+      iterations (gram and bound are None).
+
+    The run is the linearized primal-dual iteration of Chambolle & Pock (2011)
+    on {G PSD, d^2/2 <= r(G)/2 <= c^2 d^2/2}, r(G) = G_xx + G_yy - 2 G_xy,
+    from the rescaled centered Gram. Every row of that map has unit norm, so
+    its squared norm is n/2 and one step size 0.99/sqrt(n/2) serves primal
+    and dual. The primal witness is checked every iteration; the dual one, the
+    weights u/2 of the dual iterate u, every 50.
+    """
+    n = m.n
+    if n < 2:
+        return "feasible", np.zeros((n, n)), 1.0
+    work = _Work(SdpInstance(m, c, 0.0))
+    lo, hi = work.d2 / 2.0, work.c2 * work.d2 / 2.0
+    step = 0.99 / math.sqrt(n / 2.0)
+    g = _initial_gram(m)
+    r = r_bar = work.pair_r(g)  # r(G), and r of the extrapolated 2 G_next - G
+    u = np.zeros_like(r)
+    for it in range(max(2000, opts.max_iters // 12) + 1):
+        if it > 0:
+            v = u + step * r_bar / 2.0
+            u = v - step * np.clip(v / step, lo, hi)
+            g = _psd_project(g - step * work.laplacian(u / 2.0))
+            r_next = work.pair_r(g)
+            r, r_bar = r_next, 2.0 * r_next - r
+        ratio = r / work.d2
+        rmin = ratio.min()
+        dist = math.sqrt(ratio.max() / rmin) if rmin > 0.0 else math.inf
+        if dist <= c:
+            return "feasible", g / rmin, dist
+        if it > 0 and it % 50 == 0:
+            bound = _llr_bound(work, u / 2.0)
+            if bound > c:
+                return "infeasible", None, bound
+    return "undecided", None, None
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +587,12 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
     g0 = _initial_gram(m)
     # a Gram feasible at the target distortion gamma*c concentrates the weight
     # needs on genuinely bad points; well worth one extra feasibility run
-    target_ok, g_target = distortion_feasible(m, gamma * c, opts)
-    candidates = [g0] + ([g_target] if target_ok and g_target is not None else [])
+    verdict, g_target, _ = distortion_feasible(m, gamma * c, opts)
+    candidates = [g0] + ([g_target] if verdict == "feasible" else [])
     g_warm = g0
     for k in range(0, m.n + 1):
         f_k = f_of_k(k, zeta, mode, zeta_k=zeta_k)
-        inst = build_instance(m, c, f_k)
+        inst = SdpInstance(m, c, f_k)
         # at k = 0 the warm start is g0 itself, already a candidate
         grams = candidates if g_warm is g0 else candidates + [g_warm]
         sol = _minimize(inst, k + opts.eps_obj / 2.0, grams, g_warm, opts)

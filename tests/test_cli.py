@@ -153,6 +153,20 @@ def test_oracle_distortion_is_an_upper_bound(capsys, claw_file):
     assert out.startswith("upper bound on the optimal l2 distortion ")
 
 
+def test_oracle_distortion_lower_bound_on_c10(capsys, tmp_path):
+    # the 10-cycle's optimal l2 distortion is 5 sin(pi/10), the regular polygon's
+    path = tmp_path / "c10.txt"
+    write_metric_text(str(path), from_graph(Graph(10, tuple((i, (i + 1) % 10) for i in range(10)))))
+    code, out, _ = run(capsys, ["oracle", "distortion", "--metric", str(path)])
+    payload = json.loads(out)
+    c2 = 5.0 * np.sin(np.pi / 10.0)
+    assert code == 0
+    assert payload["lower_bound"] <= c2 + 1e-9 and payload["optimal_distortion"] >= c2 - 1e-9
+    assert payload["optimal_distortion"] - payload["lower_bound"] <= payload["tol"]
+    code, out, _ = run(capsys, ["oracle", "distortion", "--metric", str(path), "--human"])
+    assert f"certified lower bound {payload['lower_bound']:.6f}" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["oracle", "distortion", "--metric", "m.txt", "--max-nodes", "3"],
     ["oracle", "dwclasses", "--graph", "g.txt", "--time-cap", "1"],

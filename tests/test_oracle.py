@@ -3,6 +3,8 @@ import pytest
 
 from metric_outliers import (
     Graph,
+    distortion_bracket,
+    distortion_stats,
     dw_edge_classes,
     from_graph,
     from_matrix,
@@ -11,11 +13,25 @@ from metric_outliers import (
     min_outlier_isometric_l2,
     min_vertex_cover,
     optimal_distortion_l2,
+    points_from_gram,
     restrict,
 )
+from metric_outliers import oracle
 from metric_outliers.errors import BudgetExceeded
 from metric_outliers.hardness_gadgets import l1_gadget, lp_gadget
 from metric_outliers.oracle import OracleBudget
+
+# graphs with a known optimal l2 distortion c2: even cycles (regular polygon,
+# Linial-Magen), hypercubes (sqrt(d), Enflo) and stars (sqrt(2 - 2/m))
+KNOWN_C2 = (
+    [(f"C{n}", Graph(n, tuple((i, (i + 1) % n) for i in range(n))), n / 2 * np.sin(np.pi / n))
+     for n in (4, 6, 8, 10, 12)]
+    + [(f"Q{d}", Graph(2 ** d, tuple((u, u ^ (1 << b)) for u in range(2 ** d) for b in range(d)
+                                     if u < u ^ (1 << b))), np.sqrt(d))
+       for d in (3, 4)]
+    + [(f"K1,{m}", Graph(m + 1, tuple((0, i) for i in range(1, m + 1))), np.sqrt(2.0 - 2.0 / m))
+       for m in (3, 4, 5, 6)]
+)
 
 
 class TestVertexCover:
@@ -83,6 +99,31 @@ class TestOptimalDistortion:
         c4 = from_graph(Graph(n=4, edges=((0, 1), (1, 2), (2, 3), (3, 0))))
         sub, _ = restrict(c4, {0})
         assert optimal_distortion_l2(sub) <= optimal_distortion_l2(c4) + 2e-3
+
+
+class TestDistortionBracket:
+    @pytest.mark.parametrize("graph,c2", [entry[1:] for entry in KNOWN_C2],
+                             ids=[entry[0] for entry in KNOWN_C2])
+    def test_witnesses_bracket_known_c2(self, monkeypatch, graph, c2):
+        m = from_graph(graph)
+        accepted, certified = [], []
+        original = oracle.distortion_feasible
+
+        def recording(m_, c, opts):
+            verdict, g, bound = original(m_, c, opts)
+            if verdict == "feasible":
+                accepted.append(g)
+            elif verdict == "infeasible":
+                certified.append(bound)
+            return verdict, g, bound
+
+        monkeypatch.setattr(oracle, "distortion_feasible", recording)
+        lower, upper = distortion_bracket(m, tol=1e-3)
+        assert upper - lower <= 1e-3
+        assert lower <= c2 + 1e-9 and all(b <= c2 + 1e-9 for b in certified)
+        for g in accepted:
+            assert distortion_stats(m, points_from_gram(g)).distortion >= c2 - 1e-9
+        assert optimal_distortion_l2(m, tol=1e-3) == upper
 
 
 class TestHypercube:

@@ -9,8 +9,8 @@ from metric_outliers import (
     PointSet,
     bicriteria_bound,
     bourgain_embed,
-    build_instance,
     compose_deterministic,
+    distortion_stats,
     f_of_k,
     from_graph,
     from_matrix,
@@ -21,12 +21,12 @@ from metric_outliers import (
 )
 from metric_outliers.errors import GammaNotAboveOne, MissingZetaK
 from metric_outliers.hardness_gadgets import lp_gadget
-from metric_outliers.lp_geometry import gram_of_points, pairwise_distances
+from metric_outliers.lp_geometry import gram_of_points, pairwise_distances, points_from_gram
 from metric_outliers.outlier_sdp import (
+    SdpInstance,
     SdpSolution,
     SolveOpts,
     _project_level_box,
-    bicriteria_bound_eps,
     distortion_feasible,
     round_solution,
     weak_g,
@@ -53,7 +53,7 @@ class TestFOfK:
 
 class TestInstance:
     def test_counting(self, claw_metric):
-        inst = build_instance(claw_metric, 1.0, 4.0)
+        inst = SdpInstance(claw_metric, 1.0, 4.0)
         assert inst.num_pairs == 6
         assert inst.num_inequalities == 12
 
@@ -75,21 +75,21 @@ class TestInstance:
 
 class TestSolve:
     def test_isometric_line_has_near_zero_objective(self, line_metric):
-        sol = solve_sdp(build_instance(line_metric, 1.0, 4.0))
+        sol = solve_sdp(SdpInstance(line_metric, 1.0, 4.0))
         assert sol.feasible
         assert sol.objective <= 1e-4
 
     def test_claw_objective_at_most_one(self, claw_metric):
         _, stats = bourgain_embed(claw_metric, BourgainParams(seed=0, p=2.0))
         zeta = max(stats.distortion, 1.0)
-        sol = solve_sdp(build_instance(claw_metric, 1.0, f_of_k(1, zeta)))
+        sol = solve_sdp(SdpInstance(claw_metric, 1.0, f_of_k(1, zeta)))
         assert sol.feasible
         assert sol.objective <= 1.0 + 1e-3
 
     def test_objective_never_exceeds_n(self):
         rng = np.random.default_rng(2)
         m = integer_metric(rng, 6)
-        sol = solve_sdp(build_instance(m, 1.0, 9.0), SolveOpts(eps_obj=5e-2, max_iters=10_000))
+        sol = solve_sdp(SdpInstance(m, 1.0, 9.0), SolveOpts(eps_obj=5e-2, max_iters=10_000))
         assert sol.feasible
         assert sol.objective <= m.n
 
@@ -102,12 +102,12 @@ class TestSolve:
             m = integer_metric(rng, 6)
             obj = {}
             for c in (1.0, 1.3, 1.8):
-                obj[c] = solve_sdp(build_instance(m, c, 8.0), opts).objective
+                obj[c] = solve_sdp(SdpInstance(m, c, 8.0), opts).objective
             assert obj[1.3] <= obj[1.0] + slack
             assert obj[1.8] <= obj[1.3] + slack
             objf = {}
             for f in (4.0, 16.0, 64.0):
-                objf[f] = solve_sdp(build_instance(m, 1.0, f), opts).objective
+                objf[f] = solve_sdp(SdpInstance(m, 1.0, f), opts).objective
             assert objf[16.0] <= objf[4.0] + slack
             assert objf[64.0] <= objf[16.0] + slack
 
@@ -115,16 +115,20 @@ class TestSolve:
         # at f = 0 no weight can pay for an expanded pair; the cheapest level-n
         # certificate is G = 0 with delta = 1/2 on every point
         m = integer_metric(np.random.default_rng(2), 6)
-        sol = solve_sdp(build_instance(m, 1.0, 0.0))
+        sol = solve_sdp(SdpInstance(m, 1.0, 0.0))
         assert sol.feasible
         assert sol.objective == pytest.approx(m.n / 2.0)
 
     def test_distortion_feasibility_direction(self, claw_metric):
+        # the claw's optimal l2 distortion is sqrt(4/3)
         opts = SolveOpts()
-        ok_low, _ = distortion_feasible(claw_metric, 1.0, opts)
-        ok_high, g = distortion_feasible(claw_metric, 2.0, opts)
-        assert not ok_low and ok_high
-        assert g is not None
+        verdict, g, bound = distortion_feasible(claw_metric, 1.0, opts)
+        assert verdict == "infeasible" and g is None
+        assert 1.0 < bound <= math.sqrt(4.0 / 3.0) + 1e-12
+        verdict, g, bound = distortion_feasible(claw_metric, 2.0, opts)
+        assert verdict == "feasible"
+        measured = distortion_stats(claw_metric, points_from_gram(g)).distortion
+        assert measured <= 2.0 and measured == pytest.approx(bound, rel=1e-9)
 
 
 class TestProjection:
@@ -165,12 +169,12 @@ class TestProjection:
 
 class TestRounding:
     def test_cutoff_formula(self, line_metric):
-        sol = solve_sdp(build_instance(line_metric, 1.0, 4.0))
+        sol = solve_sdp(SdpInstance(line_metric, 1.0, 4.0))
         res = round_solution(sol, c=1.0, gamma=math.sqrt(2.0), f_k=4.0)
         assert res.metadata["delta_cut"] == pytest.approx(1.0 / 12.0)
 
     def test_zero_delta_keeps_everyone(self, line_metric):
-        sol = solve_sdp(build_instance(line_metric, 1.0, 4.0))
+        sol = solve_sdp(SdpInstance(line_metric, 1.0, 4.0))
         res = round_solution(sol, c=1.0, gamma=1.5, f_k=4.0)
         assert res.outliers == ()
         assert res.embedding.n == 3
@@ -188,7 +192,7 @@ class TestRounding:
         delta = np.array([0.0, 0.0, 0.0, 1.0])
         zeta = max(stats.distortion, 1.0)
         f_k = f_of_k(1, zeta)
-        inst = build_instance(claw_metric, 1.0, f_k)
+        inst = SdpInstance(claw_metric, 1.0, f_k)
         sol = SdpSolution(instance=inst, gram=gram, delta=delta,
                           objective=1.0, max_violation=0.0, iterations=0, feasible=True)
         res = round_solution(sol, c=1.0, gamma=1.5, f_k=f_k, k=1)
@@ -209,12 +213,12 @@ class TestRounding:
     def test_outlier_count_versus_markov(self, claw_metric):
         _, stats = bourgain_embed(claw_metric, BourgainParams(seed=0, p=2.0))
         f_k = f_of_k(1, max(stats.distortion, 1.0))
-        sol = solve_sdp(build_instance(claw_metric, 1.0, f_k))
+        sol = solve_sdp(SdpInstance(claw_metric, 1.0, f_k))
         res = round_solution(sol, c=1.0, gamma=1.25, f_k=f_k)
         assert len(res.outliers) <= sol.objective / res.metadata["delta_cut"] + 1e-9
 
     def test_gamma_must_exceed_one(self, line_metric):
-        sol = solve_sdp(build_instance(line_metric, 1.0, 4.0))
+        sol = solve_sdp(SdpInstance(line_metric, 1.0, 4.0))
         with pytest.raises(GammaNotAboveOne):
             round_solution(sol, c=1.0, gamma=1.0, f_k=4.0)
 
@@ -235,7 +239,7 @@ class TestSearch:
         # the SDP with f(2) admits a solution of value <= 2 = vc(K3)
         m = from_graph(lp_gadget(k3).graph)
         _, stats = bourgain_embed(m, BourgainParams(seed=0, p=2.0))
-        sol = solve_sdp(build_instance(m, 1.0, f_of_k(2, max(stats.distortion, 1.0))))
+        sol = solve_sdp(SdpInstance(m, 1.0, f_of_k(2, max(stats.distortion, 1.0))))
         assert sol.feasible
         assert sol.objective <= 2.0 + 1e-3
 
@@ -267,8 +271,8 @@ class TestBicriteriaBound:
         assert bicriteria_bound(3, 1.0, 1e6, 1.0, 1.0) == pytest.approx(6.0, rel=1e-6)
 
     def test_eps_form(self):
-        assert bicriteria_bound_eps(2, 1.0, 0.5, 1.0, 1.0) == \
-            pytest.approx(bicriteria_bound(2, 1.0, 1.5, 1.0, 1.0))
+        # gamma = 1 + eps with eps = 0.5: 2 (1 + 2.25) / 1.25 * 2
+        assert bicriteria_bound(2, 1.0, 1.0 + 0.5, 1.0, 1.0) == pytest.approx(10.4)
 
     def test_gamma_validation(self):
         with pytest.raises(GammaNotAboveOne):
