@@ -204,7 +204,7 @@ def _cmd_outliers_solve(args) -> int:
         "solver": {
             "objective": result.metadata.get("objective"),
             "max_violation": result.metadata.get("max_violation"),
-            "iterations": result.metadata.get("iterations"),
+            "k0": result.metadata.get("k0"),
             "feasible": result.metadata.get("feasible"),
             "mode": result.metadata.get("mode"),
             "zeta": result.metadata.get("zeta"),

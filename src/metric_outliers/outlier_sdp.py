@@ -5,19 +5,17 @@ for every pair (x,y) with squared distance d2:
 
     (1 - dx - dy) * d2  <=  G_xx + G_yy - 2 G_xy  <=  (c^2 + (dx + dy) * f) * d2
 
-minimizing sum(delta). The solver is a first-order splitting: damped
-simultaneous corrections for the linear pair constraints, exact projection of
-delta onto the box intersected with an objective level set, and projection of
-G onto the PSD cone by eigendecomposition with negative eigenvalues clamped.
-One minimization step serves solve_sdp and the k-search: an LP fast path over
-known Gram matrices (for a fixed G the best delta is a small LP), else one
-probe at the starting level sum(delta) <= s; a feasible result then descends
-by halving the level. Every accepted delta is polished by that LP, which
-snaps unnecessary weights to exact zero.
+minimizing sum(delta). Nothing here iterates on (G, delta): for a fixed G
+the least delta is a small LP, so solve_sdp and the k-search try a short
+list of witness Gram matrices, polish each by that LP and accept the first
+whose delta meets the level and passes the residual check. Every accepted
+point is feasible and checked; its objective is an upper bound on the SDP
+value.
 
-Plain feasibility at distortion c (no outlier weights) has its own
-primal-dual run whose verdicts come with checked witnesses: a Gram matrix of
-distortion <= c, or a Linial-London-Rabinovich certificate above c.
+The witnesses come from plain feasibility at a distortion c (no outlier
+weights): a primal-dual run whose verdicts come with checked witnesses, a
+Gram matrix of distortion <= c or a Linial-London-Rabinovich certificate
+above c.
 """
 from __future__ import annotations
 
@@ -111,7 +109,7 @@ class SdpInstance:
 class SolveOpts:
     eps_feas: float = 1e-6   # relative to d^2 per pair constraint
     eps_obj: float = 1e-3
-    max_iters: int = 50_000  # one probe runs at most max(2000, max_iters // 12)
+    max_iters: int = 50_000  # each feasibility run stops after max(2000, max_iters // 12)
     seed: int = 0
 
 
@@ -122,7 +120,6 @@ class SdpSolution:
     delta: np.ndarray
     objective: float
     max_violation: float
-    iterations: int
     feasible: bool
 
 
@@ -151,18 +148,11 @@ class _Work:
         self.d2 = inst.m.dist[xs, ys] ** 2
         self.c2 = inst.c ** 2
         self.f = inst.f_k
-        self.low_norm2 = 4.0 + 2.0 * self.d2 ** 2
-        self.up_norm2 = 4.0 + 2.0 * (self.f * self.d2) ** 2
-        self.deg = max(n - 1, 1)
         self.ends = np.concatenate((xs, ys))
-
-    def scatter(self, w: np.ndarray) -> np.ndarray:
-        """Per-point sum of the pair values w over both ends of each pair."""
-        return np.bincount(self.ends, np.concatenate((w, w)), self.n)
 
     def laplacian(self, w: np.ndarray) -> np.ndarray:
         """sum over pairs of w (e_x - e_y)(e_x - e_y)^T."""
-        lap = np.diag(self.scatter(w))
+        lap = np.diag(np.bincount(self.ends, np.concatenate((w, w)), self.n))
         lap[self.xs, self.ys] = lap[self.ys, self.xs] = -w
         return lap
 
@@ -170,37 +160,14 @@ class _Work:
         diag = np.diag(g)
         return diag[self.xs] + diag[self.ys] - 2.0 * g[self.xs, self.ys]
 
-    def violations(self, g: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def residual(self, g: np.ndarray, delta: np.ndarray) -> float:
+        """Largest pair-constraint violation relative to d^2 (0 when none)."""
         r = self.pair_r(g)
         sdel = delta[self.xs] + delta[self.ys]
         low_gap = (1.0 - sdel) * self.d2 - r
         up_gap = r - (self.c2 + sdel * self.f) * self.d2
-        return low_gap, up_gap
-
-    def residual(self, g: np.ndarray, delta: np.ndarray) -> float:
-        return self.gap_residual(*self.violations(g, delta))
-
-    def gap_residual(self, low_gap: np.ndarray, up_gap: np.ndarray) -> float:
         rel = np.maximum(low_gap, up_gap) / self.d2
         return float(max(rel.max(initial=0.0), 0.0))
-
-
-def _project_level_box(delta: np.ndarray, level: float) -> np.ndarray:
-    """Exact projection onto {0 <= delta <= 1, sum(delta) <= level}.
-
-    The projection is clip(delta - t, 0, 1) for the least t >= 0 meeting the
-    level (Wang & Lu 2015, capped simplex). The clipped sum is piecewise
-    linear in t with breakpoints delta and delta - 1, so t is interpolated
-    between the two breakpoints that bracket the level.
-    """
-    b = np.sort(np.concatenate((delta, delta - 1.0)))
-    b = np.concatenate(([0.0], b[b > 0.0]))
-    s = np.clip(delta - b[:, None], 0.0, 1.0).sum(axis=1)  # nonincreasing in t
-    if s[0] <= level:
-        return np.clip(delta, 0.0, 1.0)
-    j = int(np.argmax(s <= level))  # the last breakpoint, max(delta), has s = 0
-    t = b[j] - (level - s[j]) * (b[j] - b[j - 1]) / (s[j - 1] - s[j])
-    return np.clip(delta - t, 0.0, 1.0)
 
 
 def _psd_project(g: np.ndarray) -> np.ndarray:
@@ -210,58 +177,13 @@ def _psd_project(g: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-_OMEGA = 1.6  # over-relaxation of the pair corrections
-
-
-def _probe(work: _Work, level: float, g0: np.ndarray, delta0: np.ndarray,
-           opts: SolveOpts) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Run the splitting iteration at a fixed objective level, for at most
-    max(2000, opts.max_iters // 12) iterations.
-
-    Returns (G, delta, residual) of the best iterate seen and the iterations run.
-    """
-    n = work.n
-    g = _psd_project(g0.copy())
-    delta = _project_level_box(delta0, level)
-    gaps = work.violations(g, delta)
-    best = (g.copy(), delta.copy(), work.gap_residual(*gaps), 0)
-    if best[2] <= opts.eps_feas:
-        return best
-    stall = 0
-    milestone = best[2]
-    for it in range(1, max(2000, opts.max_iters // 12) + 1):
-        low_gap, up_gap = gaps
-        wl = np.clip(low_gap, 0.0, None) / work.low_norm2
-        wu = np.clip(up_gap, 0.0, None) / work.up_norm2
-        net = wl - wu
-        # G corrections: +w on both diagonal entries, -w on the off-diagonal pair
-        g[work.xs, work.ys] -= _OMEGA * net
-        g[work.ys, work.xs] -= _OMEGA * net
-        g[np.diag_indices(n)] += _OMEGA * work.scatter(net) / work.deg
-        dd = wl * work.d2 + wu * work.f * work.d2
-        delta = _project_level_box(delta + _OMEGA * work.scatter(dd) / work.deg, level)
-        g = _psd_project(g)
-        gaps = work.violations(g, delta)
-        res = work.gap_residual(*gaps)
-        if res < best[2]:
-            best = (g.copy(), delta.copy(), res, it)
-            if res <= opts.eps_feas:
-                return best
-        # progress gate: require a 5% residual drop every 400 iterations, else
-        # call the level infeasible (a conservative objective, never a wrong one)
-        if res < milestone * 0.95:
-            milestone = res
-            stall = 0
-        else:
-            stall += 1
-        if stall > 400 and best[2] > 5 * opts.eps_feas:
-            break
-    return best[0], best[1], best[2], it
-
-
 def _lp_polish(work: _Work, g: np.ndarray, opts: SolveOpts) -> Optional[np.ndarray]:
     """Minimal-weight delta for a fixed Gram matrix: a tiny LP over the pair
-    constraints delta_x + delta_y >= needed relaxation."""
+    constraints delta_x + delta_y >= needed relaxation.
+
+    The LP is solved for s * delta with s = max(f, 1): HiGHS's tolerances are
+    absolute, and an error e in delta moves the upper constraint by e * f * d^2.
+    """
     r = work.pair_r(g)
     need_low = 1.0 - r / work.d2
     if work.f > 0:
@@ -279,37 +201,22 @@ def _lp_polish(work: _Work, g: np.ndarray, opts: SolveOpts) -> Optional[np.ndarr
     a_ub = np.zeros((len(rows), n))
     a_ub[np.arange(len(rows)), work.xs[rows]] = -1.0
     a_ub[np.arange(len(rows)), work.ys[rows]] = -1.0
-    b_ub = -need[rows]
-    res = linprog(c=np.ones(n), A_ub=a_ub, b_ub=b_ub, bounds=[(0.0, 1.0)] * n,
+    s = max(work.f, 1.0)
+    res = linprog(c=np.ones(n), A_ub=a_ub, b_ub=-s * need[rows], bounds=[(0.0, s)] * n,
                   method="highs")
     if not res.success:
         return None
-    out = np.clip(res.x, 0.0, 1.0)
+    out = np.clip(res.x / s, 0.0, 1.0)
     out[out == 0.0] = 0.0  # normalize any -0.0 from the LP
     return out
-
-
-def _solution_from(inst: SdpInstance, work: _Work, g: np.ndarray, delta: np.ndarray,
-                   iters: int, opts: SolveOpts) -> SdpSolution:
-    """Package (G, delta) with its residual."""
-    res = work.residual(g, delta)
-    return SdpSolution(
-        instance=inst,
-        gram=g,
-        delta=delta,
-        objective=float(delta.sum()),
-        max_violation=res,
-        iterations=iters,
-        feasible=bool(res <= opts.eps_feas),
-    )
 
 
 def _initial_gram(m: MetricSpace) -> np.ndarray:
     """PSD-clamped centered Gram, rescaled so no pair contracts.
 
-    Starting expanding means initial violations sit on the upper constraints,
-    which the delta weights can absorb; that keeps the iteration out of the
-    contracted basin where lower constraints must be bought back.
+    It seeds the feasibility core and is a candidate witness of its own.
+    Starting expanding puts any violations on the upper constraints, which
+    the delta weights can absorb.
     """
     b = _psd_project(centered_gram(m))
     n = m.n
@@ -327,72 +234,34 @@ def _initial_gram(m: MetricSpace) -> np.ndarray:
     return b
 
 
-def _polished_sum(work: _Work, g: np.ndarray, delta: np.ndarray, opts: SolveOpts
-                  ) -> tuple[np.ndarray, float]:
-    """delta minimized by LP for this G when that stays feasible."""
-    polished = _lp_polish(work, g, opts)
-    if polished is not None and work.residual(g, polished) <= opts.eps_feas \
-            and polished.sum() <= delta.sum() + 1e-12:
-        return polished, float(polished.sum())
-    return delta, float(delta.sum())
-
-
-def _minimize(inst: SdpInstance, level: float, grams: Sequence[np.ndarray],
-              start: np.ndarray, opts: SolveOpts) -> SdpSolution:
-    """Minimize sum(delta) at or below `level`.
-
-    LP fast path: the cheapest delta any Gram matrix in `grams` admits within
-    the level. Otherwise one probe at the level from `start`. A feasible
-    result descends by halving the level until a probe fails or the polished
-    sum falls by less than 10%. Flagged infeasible if neither step meets the
-    level.
-    """
+def _first_witness(inst: SdpInstance, level: float, grams: Sequence[np.ndarray],
+                   opts: SolveOpts) -> Optional[SdpSolution]:
+    """The first Gram matrix in `grams` whose LP-polished delta sums to at
+    most `level` and meets every pair constraint within eps_feas, with that
+    delta; None when no Gram in the list does."""
     work = _Work(inst)
-    n = work.n
-    iters = 0
-    g, delta = None, None
-    for cand in grams:
-        quick = _lp_polish(work, cand, opts)
-        if quick is None or quick.sum() > level:
+    for g in grams:
+        delta = _lp_polish(work, g, opts)
+        if delta is None or delta.sum() > level:
             continue
-        if work.residual(cand, quick) <= opts.eps_feas \
-                and quick.sum() < (delta.sum() if delta is not None else np.inf):
-            g, delta = cand.copy(), quick
-    if g is None:
-        g, delta, res, iters = _probe(work, level, start, np.full(n, min(1.0, level / n)), opts)
-        if res > opts.eps_feas:
-            return _solution_from(inst, work, g, delta, iters, opts)
-        delta, _ = _polished_sum(work, g, delta, opts)
-    level = float(delta.sum())
-    while level > opts.eps_obj / 4.0:
-        g2, d2, res2, it2 = _probe(work, level / 2.0, g, delta, opts)
-        iters += it2
-        if res2 > opts.eps_feas:
-            break
-        d2, new_level = _polished_sum(work, g2, d2, opts)
-        g, delta = g2, d2
-        if new_level > 0.9 * level:
-            break
-        level = new_level
-    return _solution_from(inst, work, g, delta, iters, opts)
+        res = work.residual(g, delta)
+        if res <= opts.eps_feas:
+            return SdpSolution(instance=inst, gram=g, delta=delta,
+                               objective=float(delta.sum()), max_violation=res,
+                               feasible=True)
+    return None
 
 
 def solve_sdp(inst: SdpInstance, opts: SolveOpts = SolveOpts()) -> SdpSolution:
-    """Minimize sum(delta) subject to the pair, box, and PSD constraints.
+    """A witness-checked feasible point of the SDP, whose objective sum(delta)
+    is an upper bound on the SDP value (not the value itself).
 
-    Runs the k-search's minimization step from level n and the rescaled
-    centered Gram. Should that come back infeasible, returns the level-n
-    certificate instead: G = 0 with its LP-polished delta, always feasible.
+    The point is the first of the rescaled centered Gram and G = 0 whose
+    LP-polished delta meets level n; G = 0 with delta = 1/2 everywhere always
+    does.
     """
     n = inst.m.n
-    g0 = _initial_gram(inst.m)
-    sol = _minimize(inst, float(n), [g0], g0, opts)
-    if sol.feasible:
-        return sol
-    work = _Work(inst)
-    g = np.zeros((n, n))
-    delta, _ = _polished_sum(work, g, np.ones(n), opts)
-    return _solution_from(inst, work, g, delta, sol.iterations, opts)
+    return _first_witness(inst, float(n), [_initial_gram(inst.m), np.zeros((n, n))], opts)
 
 
 def _llr_bound(work: _Work, w: np.ndarray) -> float:
@@ -506,7 +375,6 @@ def round_solution(sol: SdpSolution, c: float, gamma: float, f_k: float,
             "c": c,
             "objective": sol.objective,
             "max_violation": sol.max_violation,
-            "iterations": sol.iterations,
             "feasible": sol.feasible,
             "delta": [float(v) for v in sol.delta],
         },
@@ -562,15 +430,21 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
                         opts: SolveOpts = SolveOpts(),
                         zeta: Optional[float] = None,
                         zeta_k: Optional[float] = None) -> OutlierResult:
-    """Try k = 0, 1, 2, ... until the SDP with f(k) admits value <= k; round.
+    """Try k = 0, 1, 2, ... until a checked witness shows the SDP with f(k)
+    admits value <= k + eps (eps = eps_obj/2); round it and reclaim.
 
-    Each k runs the shared minimization step at level k + eps_obj/2, so k = 0
-    solves the f(0) SDP and isometric-enough inputs exit with an empty outlier
-    set. Its LP fast path tries the rescaled centered Gram, the Gram of one
-    plain feasibility run at distortion gamma*c (when that succeeds) and the
-    previous k's Gram; the probe starts from the previous k's. zeta defaults
-    to the measured distortion of a seeded Bourgain run (recorded in the
-    metadata); in strong_subset mode zeta_k defaults to that same value.
+    The witnesses are Gram matrices, tried in this order for every k, each
+    with its LP-polished delta: the Gram of a plain feasibility run at
+    c0 = sqrt((c^2 + eps * f(0)) / (1 - eps)), the Gram of one at gamma*c
+    (each when that run finds one), the rescaled centered Gram, and G = 0.
+    The first whose delta sums to at most k + eps and meets every pair
+    constraint within eps_feas is accepted. Sum(delta) <= eps caps every
+    delta_x + delta_y, so any solution at k = 0 has distortion <= c0; a
+    certificate at c0 therefore rules k = 0 out. metadata["k0"] is the c0
+    run's verdict: "feasible", "infeasible" (certified) or "undecided".
+    zeta defaults to the measured distortion of a seeded Bourgain run
+    (recorded in the metadata); in strong_subset mode zeta_k defaults to that
+    same value.
     """
     _check_gamma(gamma)
     _check_c(c)
@@ -584,19 +458,19 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
         zeta_source = f"bourgain(seed={opts.seed})"
     if mode == "strong_subset" and zeta_k is None:
         zeta_k = zeta
-    g0 = _initial_gram(m)
-    # a Gram feasible at the target distortion gamma*c concentrates the weight
-    # needs on genuinely bad points; well worth one extra feasibility run
-    verdict, g_target, _ = distortion_feasible(m, gamma * c, opts)
-    candidates = [g0] + ([g_target] if verdict == "feasible" else [])
-    g_warm = g0
+    eps = opts.eps_obj / 2.0
+    c0 = math.sqrt((c ** 2 + eps * f_of_k(0, zeta, mode, zeta_k=zeta_k)) / (1.0 - eps))
+    runs = [distortion_feasible(m, c0, opts), distortion_feasible(m, gamma * c, opts)]
+    # the first witness, not the least delta sum: reclaim can only keep points
+    # the accepted Gram embeds within [d, gamma*c*d], and the feasibility
+    # witnesses embed the most (least-sum left planted-n128 of the benchmark
+    # corpus with K = [126])
+    grams = [g for verdict, g, _ in runs if verdict == "feasible"]
+    grams += [_initial_gram(m), np.zeros((m.n, m.n))]
     for k in range(0, m.n + 1):
         f_k = f_of_k(k, zeta, mode, zeta_k=zeta_k)
-        inst = SdpInstance(m, c, f_k)
-        # at k = 0 the warm start is g0 itself, already a candidate
-        grams = candidates if g_warm is g0 else candidates + [g_warm]
-        sol = _minimize(inst, k + opts.eps_obj / 2.0, grams, g_warm, opts)
-        if sol.objective <= k + opts.eps_obj and sol.feasible:
+        sol = _first_witness(SdpInstance(m, c, f_k), k + eps, grams, opts)
+        if sol is not None:
             result = round_solution(sol, c, gamma, f_k, k=k)
             result.metadata.update({
                 "mode": mode,
@@ -606,7 +480,7 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
                 "zeta_k": zeta_k,
                 "zeta_source": zeta_source,
                 "seed": opts.seed,
+                "k0": runs[0][0],
             })
             return _reclaim_outliers(sol, result, c, gamma)
-        g_warm = sol.gram
     raise Exhausted("no k <= n admitted an SDP value <= k; this should be unreachable")

@@ -80,6 +80,8 @@ def test_outliers_solve_end_to_end(capsys, claw_file):
     assert payload["k"] == 1
     assert payload["achieved_distortion"] <= 1.5 + 1e-3
     assert payload["solver"]["feasible"] is True
+    assert payload["solver"]["k0"] == "infeasible"
+    assert "iterations" not in payload["solver"]
     assert len(payload["delta"]) == 4
 
 

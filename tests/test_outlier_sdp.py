@@ -26,7 +26,8 @@ from metric_outliers.outlier_sdp import (
     SdpInstance,
     SdpSolution,
     SolveOpts,
-    _project_level_box,
+    _Work,
+    _lp_polish,
     distortion_feasible,
     round_solution,
     weak_g,
@@ -119,6 +120,19 @@ class TestSolve:
         assert sol.feasible
         assert sol.objective == pytest.approx(m.n / 2.0)
 
+    def test_lp_polish_meets_the_residual_check_at_large_f(self):
+        # at f(1) ~ 1e5 an absolute LP error of 1e-7 in delta would be 1e-2 of
+        # upper slack; the polish must still pass the eps_feas check
+        m = integer_metric(np.random.default_rng([101]), 6)
+        opts = SolveOpts()
+        verdict, g, _ = distortion_feasible(m, 1.5, opts)
+        assert verdict == "feasible"
+        _, stats = bourgain_embed(m, BourgainParams(seed=0, p=2.0))
+        work = _Work(SdpInstance(m, 1.0, f_of_k(1, max(stats.distortion, 1.0))))
+        delta = _lp_polish(work, g, opts)
+        assert delta is not None
+        assert work.residual(g, delta) <= opts.eps_feas
+
     def test_distortion_feasibility_direction(self, claw_metric):
         # the claw's optimal l2 distortion is sqrt(4/3)
         opts = SolveOpts()
@@ -129,42 +143,6 @@ class TestSolve:
         assert verdict == "feasible"
         measured = distortion_stats(claw_metric, points_from_gram(g)).distortion
         assert measured <= 2.0 and measured == pytest.approx(bound, rel=1e-9)
-
-
-class TestProjection:
-    """_project_level_box against a bisection on the threshold t of
-    clip(delta - t, 0, 1), the projection onto the box and the level set."""
-
-    @staticmethod
-    def reference(delta, level):
-        lo = np.zeros(len(delta))
-        hi = np.maximum(delta.max(axis=1), 0.0)
-        for _ in range(200):
-            mid = (lo + hi) / 2.0
-            over = np.clip(delta - mid[:, None], 0.0, 1.0).sum(axis=1) > level
-            lo, hi = np.where(over, mid, lo), np.where(over, hi, mid)
-        return np.clip(delta - hi[:, None], 0.0, 1.0)
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
-    def test_matches_bisection(self, n):
-        rng = np.random.default_rng(n)
-        delta = rng.uniform(-1.0, 2.0, size=(600, n))
-        clipped = np.clip(delta, 0.0, 1.0).sum(axis=1)
-        levels = {
-            "binding": rng.uniform(0.0, 1.0, len(delta)) * clipped,
-            "at": clipped,
-            "above": clipped + rng.uniform(0.0, 2.0, len(delta)),
-        }
-        for name, level in levels.items():
-            ref = self.reference(delta, level)
-            got = np.array([_project_level_box(d, lv) for d, lv in zip(delta, level)])
-            assert np.abs(got - ref).max() <= 1e-12, name
-            assert ((got >= 0.0) & (got <= 1.0)).all(), name
-            binds = clipped > level
-            assert np.abs(got.sum(axis=1) - level)[binds].max(initial=0.0) <= 1e-12, name
-        # at level 0 the only feasible delta is exactly 0
-        zero = np.array([_project_level_box(d, 0.0) for d in delta])
-        assert np.array_equal(zero, np.zeros_like(delta))
 
 
 class TestRounding:
@@ -194,7 +172,7 @@ class TestRounding:
         f_k = f_of_k(1, zeta)
         inst = SdpInstance(claw_metric, 1.0, f_k)
         sol = SdpSolution(instance=inst, gram=gram, delta=delta,
-                          objective=1.0, max_violation=0.0, iterations=0, feasible=True)
+                          objective=1.0, max_violation=0.0, feasible=True)
         res = round_solution(sol, c=1.0, gamma=1.5, f_k=f_k, k=1)
         assert res.outliers == (3,)
         assert res.achieved_distortion <= 1.5 * (1 + 1e-9)
@@ -243,12 +221,25 @@ class TestSearch:
         assert sol.feasible
         assert sol.objective <= 2.0 + 1e-3
 
-    def test_iterations_are_those_run(self):
-        # a probe stopped by the stall gate reports its own count, not the cap
+    def test_k0_verdict_labels_the_k0_exit(self, claw_metric, line_metric):
+        # the claw needs distortion 2/sqrt(3) > c0, so k = 0 is ruled out by certificate
+        res = search_min_outliers(claw_metric, 1.0, 1.5)
+        assert res.metadata["k0"] == "infeasible" and res.metadata["k"] == 1
+        res = search_min_outliers(line_metric, 1.0, 1.5)
+        assert res.metadata["k0"] == "feasible" and res.metadata["k"] == 0
+
+    def test_no_outliers_when_an_embedding_fits(self):
+        # integer-n6 of the benchmark corpus embeds within gamma*c = 1.5
         m = integer_metric(np.random.default_rng([101]), 6)
-        opts = SolveOpts(seed=0)
-        res = search_min_outliers(m, 1.0, 1.5, opts=opts)
-        assert res.metadata["iterations"] < max(2000, opts.max_iters // 12)
+        assert search_min_outliers(m, 1.0, 1.5).outliers == ()
+
+    def test_outliers_invariant_under_relabeling(self):
+        m = integer_metric(np.random.default_rng([101]), 6)
+        base = search_min_outliers(m, 1.0, 1.5).outliers
+        for s in range(1, 6):
+            perm = np.random.default_rng(1000 + s).permutation(m.n)
+            res = search_min_outliers(from_matrix(m.dist[np.ix_(perm, perm)]), 1.0, 1.5)
+            assert tuple(sorted(int(perm[i]) for i in res.outliers)) == base, s
 
     def test_strong_mode_runs(self, claw_metric):
         res = search_min_outliers(claw_metric, 1.0, 1.5, mode="strong_subset")
