@@ -52,12 +52,10 @@ from .outlier_sdp import (
     OutlierResult,
     SdpInstance,
     SdpSolution,
-    SolveOpts,
     bicriteria_bound,
     f_of_k,
     round_solution,
     search_min_outliers,
-    solve_sdp,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

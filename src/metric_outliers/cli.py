@@ -44,7 +44,7 @@ from .oracle import (
     min_outlier_isometric_l2,
     min_vertex_cover,
 )
-from .outlier_sdp import SolveOpts, search_min_outliers
+from .outlier_sdp import search_min_outliers
 
 
 def _digest(path: str) -> str:
@@ -189,10 +189,9 @@ def _cmd_compose_bound(args) -> int:
 
 def _cmd_outliers_solve(args) -> int:
     m = read_metric_text(args.metric)
-    opts = SolveOpts(seed=args.seed)
     mode = {"weak": "weak_factor", "strong": "strong_subset"}[args.mode]
-    result = search_min_outliers(m, args.c, args.gamma, mode=mode, opts=opts,
-                                 zeta=args.zeta)
+    result = search_min_outliers(m, args.c, args.gamma, mode=mode, zeta=args.zeta,
+                                 seed=args.seed)
     payload = {
         "k": result.metadata.get("k"),
         "K": list(result.outliers),
@@ -205,7 +204,6 @@ def _cmd_outliers_solve(args) -> int:
             "objective": result.metadata.get("objective"),
             "max_violation": result.metadata.get("max_violation"),
             "k0": result.metadata.get("k0"),
-            "feasible": result.metadata.get("feasible"),
             "mode": result.metadata.get("mode"),
             "zeta": result.metadata.get("zeta"),
             "g_value": result.metadata.get("g_value"),

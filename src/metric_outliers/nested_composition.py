@@ -203,8 +203,10 @@ def _greedy_clusters(m: MetricSpace, gamma: dict[int, int], b: float,
     return CompositionTranscript(b=b, pi=pi, clusters=tuple(clusters), gamma=dict(gamma))
 
 
-def _check_transcript(inputs: CompositionInputs, tr: CompositionTranscript) -> None:
-    if tuple(sorted(tr.pi)) != inputs.outliers:
+def _check_transcript(m: MetricSpace, gamma: dict[int, int], tr: CompositionTranscript) -> None:
+    """Raise InconsistentTranscript unless tr is a draw the greedy cluster loop
+    could make; gamma keys X minus S in increasing order (nearest_anchors)."""
+    if tuple(sorted(tr.pi)) != tuple(gamma):
         raise InconsistentTranscript("pi is not a permutation of X minus S")
     assigned: set[int] = set()
     for idx, (center, members) in enumerate(tr.clusters):
@@ -213,11 +215,11 @@ def _check_transcript(inputs: CompositionInputs, tr: CompositionTranscript) -> N
         for v in members:
             if v in assigned:
                 raise InconsistentTranscript(f"outlier {v} assigned twice")
-            scale = max(inputs.m.dist[v, inputs.gamma[v]], 1.0)
-            if inputs.m.dist[v, center] > tr.b * inputs.m.dist[v, inputs.gamma[v]] + 1e-9 * scale:
+            scale = max(m.dist[v, gamma[v]], 1.0)
+            if m.dist[v, center] > tr.b * m.dist[v, gamma[v]] + 1e-9 * scale:
                 raise InconsistentTranscript(f"outlier {v} violates the grab rule of its cluster")
             assigned.add(v)
-    if assigned != set(inputs.outliers):
+    if assigned != set(gamma):
         raise InconsistentTranscript("clusters do not partition X minus S")
 
 
@@ -231,7 +233,6 @@ class ComposedEmbedding:
 
     embedding: PointSet
     transcripts: tuple[CompositionTranscript, ...]
-    alpha_prime_dims: int
 
 
 def _alpha_prime(n: int, s: tuple[int, ...], alpha_s: PointSet, gamma: dict[int, int],
@@ -266,11 +267,10 @@ def _draw_coords(inputs: CompositionInputs, tr: CompositionTranscript) -> np.nda
 
 def compose_once(inputs: CompositionInputs, transcript: CompositionTranscript) -> ComposedEmbedding:
     """Materialize one draw: alpha(v) = alpha'(v) | alpha_1(v) | ... | alpha_t(v)."""
-    _check_transcript(inputs, transcript)
+    _check_transcript(inputs.m, inputs.gamma, transcript)
     return ComposedEmbedding(
         embedding=PointSet(points=_draw_coords(inputs, transcript), p=inputs.p),
         transcripts=(transcript,),
-        alpha_prime_dims=inputs.alpha_s.dims,
     )
 
 
@@ -293,7 +293,6 @@ def compose_deterministic(inputs: CompositionInputs, m_samples: int,
         embedding=PointSet(points=np.hstack([weight * _draw_coords(inputs, tr)
                                              for tr in transcripts]), p=inputs.p),
         transcripts=transcripts,
-        alpha_prime_dims=inputs.alpha_s.dims,
     )
 
 
@@ -484,6 +483,7 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
 
     if transcript is None:
         transcript = _draw(m, gamma, tau, rng)
+    _check_transcript(m, gamma, transcript)
 
     if cluster_embedder is None:
         def cluster_embedder(sub: MetricSpace, indices: tuple[int, ...], i: int) -> PointSet:
@@ -512,5 +512,4 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
     return ComposedEmbedding(
         embedding=PointSet(points=np.hstack(blocks), p=p),
         transcripts=(transcript,),
-        alpha_prime_dims=alpha_s.dims,
     )

@@ -19,7 +19,7 @@ from .bourgain import BourgainParams, bourgain_embed
 from .errors import BudgetExceeded, SolverFailure
 from .lp_geometry import is_l2_isometric
 from .metric_core import Graph, MetricSpace, from_graph, restrict
-from .outlier_sdp import SolveOpts, distortion_feasible
+from .outlier_sdp import distortion_feasible
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,9 @@ def distortion_bracket(m: MetricSpace, tol: float = 1e-3) -> tuple[float, float]
     _, stats = bourgain_embed(m, BourgainParams(seed=0, p=2.0))
     hi = float(stats.distortion)
     lo = lower = 1.0
-    opts = SolveOpts()
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        verdict, _, bound = distortion_feasible(m, mid, opts)
+        verdict, _, bound = distortion_feasible(m, mid)
         if verdict == "feasible":
             hi = min(hi, bound)
         elif verdict == "infeasible":

@@ -1,4 +1,4 @@
-"""The outlier SDP: build, solve, round, and the k-search loop.
+"""The outlier SDP: the k-search for a checked (G, delta), and its rounding.
 
 Variables are a Gram matrix G (PSD) and outlier weights delta in [0,1]^n;
 for every pair (x,y) with squared distance d2:
@@ -6,11 +6,10 @@ for every pair (x,y) with squared distance d2:
     (1 - dx - dy) * d2  <=  G_xx + G_yy - 2 G_xy  <=  (c^2 + (dx + dy) * f) * d2
 
 minimizing sum(delta). Nothing here iterates on (G, delta): for a fixed G
-the least delta is a small LP, so solve_sdp and the k-search try a short
-list of witness Gram matrices, polish each by that LP and accept the first
-whose delta meets the level and passes the residual check. Every accepted
-point is feasible and checked; its objective is an upper bound on the SDP
-value.
+the least delta is a small LP, so the k-search tries a short list of witness
+Gram matrices, polishes each by that LP and accepts the first whose delta
+meets the level and passes the residual check. Every accepted point is
+feasible and checked; its objective is an upper bound on the SDP value.
 
 The witnesses come from plain feasibility at a distortion c (no outlier
 weights): a primal-dual run whose verdicts come with checked witnesses, a
@@ -32,6 +31,10 @@ from .lp_geometry import PointSet, centered_gram, points_from_gram
 from .metric_core import MetricSpace, distortion_stats, restrict
 from .nested_composition import harmonic_number
 
+EPS_FEAS = 1e-6   # largest accepted pair-constraint violation, relative to d^2
+EPS = 5e-4        # slack on the level: k accepts sum(delta) <= k + EPS
+FEAS_ITERS = 4166  # iterations of one feasibility run before it is undecided
+
 
 # ---------------------------------------------------------------------------
 # f(k) and the bicriteria bound
@@ -50,16 +53,17 @@ def f_of_k(k: int, zeta: float, g_mode: str = "weak_factor",
     weak_factor: (g(k) * zeta)^2 with zeta the outlier-free distortion.
     strong_subset: (382 * H_{k+1} * zeta_k)^2 with zeta_k the worst subset
     distortion at size k+1.
+    Either distortion must be finite and >= 1, so f(k) >= 1.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if zeta < 1.0 and g_mode == "weak_factor":
-        raise ValueError(f"zeta must be >= 1, got {zeta}")
     if g_mode == "weak_factor":
+        _check_distortion("zeta", zeta)
         return (weak_g(k) * zeta) ** 2
     if g_mode == "strong_subset":
         if zeta_k is None:
             raise MissingZetaK("strong_subset mode requires zeta_k")
+        _check_distortion("zeta_k", zeta_k)
         return (382.0 * float(harmonic_number(k + 1)) * zeta_k) ** 2
     raise ValueError(f"unknown g_mode {g_mode!r}")
 
@@ -72,13 +76,17 @@ def bicriteria_bound(k: int, c: float, gamma: float, g_value: float, zeta: float
 
 
 def _check_gamma(gamma: float) -> None:
-    if not gamma > 1.0:
-        raise GammaNotAboveOne(f"gamma must be strictly above 1, got {gamma}")
+    if not 1.0 < gamma < math.inf:
+        raise GammaNotAboveOne(f"gamma must be finite and strictly above 1, got {gamma}")
+
+
+def _check_distortion(name: str, value: float) -> None:
+    if not 1.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 1, got {value}")
 
 
 def _check_c(c: float) -> None:
-    if c < 1.0:
-        raise ValueError(f"target distortion must be >= 1, got {c}")
+    _check_distortion("target distortion", c)
 
 
 # ---------------------------------------------------------------------------
@@ -93,24 +101,8 @@ class SdpInstance:
 
     def __post_init__(self):
         _check_c(self.c)
-        if self.f_k < 0.0:
-            raise ValueError(f"f_k must be >= 0, got {self.f_k}")
-
-    @property
-    def num_pairs(self) -> int:
-        return self.m.n * (self.m.n - 1) // 2
-
-    @property
-    def num_inequalities(self) -> int:
-        return 2 * self.num_pairs
-
-
-@dataclass(frozen=True)
-class SolveOpts:
-    eps_feas: float = 1e-6   # relative to d^2 per pair constraint
-    eps_obj: float = 1e-3
-    max_iters: int = 50_000  # each feasibility run stops after max(2000, max_iters // 12)
-    seed: int = 0
+        if not 0.0 <= self.f_k < math.inf:
+            raise ValueError(f"f_k must be finite and >= 0, got {self.f_k}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +112,6 @@ class SdpSolution:
     delta: np.ndarray
     objective: float
     max_violation: float
-    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -177,22 +168,16 @@ def _psd_project(g: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
-def _lp_polish(work: _Work, g: np.ndarray, opts: SolveOpts) -> Optional[np.ndarray]:
+def _lp_polish(work: _Work, g: np.ndarray) -> Optional[np.ndarray]:
     """Minimal-weight delta for a fixed Gram matrix: a tiny LP over the pair
     constraints delta_x + delta_y >= needed relaxation.
 
-    The LP is solved for s * delta with s = max(f, 1): HiGHS's tolerances are
-    absolute, and an error e in delta moves the upper constraint by e * f * d^2.
+    The LP is solved for f * delta (f >= 1, see f_of_k): HiGHS's tolerances
+    are absolute, and an error e in delta moves the upper constraint by
+    e * f * d^2.
     """
     r = work.pair_r(g)
-    need_low = 1.0 - r / work.d2
-    if work.f > 0:
-        need_up = (r / work.d2 - work.c2) / work.f
-    else:
-        need_up = np.where(r / work.d2 - work.c2 > opts.eps_feas, np.inf, -np.inf)
-    need = np.maximum(np.maximum(need_low, need_up), 0.0)
-    if np.isinf(need).any():
-        return None
+    need = np.maximum(np.maximum(1.0 - r / work.d2, (r / work.d2 - work.c2) / work.f), 0.0)
     mask = need > 0
     n = work.n
     if not mask.any():
@@ -201,12 +186,12 @@ def _lp_polish(work: _Work, g: np.ndarray, opts: SolveOpts) -> Optional[np.ndarr
     a_ub = np.zeros((len(rows), n))
     a_ub[np.arange(len(rows)), work.xs[rows]] = -1.0
     a_ub[np.arange(len(rows)), work.ys[rows]] = -1.0
-    s = max(work.f, 1.0)
-    res = linprog(c=np.ones(n), A_ub=a_ub, b_ub=-s * need[rows], bounds=[(0.0, s)] * n,
+    f = work.f
+    res = linprog(c=np.ones(n), A_ub=a_ub, b_ub=-f * need[rows], bounds=[(0.0, f)] * n,
                   method="highs")
     if not res.success:
         return None
-    out = np.clip(res.x / s, 0.0, 1.0)
+    out = np.clip(res.x / f, 0.0, 1.0)
     out[out == 0.0] = 0.0  # normalize any -0.0 from the LP
     return out
 
@@ -234,34 +219,21 @@ def _initial_gram(m: MetricSpace) -> np.ndarray:
     return b
 
 
-def _first_witness(inst: SdpInstance, level: float, grams: Sequence[np.ndarray],
-                   opts: SolveOpts) -> Optional[SdpSolution]:
+def _first_witness(inst: SdpInstance, level: float,
+                   grams: Sequence[np.ndarray]) -> Optional[SdpSolution]:
     """The first Gram matrix in `grams` whose LP-polished delta sums to at
-    most `level` and meets every pair constraint within eps_feas, with that
+    most `level` and meets every pair constraint within EPS_FEAS, with that
     delta; None when no Gram in the list does."""
     work = _Work(inst)
     for g in grams:
-        delta = _lp_polish(work, g, opts)
+        delta = _lp_polish(work, g)
         if delta is None or delta.sum() > level:
             continue
         res = work.residual(g, delta)
-        if res <= opts.eps_feas:
+        if res <= EPS_FEAS:
             return SdpSolution(instance=inst, gram=g, delta=delta,
-                               objective=float(delta.sum()), max_violation=res,
-                               feasible=True)
+                               objective=float(delta.sum()), max_violation=res)
     return None
-
-
-def solve_sdp(inst: SdpInstance, opts: SolveOpts = SolveOpts()) -> SdpSolution:
-    """A witness-checked feasible point of the SDP, whose objective sum(delta)
-    is an upper bound on the SDP value (not the value itself).
-
-    The point is the first of the rescaled centered Gram and G = 0 whose
-    LP-polished delta meets level n; G = 0 with delta = 1/2 everywhere always
-    does.
-    """
-    n = inst.m.n
-    return _first_witness(inst, float(n), [_initial_gram(inst.m), np.zeros((n, n))], opts)
 
 
 def _llr_bound(work: _Work, w: np.ndarray) -> float:
@@ -283,7 +255,7 @@ def _llr_bound(work: _Work, w: np.ndarray) -> float:
     return math.sqrt(neg / pos) if pos > 0.0 else 1.0
 
 
-def distortion_feasible(m: MetricSpace, c: float, opts: SolveOpts = SolveOpts()
+def distortion_feasible(m: MetricSpace, c: float
                         ) -> tuple[str, Optional[np.ndarray], Optional[float]]:
     """Plain outlier-free feasibility: does a Gram matrix with distortion <= c
     exist? Returns (verdict, gram, bound), each verdict checked by a witness:
@@ -291,8 +263,8 @@ def distortion_feasible(m: MetricSpace, c: float, opts: SolveOpts = SolveOpts()
     - "feasible": gram, rescaled so no pair contracts, has distortion bound <= c;
     - "infeasible": an LLR certificate proves the optimal l2 distortion is at
       least bound > c (gram is None);
-    - "undecided": neither turned up within max(2000, opts.max_iters // 12)
-      iterations (gram and bound are None).
+    - "undecided": neither turned up within FEAS_ITERS iterations (gram and
+      bound are None).
 
     The run is the linearized primal-dual iteration of Chambolle & Pock (2011)
     on {G PSD, d^2/2 <= r(G)/2 <= c^2 d^2/2}, r(G) = G_xx + G_yy - 2 G_xy,
@@ -310,7 +282,7 @@ def distortion_feasible(m: MetricSpace, c: float, opts: SolveOpts = SolveOpts()
     g = _initial_gram(m)
     r = r_bar = work.pair_r(g)  # r(G), and r of the extrapolated 2 G_next - G
     u = np.zeros_like(r)
-    for it in range(max(2000, opts.max_iters // 12) + 1):
+    for it in range(FEAS_ITERS + 1):
         if it > 0:
             v = u + step * r_bar / 2.0
             u = v - step * np.clip(v / step, lo, hi)
@@ -333,134 +305,98 @@ def distortion_feasible(m: MetricSpace, c: float, opts: SolveOpts = SolveOpts()
 # rounding and the k-search loop
 # ---------------------------------------------------------------------------
 
-def _survivor_embedding(m: MetricSpace, gram: np.ndarray, outliers: Sequence[int],
-                        scale: float) -> tuple[PointSet, float]:
-    """Survivor vectors factored from their Gram rows, scaled, and the
-    distortion they achieve on the metric minus the outliers."""
-    out = set(outliers)
-    survivors = [i for i in range(m.n) if i not in out]
-    pts = points_from_gram(gram[np.ix_(survivors, survivors)], tol_eig=1e-7)
-    embedding = PointSet(points=pts.points * scale, p=2.0)
-    if len(survivors) < 2:
-        return embedding, 1.0
-    sub_metric, _ = restrict(m, out)
-    return embedding, float(distortion_stats(sub_metric, embedding).distortion)
-
-
-def round_solution(sol: SdpSolution, c: float, gamma: float, f_k: float,
+def round_solution(sol: SdpSolution, gamma: float,
                    k: Optional[int] = None) -> OutlierResult:
-    """Threshold the outlier weights at Delta = c^2 (gamma^2 - 1) /
-    (2 f_k + 2 c^2 gamma^2), extract survivor vectors from the Gram matrix,
-    and rescale by 1/sqrt(1 - 2 Delta)."""
+    """Round a solution in one pass, with c and f_k from sol.instance.
+
+    Points with delta >= Delta = c^2 (gamma^2 - 1) / (2 f_k + 2 c^2 gamma^2)
+    are cut. The cut points are then retried in increasing (delta, index)
+    order: one goes back when its Gram row, scaled by 1/sqrt(1 - 2 Delta),
+    lies within [d, gamma * c * d] (relative tolerance 1e-6) of every point
+    kept so far, so the survivors' guarantees are checked rather than
+    inherited; metadata["reclaimed"] counts them. The final survivors are
+    factored once from their Gram rows and scaled by 1/sqrt(1 - 2 Delta).
+    """
     _check_gamma(gamma)
-    m = sol.instance.m
+    m, c, f_k = sol.instance.m, sol.instance.c, sol.instance.f_k
     delta_cut = c ** 2 * (gamma ** 2 - 1.0) / (2.0 * f_k + 2.0 * c ** 2 * gamma ** 2)
-    outliers = tuple(int(i) for i in np.flatnonzero(sol.delta >= delta_cut))
     scale = 1.0 / math.sqrt(1.0 - 2.0 * delta_cut)
-    embedding, achieved = _survivor_embedding(m, sol.gram, outliers, scale)
+    cut = sol.delta >= delta_cut
+    kept, outliers = np.flatnonzero(~cut).tolist(), []
+    diag = np.diag(sol.gram)
+    dist = scale * np.sqrt(np.clip(diag[:, None] + diag[None, :] - 2.0 * sol.gram, 0.0, None))
+    tol = 1e-6
+    for x in sorted(np.flatnonzero(cut).tolist(), key=lambda i: (sol.delta[i], i)):
+        d, e = m.dist[x, kept], dist[x, kept]
+        if np.all(d * (1.0 - tol) <= e) and np.all(e <= gamma * c * d * (1.0 + tol)):
+            kept.append(x)
+        else:
+            outliers.append(x)
+    survivors = sorted(kept)
+    pts = points_from_gram(sol.gram[np.ix_(survivors, survivors)], tol_eig=1e-7)
+    embedding = PointSet(points=pts.points * scale, p=2.0)
+    achieved = 1.0
+    if len(survivors) >= 2:
+        sub_metric, _ = restrict(m, set(outliers))
+        achieved = float(distortion_stats(sub_metric, embedding).distortion)
     if k is not None:
         certified = (2.0 * f_k / c ** 2 + 2.0 * gamma ** 2) / (gamma ** 2 - 1.0) * k
     else:
         certified = sol.objective / delta_cut
     return OutlierResult(
-        outliers=outliers,
+        outliers=tuple(sorted(outliers)),
         embedding=embedding,
         gamma=gamma,
         achieved_distortion=achieved,
         certified_bound=float(certified),
         metadata={
             "delta_cut": delta_cut,
+            "reclaimed": int(cut.sum()) - len(outliers),
             "k": k,
             "f_k": f_k,
             "c": c,
             "objective": sol.objective,
             "max_violation": sol.max_violation,
-            "feasible": sol.feasible,
             "delta": [float(v) for v in sol.delta],
         },
     )
 
 
-def _reclaim_outliers(sol: SdpSolution, result: OutlierResult, c: float,
-                      gamma: float) -> OutlierResult:
-    """Return thresholded points to the survivor set when their Gram rows
-    already satisfy the survivor sandwich against everything kept.
-
-    The thresholded set can carry solver dust just above the (tiny) cutoff;
-    re-adding is checked pair by pair against d <= scaled distance <=
-    gamma * c * d, so the result's guarantees are verified rather than
-    inherited. Outliers are retried in increasing weight order.
-    """
-    if not result.outliers:
-        return result
-    m = sol.instance.m
-    delta_cut = result.metadata["delta_cut"]
-    scale = 1.0 / math.sqrt(1.0 - 2.0 * delta_cut)
-    diag = np.diag(sol.gram)
-    r = diag[:, None] + diag[None, :] - 2.0 * sol.gram
-    dist = scale * np.sqrt(np.clip(r, 0.0, None))
-    tol = 1e-6
-    kept = [i for i in range(m.n) if i not in set(result.outliers)]
-    still_out = []
-    for x in sorted(result.outliers, key=lambda i: (sol.delta[i], i)):
-        ok = all(
-            m.dist[x, y] * (1.0 - tol) <= dist[x, y] <= gamma * c * m.dist[x, y] * (1.0 + tol)
-            for y in kept)
-        if ok:
-            kept.append(x)
-        else:
-            still_out.append(x)
-    if len(still_out) == len(result.outliers):
-        return result
-    embedding, achieved = _survivor_embedding(m, sol.gram, still_out, scale)
-    metadata = dict(result.metadata)
-    metadata["reclaimed"] = len(result.outliers) - len(still_out)
-    return OutlierResult(
-        outliers=tuple(sorted(still_out)),
-        embedding=embedding,
-        gamma=result.gamma,
-        achieved_distortion=achieved,
-        certified_bound=result.certified_bound,
-        metadata=metadata,
-    )
-
-
 def search_min_outliers(m: MetricSpace, c: float, gamma: float,
                         mode: str = "weak_factor",
-                        opts: SolveOpts = SolveOpts(),
                         zeta: Optional[float] = None,
-                        zeta_k: Optional[float] = None) -> OutlierResult:
+                        zeta_k: Optional[float] = None,
+                        seed: int = 0) -> OutlierResult:
     """Try k = 0, 1, 2, ... until a checked witness shows the SDP with f(k)
-    admits value <= k + eps (eps = eps_obj/2); round it and reclaim.
+    admits value <= k + EPS; round it with round_solution.
 
     The witnesses are Gram matrices, tried in this order for every k, each
     with its LP-polished delta: the Gram of a plain feasibility run at
-    c0 = sqrt((c^2 + eps * f(0)) / (1 - eps)), the Gram of one at gamma*c
-    (each when that run finds one), the rescaled centered Gram, and G = 0.
-    The first whose delta sums to at most k + eps and meets every pair
-    constraint within eps_feas is accepted. Sum(delta) <= eps caps every
-    delta_x + delta_y, so any solution at k = 0 has distortion <= c0; a
-    certificate at c0 therefore rules k = 0 out. metadata["k0"] is the c0
-    run's verdict: "feasible", "infeasible" (certified) or "undecided".
-    zeta defaults to the measured distortion of a seeded Bourgain run
-    (recorded in the metadata); in strong_subset mode zeta_k defaults to that
-    same value.
+    c0 = sqrt((c^2 + EPS * f(0)) / (1 - EPS)), the Gram of one at gamma*c
+    (each when that run finds one within FEAS_ITERS iterations), the rescaled
+    centered Gram, and G = 0. The first whose delta sums to at most k + EPS
+    and meets every pair constraint within EPS_FEAS is accepted.
+    Sum(delta) <= EPS caps every delta_x + delta_y, so any solution at k = 0
+    has distortion <= c0; a certificate at c0 therefore rules k = 0 out.
+    metadata["k0"] is the c0 run's verdict: "feasible", "infeasible"
+    (certified) or "undecided". zeta defaults to the measured distortion of a
+    Bourgain run seeded by `seed` (recorded in the metadata); in
+    strong_subset mode zeta_k defaults to that same value.
     """
     _check_gamma(gamma)
     _check_c(c)
     zeta_source = "supplied"
     if zeta is None:
         if m.n >= 2:
-            _, stats = bourgain_embed(m, BourgainParams(seed=opts.seed, p=2.0))
+            _, stats = bourgain_embed(m, BourgainParams(seed=seed, p=2.0))
             zeta = max(stats.distortion, 1.0)
         else:
             zeta = 1.0
-        zeta_source = f"bourgain(seed={opts.seed})"
+        zeta_source = f"bourgain(seed={seed})"
     if mode == "strong_subset" and zeta_k is None:
         zeta_k = zeta
-    eps = opts.eps_obj / 2.0
-    c0 = math.sqrt((c ** 2 + eps * f_of_k(0, zeta, mode, zeta_k=zeta_k)) / (1.0 - eps))
-    runs = [distortion_feasible(m, c0, opts), distortion_feasible(m, gamma * c, opts)]
+    c0 = math.sqrt((c ** 2 + EPS * f_of_k(0, zeta, mode, zeta_k=zeta_k)) / (1.0 - EPS))
+    runs = [distortion_feasible(m, c0), distortion_feasible(m, gamma * c)]
     # the first witness, not the least delta sum: reclaim can only keep points
     # the accepted Gram embeds within [d, gamma*c*d], and the feasibility
     # witnesses embed the most (least-sum left planted-n128 of the benchmark
@@ -469,9 +405,9 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
     grams += [_initial_gram(m), np.zeros((m.n, m.n))]
     for k in range(0, m.n + 1):
         f_k = f_of_k(k, zeta, mode, zeta_k=zeta_k)
-        sol = _first_witness(SdpInstance(m, c, f_k), k + eps, grams, opts)
+        sol = _first_witness(SdpInstance(m, c, f_k), k + EPS, grams)
         if sol is not None:
-            result = round_solution(sol, c, gamma, f_k, k=k)
+            result = round_solution(sol, gamma, k=k)
             result.metadata.update({
                 "mode": mode,
                 "g_value": weak_g(k) if mode == "weak_factor"
@@ -479,8 +415,8 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
                 "zeta": zeta,
                 "zeta_k": zeta_k,
                 "zeta_source": zeta_source,
-                "seed": opts.seed,
+                "seed": seed,
                 "k0": runs[0][0],
             })
-            return _reclaim_outliers(sol, result, c, gamma)
+            return result
     raise Exhausted("no k <= n admitted an SDP value <= k; this should be unreachable")

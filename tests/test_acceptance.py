@@ -37,7 +37,6 @@ from metric_outliers.hardness_gadgets import l1_gadget, lp_gadget
 from metric_outliers.lp_geometry import gram_of_points, pairwise_distances
 from metric_outliers.nested_composition import pair_distance, table_case
 from metric_outliers.oracle import OracleBudget
-from metric_outliers.outlier_sdp import SolveOpts
 
 from conftest import (
     close_pair_instance,
@@ -221,7 +220,7 @@ def test_criterion_7_end_to_end_rounding(claw_metric, k3):
     ok = True
     for name, m in (("claw", claw_metric), ("lp_gadget(K3)", gadget_metric)):
         for gamma in (1.25, 1.5, 2.0):
-            res = search_min_outliers(m, 1.0, gamma, opts=SolveOpts(seed=7))
+            res = search_min_outliers(m, 1.0, gamma, seed=7)
             verified = verify_outlier_embedding(m, res.outliers, res.embedding,
                                                 gamma * 1.0, tol=1e-3)
             within = len(res.outliers) <= res.certified_bound

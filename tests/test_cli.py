@@ -79,9 +79,11 @@ def test_outliers_solve_end_to_end(capsys, claw_file):
     payload = json.loads(out)
     assert payload["k"] == 1
     assert payload["achieved_distortion"] <= 1.5 + 1e-3
-    assert payload["solver"]["feasible"] is True
+    assert set(payload) == {"k", "K", "delta", "achieved_distortion", "certified_bound",
+                            "gamma", "embedding", "solver", "provenance"}
+    assert set(payload["solver"]) == {"objective", "max_violation", "k0", "mode", "zeta",
+                                      "g_value", "f_k"}
     assert payload["solver"]["k0"] == "infeasible"
-    assert "iterations" not in payload["solver"]
     assert len(payload["delta"]) == 4
 
 
@@ -219,6 +221,18 @@ def test_invalid_argument_exits_1(capsys, claw_file):
                                 "--c", "0.5", "--gamma", "1.5"])
     assert payload["error"] == "InvalidArgument"
     assert "got 0.5" in payload["message"]  # the --c given, not gamma * c
+
+
+@pytest.mark.parametrize("flags,given", [
+    (["--c", "nan"], "nan"), (["--c", "inf"], "inf"),
+    (["--gamma", "nan"], "nan"), (["--gamma", "inf"], "inf"),
+    (["--zeta", "nan"], "nan"), (["--zeta", "inf"], "inf"),
+    (["--mode", "strong", "--zeta", "0"], "0"),
+], ids=["c-nan", "c-inf", "gamma-nan", "gamma-inf", "zeta-nan", "zeta-inf", "strong-zeta-0"])
+def test_bad_search_parameter_is_named(capsys, claw_file, flags, given):
+    payload = error_of(capsys, ["outliers", "solve", "--metric", claw_file,
+                                "--c", "1.0", "--gamma", "1.5"] + flags)
+    assert f"got {given}" in payload["message"]
 
 
 def test_directory_as_metric_exits_1(capsys, tmp_path):

@@ -393,6 +393,14 @@ class TestComposeStrong:
                     worst_seen[(x, y)] = max(worst_seen.get((x, y), 0.0), r)
         assert max(worst_seen.values()) <= 382.0 * h * zeta_max
 
+    def test_inconsistent_transcript_rejected(self, claw_metric):
+        # outlier 3 is in pi but in no cluster; this once returned a 1-column embedding
+        alpha_s = PointSet(points=np.array([[0.0], [-1.0], [1.0]]), p=2.0)
+        bad = CompositionTranscript(b=3.0, pi=(3,), clusters=(), gamma={3: 0})
+        with pytest.raises(InconsistentTranscript):
+            compose_strong(claw_metric, (0, 1, 2), 2.0, alpha_s, np.random.default_rng(0),
+                           transcript=bad)
+
     def test_non_expanding_callback_rejected(self):
         rng = np.random.default_rng(73)
         m = integer_metric(rng, 8)

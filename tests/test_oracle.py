@@ -109,8 +109,8 @@ class TestDistortionBracket:
         accepted, certified = [], []
         original = oracle.distortion_feasible
 
-        def recording(m_, c, opts):
-            verdict, g, bound = original(m_, c, opts)
+        def recording(m_, c):
+            verdict, g, bound = original(m_, c)
             if verdict == "feasible":
                 accepted.append(g)
             elif verdict == "infeasible":

@@ -16,17 +16,18 @@ from metric_outliers import (
     from_matrix,
     restrict,
     search_min_outliers,
-    solve_sdp,
     verify_outlier_embedding,
 )
 from metric_outliers.errors import GammaNotAboveOne, MissingZetaK
 from metric_outliers.hardness_gadgets import lp_gadget
 from metric_outliers.lp_geometry import gram_of_points, pairwise_distances, points_from_gram
 from metric_outliers.outlier_sdp import (
+    EPS_FEAS,
     SdpInstance,
     SdpSolution,
-    SolveOpts,
     _Work,
+    _first_witness,
+    _initial_gram,
     _lp_polish,
     distortion_feasible,
     round_solution,
@@ -51,12 +52,18 @@ class TestFOfK:
         with pytest.raises(MissingZetaK):
             f_of_k(1, 2.0, "strong_subset")
 
+    @pytest.mark.parametrize("zeta_k", [-1.0, 0.0, 0.5, math.nan])
+    def test_strong_rejects_zeta_k_below_one(self, zeta_k):
+        # zeta_k = -1 used to give f = 328329 and zeta_k = 0 gave f = 0
+        with pytest.raises(ValueError, match=f"got {zeta_k}"):
+            f_of_k(1, 2.0, "strong_subset", zeta_k=zeta_k)
+
 
 class TestInstance:
-    def test_counting(self, claw_metric):
-        inst = SdpInstance(claw_metric, 1.0, 4.0)
-        assert inst.num_pairs == 6
-        assert inst.num_inequalities == 12
+    @pytest.mark.parametrize("f_k", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_f_k(self, line_metric, f_k):
+        with pytest.raises(ValueError, match=f"got {f_k}"):
+            SdpInstance(line_metric, 1.0, f_k)
 
     def test_constraint_reduction_under_delta(self, line_metric):
         # delta = 0 pinches to d^2 <= R <= c^2 d^2; delta_y = 1 voids the
@@ -74,72 +81,47 @@ class TestInstance:
             assert lo <= hi
 
 
+def line_witness(line_metric):
+    """The line's own Gram matrix at level 0: every delta is 0."""
+    sol = _first_witness(SdpInstance(line_metric, 1.0, 4.0), 0.0, [_initial_gram(line_metric)])
+    assert sol is not None and sol.objective == 0.0
+    return sol
+
+
 class TestSolve:
-    def test_isometric_line_has_near_zero_objective(self, line_metric):
-        sol = solve_sdp(SdpInstance(line_metric, 1.0, 4.0))
-        assert sol.feasible
-        assert sol.objective <= 1e-4
-
-    def test_claw_objective_at_most_one(self, claw_metric):
-        _, stats = bourgain_embed(claw_metric, BourgainParams(seed=0, p=2.0))
-        zeta = max(stats.distortion, 1.0)
-        sol = solve_sdp(SdpInstance(claw_metric, 1.0, f_of_k(1, zeta)))
-        assert sol.feasible
-        assert sol.objective <= 1.0 + 1e-3
-
-    def test_objective_never_exceeds_n(self):
-        rng = np.random.default_rng(2)
-        m = integer_metric(rng, 6)
-        sol = solve_sdp(SdpInstance(m, 1.0, 9.0), SolveOpts(eps_obj=5e-2, max_iters=10_000))
-        assert sol.feasible
-        assert sol.objective <= m.n
-
     def test_objective_monotone_in_c_and_f(self):
-        # relaxation nesting; coarse solver accuracy with matching slack
+        # relaxation nesting: for a fixed Gram the least delta only shrinks
+        # as c or f grows
         rng = np.random.default_rng(5)
-        opts = SolveOpts(eps_obj=2e-2, max_iters=15_000)
-        slack = 2 * opts.eps_obj
-        for trial in range(3):
+        for _ in range(3):
             m = integer_metric(rng, 6)
-            obj = {}
-            for c in (1.0, 1.3, 1.8):
-                obj[c] = solve_sdp(SdpInstance(m, c, 8.0), opts).objective
-            assert obj[1.3] <= obj[1.0] + slack
-            assert obj[1.8] <= obj[1.3] + slack
-            objf = {}
-            for f in (4.0, 16.0, 64.0):
-                objf[f] = solve_sdp(SdpInstance(m, 1.0, f), opts).objective
-            assert objf[16.0] <= objf[4.0] + slack
-            assert objf[64.0] <= objf[16.0] + slack
+            g = _initial_gram(m)
 
-    def test_level_n_certificate_when_the_step_fails(self):
-        # at f = 0 no weight can pay for an expanded pair; the cheapest level-n
-        # certificate is G = 0 with delta = 1/2 on every point
-        m = integer_metric(np.random.default_rng(2), 6)
-        sol = solve_sdp(SdpInstance(m, 1.0, 0.0))
-        assert sol.feasible
-        assert sol.objective == pytest.approx(m.n / 2.0)
+            def polished(c, f):
+                return _lp_polish(_Work(SdpInstance(m, c, f)), g).sum()
+            obj = [polished(c, 8.0) for c in (1.0, 1.3, 1.8)]
+            objf = [polished(1.0, f) for f in (4.0, 16.0, 64.0)]
+            for seq in (obj, objf):
+                assert seq[1] <= seq[0] + 1e-9 and seq[2] <= seq[1] + 1e-9
 
     def test_lp_polish_meets_the_residual_check_at_large_f(self):
         # at f(1) ~ 1e5 an absolute LP error of 1e-7 in delta would be 1e-2 of
-        # upper slack; the polish must still pass the eps_feas check
+        # upper slack; the polish must still pass the EPS_FEAS check
         m = integer_metric(np.random.default_rng([101]), 6)
-        opts = SolveOpts()
-        verdict, g, _ = distortion_feasible(m, 1.5, opts)
+        verdict, g, _ = distortion_feasible(m, 1.5)
         assert verdict == "feasible"
         _, stats = bourgain_embed(m, BourgainParams(seed=0, p=2.0))
         work = _Work(SdpInstance(m, 1.0, f_of_k(1, max(stats.distortion, 1.0))))
-        delta = _lp_polish(work, g, opts)
+        delta = _lp_polish(work, g)
         assert delta is not None
-        assert work.residual(g, delta) <= opts.eps_feas
+        assert work.residual(g, delta) <= EPS_FEAS
 
     def test_distortion_feasibility_direction(self, claw_metric):
         # the claw's optimal l2 distortion is sqrt(4/3)
-        opts = SolveOpts()
-        verdict, g, bound = distortion_feasible(claw_metric, 1.0, opts)
+        verdict, g, bound = distortion_feasible(claw_metric, 1.0)
         assert verdict == "infeasible" and g is None
         assert 1.0 < bound <= math.sqrt(4.0 / 3.0) + 1e-12
-        verdict, g, bound = distortion_feasible(claw_metric, 2.0, opts)
+        verdict, g, bound = distortion_feasible(claw_metric, 2.0)
         assert verdict == "feasible"
         measured = distortion_stats(claw_metric, points_from_gram(g)).distortion
         assert measured <= 2.0 and measured == pytest.approx(bound, rel=1e-9)
@@ -147,13 +129,11 @@ class TestSolve:
 
 class TestRounding:
     def test_cutoff_formula(self, line_metric):
-        sol = solve_sdp(SdpInstance(line_metric, 1.0, 4.0))
-        res = round_solution(sol, c=1.0, gamma=math.sqrt(2.0), f_k=4.0)
+        res = round_solution(line_witness(line_metric), gamma=math.sqrt(2.0))
         assert res.metadata["delta_cut"] == pytest.approx(1.0 / 12.0)
 
     def test_zero_delta_keeps_everyone(self, line_metric):
-        sol = solve_sdp(SdpInstance(line_metric, 1.0, 4.0))
-        res = round_solution(sol, c=1.0, gamma=1.5, f_k=4.0)
+        res = round_solution(line_witness(line_metric), gamma=1.5)
         assert res.outliers == ()
         assert res.embedding.n == 3
 
@@ -172,8 +152,8 @@ class TestRounding:
         f_k = f_of_k(1, zeta)
         inst = SdpInstance(claw_metric, 1.0, f_k)
         sol = SdpSolution(instance=inst, gram=gram, delta=delta,
-                          objective=1.0, max_violation=0.0, feasible=True)
-        res = round_solution(sol, c=1.0, gamma=1.5, f_k=f_k, k=1)
+                          objective=1.0, max_violation=0.0)
+        res = round_solution(sol, gamma=1.5, k=1)
         assert res.outliers == (3,)
         assert res.achieved_distortion <= 1.5 * (1 + 1e-9)
         assert verify_outlier_embedding(claw_metric, res.outliers, res.embedding, 1.5, tol=1e-6)
@@ -191,14 +171,15 @@ class TestRounding:
     def test_outlier_count_versus_markov(self, claw_metric):
         _, stats = bourgain_embed(claw_metric, BourgainParams(seed=0, p=2.0))
         f_k = f_of_k(1, max(stats.distortion, 1.0))
-        sol = solve_sdp(SdpInstance(claw_metric, 1.0, f_k))
-        res = round_solution(sol, c=1.0, gamma=1.25, f_k=f_k)
+        n = claw_metric.n
+        sol = _first_witness(SdpInstance(claw_metric, 1.0, f_k), 1.0,
+                             [_initial_gram(claw_metric), np.zeros((n, n))])
+        res = round_solution(sol, gamma=1.25)
         assert len(res.outliers) <= sol.objective / res.metadata["delta_cut"] + 1e-9
 
     def test_gamma_must_exceed_one(self, line_metric):
-        sol = solve_sdp(SdpInstance(line_metric, 1.0, 4.0))
         with pytest.raises(GammaNotAboveOne):
-            round_solution(sol, c=1.0, gamma=1.0, f_k=4.0)
+            round_solution(line_witness(line_metric), gamma=1.0)
 
 
 class TestSearch:
@@ -214,12 +195,9 @@ class TestSearch:
         assert len(res.outliers) <= res.certified_bound
 
     def test_gadget_value_at_k2_within_vertex_cover(self, k3):
-        # the SDP with f(2) admits a solution of value <= 2 = vc(K3)
+        # the search stops no later than k = 2 = vc(K3)
         m = from_graph(lp_gadget(k3).graph)
-        _, stats = bourgain_embed(m, BourgainParams(seed=0, p=2.0))
-        sol = solve_sdp(SdpInstance(m, 1.0, f_of_k(2, max(stats.distortion, 1.0))))
-        assert sol.feasible
-        assert sol.objective <= 2.0 + 1e-3
+        assert search_min_outliers(m, 1.0, 1.5).metadata["k"] <= 2
 
     def test_k0_verdict_labels_the_k0_exit(self, claw_metric, line_metric):
         # the claw needs distortion 2/sqrt(3) > c0, so k = 0 is ruled out by certificate
@@ -286,5 +264,9 @@ class TestSearchQuality:
         assert verify_outlier_embedding(m, res.outliers, res.embedding, 2.25, tol=1e-3)
 
     def test_reclaim_count_reported(self, claw_metric):
-        res = search_min_outliers(claw_metric, 1.0, 1.25)
-        assert "reclaimed" in res.metadata or res.outliers == ()
+        # the threshold cuts points the reclaim returns: 1 on the claw, 3 on
+        # integer-n7 of the benchmark corpus
+        integer_n7 = integer_metric(np.random.default_rng([102]), 7)
+        for m, gamma, reclaimed in ((claw_metric, 1.25, 1), (integer_n7, 1.5, 3)):
+            res = search_min_outliers(m, 1.0, gamma)
+            assert res.metadata["reclaimed"] == reclaimed and res.outliers == ()
