@@ -13,6 +13,13 @@ permutation even if it was already swallowed by an earlier cluster, so
 clusters can be empty; the loop stops once every outlier is assigned. The
 block for outlier v in cluster i uses the anchor of the *center* u_i, not of
 v itself.
+
+The derandomized composition (compose_deterministic) counts blocks instead of
+concatenating draws: alpha' is keyed by the alpha_S row each point reads and
+a cluster block by (gamma(center), members), and each distinct block is
+written once at weight (count/m)^(1/p). An empty cluster's block is one row
+repeated on every point, adds nothing to any distance, and is not written.
+compose_once keeps the literal one-draw layout, empty clusters included.
 """
 from __future__ import annotations
 
@@ -235,63 +242,87 @@ class ComposedEmbedding:
     transcripts: tuple[CompositionTranscript, ...]
 
 
-def _alpha_prime(n: int, s: tuple[int, ...], alpha_s: PointSet, gamma: dict[int, int],
-                 tr: CompositionTranscript) -> np.ndarray:
-    """alpha' rows: alpha_S on S (rows of alpha_s follow sorted S), and
-    alpha_S(gamma(center)) on each cluster."""
-    out = np.zeros((n, alpha_s.dims))
-    out[list(s)] = alpha_s.points
+# A block is (points, rows): column block points[rows], so point v reads row
+# rows[v] of points.
+
+def _prime_rows(n: int, s: tuple[int, ...], gamma: dict[int, int],
+                tr: CompositionTranscript) -> np.ndarray:
+    """Row of alpha_s (rows follow sorted S) that each point reads in alpha':
+    its own on S, the row of gamma(center) on a cluster."""
     s_row = {orig: row for row, orig in enumerate(s)}
+    rows = np.empty(n, dtype=int)
+    rows[list(s)] = np.arange(len(s))
     for center, members in tr.clusters:
-        out[list(members)] = alpha_s.points[s_row[gamma[center]]]
+        rows[list(members)] = s_row[gamma[center]]
+    return rows
+
+
+def _cluster_rows(n: int, members: Sequence[int], member_rows: Sequence[int],
+                  anchor_row: int) -> np.ndarray:
+    """Rows of a cluster block: each member's own on the members, the anchor's elsewhere."""
+    rows = np.full(n, anchor_row)
+    rows[list(members)] = member_rows
+    return rows
+
+
+def _write_blocks(n: int, blocks: Sequence[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
+    """Blocks (points, rows, weight) side by side in one preallocated (n, total) array."""
+    out = np.empty((n, sum(points.shape[1] for points, _, _ in blocks)))
+    col = 0
+    for points, rows, weight in blocks:
+        np.multiply(points[rows], weight, out=out[:, col:col + points.shape[1]])
+        col += points.shape[1]
     return out
 
 
-def _cluster_blocks(inputs: CompositionInputs, tr: CompositionTranscript) -> np.ndarray:
-    """Concatenated per-cluster blocks: alpha_X on members, alpha_X(gamma(center)) elsewhere."""
-    n, dims_x = inputs.m.n, inputs.alpha_x.dims
-    out = np.zeros((n, tr.t * dims_x))
-    for i, (center, members) in enumerate(tr.clusters):
-        block = out[:, i * dims_x:(i + 1) * dims_x]
-        block[:] = inputs.alpha_x.points[inputs.gamma[center]]
-        for v in members:
-            block[v] = inputs.alpha_x.points[v]
-    return out
-
-
-def _draw_coords(inputs: CompositionInputs, tr: CompositionTranscript) -> np.ndarray:
-    """alpha(v) = alpha'(v) | alpha_1(v) | ... | alpha_t(v) for one draw."""
-    prime = _alpha_prime(inputs.m.n, inputs.s, inputs.alpha_s, inputs.gamma, tr)
-    return np.hstack([prime, _cluster_blocks(inputs, tr)])
+def _draw_blocks(inputs: CompositionInputs, tr: CompositionTranscript, with_empty: bool):
+    """One draw's blocks in layout order as (key, points, rows), where the key
+    determines the block; empty clusters only if with_empty."""
+    n = inputs.m.n
+    prime = _prime_rows(n, inputs.s, inputs.gamma, tr)
+    yield prime.tobytes(), inputs.alpha_s.points, prime
+    for center, members in tr.clusters:
+        if members or with_empty:
+            anchor = inputs.gamma[center]
+            rows = _cluster_rows(n, members, members, anchor)
+            yield (anchor, members), inputs.alpha_x.points, rows
 
 
 def compose_once(inputs: CompositionInputs, transcript: CompositionTranscript) -> ComposedEmbedding:
-    """Materialize one draw: alpha(v) = alpha'(v) | alpha_1(v) | ... | alpha_t(v)."""
+    """Materialize one draw: alpha(v) = alpha'(v) | alpha_1(v) | ... | alpha_t(v),
+    with a block for every cluster, empty ones included."""
     _check_transcript(inputs.m, inputs.gamma, transcript)
+    blocks = [(points, rows, 1.0) for _, points, rows in _draw_blocks(inputs, transcript, True)]
     return ComposedEmbedding(
-        embedding=PointSet(points=_draw_coords(inputs, transcript), p=inputs.p),
+        embedding=PointSet(points=_write_blocks(inputs.m.n, blocks), p=inputs.p),
         transcripts=(transcript,),
     )
 
 
 def compose_deterministic(inputs: CompositionInputs, m_samples: int,
                           rng: np.random.Generator) -> ComposedEmbedding:
-    """Scaled concatenation of m_samples independent draws.
+    """The composition of m_samples independent draws, each distinct block written once.
 
-    Each draw contributes its full coordinate block at weight
-    m_samples^(-1/p), so the p-th power of every pair distance is the mean of
-    the per-draw p-th powers. Pairs inside S therefore keep exactly their
-    alpha_S distance, and no pair falls below the per-draw 3^(1/p - 1) floor,
-    for every p. For p=1 the result's distance on every pair equals the
-    arithmetic mean of the per-draw distances.
+    A block that occurs in `count` draws is written once at weight
+    (count/m_samples)^(1/p), and an empty cluster gets no block, so the p-th
+    power of every pair distance is the mean of the per-draw p-th powers, as
+    in the concatenation of the draws at weight m_samples^(-1/p) each. Pairs
+    inside S therefore keep exactly their alpha_S distance, and no pair falls
+    below the per-draw 3^(1/p - 1) floor, for every p. For p=1 the result's
+    distance on every pair equals the arithmetic mean of the per-draw
+    distances. Blocks appear in order of first occurrence.
     """
     if m_samples < 1:
         raise ValueError("m_samples must be >= 1")
     transcripts = tuple(sample_transcript(inputs, rng) for _ in range(m_samples))
-    weight = m_samples ** (-1.0 / inputs.p)
+    counted: dict = {}
+    for tr in transcripts:
+        for key, points, rows in _draw_blocks(inputs, tr, False):
+            counted.setdefault(key, [points, rows, 0])[2] += 1
+    blocks = [(points, rows, (count / m_samples) ** (1.0 / inputs.p))
+              for points, rows, count in counted.values()]
     return ComposedEmbedding(
-        embedding=PointSet(points=np.hstack([weight * _draw_coords(inputs, tr)
-                                             for tr in transcripts]), p=inputs.p),
+        embedding=PointSet(points=_write_blocks(inputs.m.n, blocks), p=inputs.p),
         transcripts=transcripts,
     )
 
@@ -491,7 +522,7 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
             emb, _ = bourgain_embed(sub, BourgainParams(seed=seed, p=p))
             return emb
 
-    blocks = [_alpha_prime(m.n, s_sorted, alpha_s, gamma, transcript)]
+    blocks = [(alpha_s.points, _prime_rows(m.n, s_sorted, gamma, transcript), 1.0)]
     for i, (center, members) in enumerate(transcript.clusters):
         subset = tuple(sorted(set(members) | {gamma[center]}))
         sub, kept = restrict(m, set(range(m.n)) - set(subset))
@@ -504,12 +535,10 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
                 raise CallbackNotExpanding(
                     f"cluster {i}: embedding contracts (min ratio {stats.min_ratio:.12g})")
         row_of = {orig: r for r, orig in enumerate(kept)}
-        block = np.tile(emb.points[row_of[gamma[center]]], (m.n, 1))
-        for v in members:
-            block[v] = emb.points[row_of[v]]
-        blocks.append(block)
+        rows = _cluster_rows(m.n, members, [row_of[v] for v in members], row_of[gamma[center]])
+        blocks.append((emb.points, rows, 1.0))
 
     return ComposedEmbedding(
-        embedding=PointSet(points=np.hstack(blocks), p=p),
+        embedding=PointSet(points=_write_blocks(m.n, blocks), p=p),
         transcripts=(transcript,),
     )

@@ -59,12 +59,12 @@ def f_of_k(k: int, zeta: float, g_mode: str = "weak_factor",
         raise ValueError("k must be >= 0")
     if g_mode == "weak_factor":
         _check_distortion("zeta", zeta)
-        return (weak_g(k) * zeta) ** 2
+        return _square("zeta", zeta, weak_g(k) * zeta)
     if g_mode == "strong_subset":
         if zeta_k is None:
             raise MissingZetaK("strong_subset mode requires zeta_k")
         _check_distortion("zeta_k", zeta_k)
-        return (382.0 * float(harmonic_number(k + 1)) * zeta_k) ** 2
+        return _square("zeta_k", zeta_k, 382.0 * float(harmonic_number(k + 1)) * zeta_k)
     raise ValueError(f"unknown g_mode {g_mode!r}")
 
 
@@ -78,11 +78,21 @@ def bicriteria_bound(k: int, c: float, gamma: float, g_value: float, zeta: float
 def _check_gamma(gamma: float) -> None:
     if not 1.0 < gamma < math.inf:
         raise GammaNotAboveOne(f"gamma must be finite and strictly above 1, got {gamma}")
+    _square("gamma", gamma, gamma)
 
 
 def _check_distortion(name: str, value: float) -> None:
     if not 1.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and >= 1, got {value}")
+    _square(name, value, value)
+
+
+def _square(name: str, value: float, x: float) -> float:
+    """x ** 2, or a ValueError naming the parameter whose size makes it overflow."""
+    try:
+        return x ** 2
+    except OverflowError:
+        raise ValueError(f"{name} is too large: a square overflows, got {value}") from None
 
 
 def _check_c(c: float) -> None:

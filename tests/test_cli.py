@@ -235,6 +235,23 @@ def test_bad_search_parameter_is_named(capsys, claw_file, flags, given):
     assert f"got {given}" in payload["message"]
 
 
+@pytest.mark.parametrize("flag", ["--c", "--gamma", "--zeta"])
+def test_huge_search_parameter_is_named(capsys, claw_file, flag):
+    # 1e200 is finite, but its square overflows a float
+    payload = error_of(capsys, ["outliers", "solve", "--metric", claw_file,
+                                "--c", "1.0", "--gamma", "1.5", flag, "1e200"])
+    assert payload["error"] == "InvalidArgument"
+    assert "got 1e+200" in payload["message"]
+
+
+@pytest.mark.parametrize("flag", ["--c", "--gamma", "--zeta"])
+def test_large_search_parameter_still_solves(capsys, claw_file, flag):
+    code, out, _ = run(capsys, ["outliers", "solve", "--metric", claw_file,
+                                "--c", "1.0", "--gamma", "1.5", flag, "1e10"])
+    assert code == 0
+    assert json.loads(out)["K"] == []
+
+
 def test_directory_as_metric_exits_1(capsys, tmp_path):
     payload = error_of(capsys, ["metric", "validate", "--metric", str(tmp_path)])
     assert payload["error"] == "IsADirectory"
@@ -274,3 +291,11 @@ def test_pair_out_of_range_exits_1(capsys, compose_args, pair):
     payload = error_of(capsys, ["compose", "estimate"] + compose_args + ["--pair", pair])
     assert payload["error"] == "IndexOutOfRange"
     assert pair in payload["message"]
+
+
+def test_compose_run_reruns_are_byte_identical(capsys, compose_args):
+    # the counted blocks are laid out in a fixed order, so a seed fixes stdout
+    argv = ["compose", "run"] + compose_args + ["--samples", "16", "--seed", "5"]
+    code, out1, _ = run(capsys, argv)
+    assert code == 0
+    assert run(capsys, argv)[1] == out1

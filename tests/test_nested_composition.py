@@ -311,6 +311,55 @@ class TestDeterministicComposition:
                     mean = np.mean([pair_distance(inputs, tr, x, y) for tr in det.transcripts])
                     assert full[x, y] <= 2.0 * mean + 1e-9
 
+    @staticmethod
+    def counted_cases():
+        """(inputs, rng just before the draws) at p = 1, 1.5, 2 for two
+        instances: ten points with four outliers, whose 32 draws repeat
+        blocks, and test_dims_formula's, whose first draw has the empty
+        cluster (3, ())."""
+        for seed, n, k, emb_seed in ((71, 10, 4, 3), (17, 8, 4, 2)):
+            for p in (1.0, 1.5, 2.0):
+                rng = np.random.default_rng(seed)
+                inputs = composition_instance(rng, integer_metric(rng, n), k=k, p=p,
+                                              seed=emb_seed)
+                yield inputs, rng
+
+    def test_distances_are_the_per_draw_p_mean(self):
+        for inputs, rng in self.counted_cases():
+            p = inputs.p
+            det = compose_deterministic(inputs, 32, rng)
+            full = pairwise_distances(det.embedding)
+            powers = [pairwise_distances(compose_once(inputs, tr).embedding) ** p
+                      for tr in det.transcripts]
+            want = np.mean(powers, axis=0) ** (1.0 / p)
+            iu = np.triu_indices(inputs.m.n, k=1)
+            np.testing.assert_allclose(full[iu], want[iu], rtol=1e-12)
+
+    def test_dims_count_distinct_blocks(self):
+        saw_empty = False
+        for inputs, rng in self.counted_cases():
+            det = compose_deterministic(inputs, 32, rng)
+            primes, clusters = set(), set()
+            for tr in det.transcripts:
+                owner = tr.cluster_of()
+                primes.add(tuple(inputs.gamma[tr.clusters[owner[v]][0]] for v in inputs.outliers))
+                clusters |= {(inputs.gamma[c], ms) for c, ms in tr.clusters if ms}
+            assert det.embedding.dims == (len(primes) * inputs.alpha_s.dims
+                                          + len(clusters) * inputs.alpha_x.dims)
+            dense = (32 * inputs.alpha_s.dims
+                     + sum(tr.t for tr in det.transcripts) * inputs.alpha_x.dims)
+            if any(not ms for tr in det.transcripts for _, ms in tr.clusters):
+                saw_empty = True
+                assert det.embedding.dims < dense
+        assert saw_empty
+
+    def test_transcripts_are_the_sampled_draws(self):
+        for inputs, rng in self.counted_cases():
+            state = rng.bit_generator.state
+            det = compose_deterministic(inputs, 32, rng)
+            rng.bit_generator.state = state
+            assert det.transcripts == tuple(sample_transcript(inputs, rng) for _ in range(32))
+
 
 class TestBoundCalculator:
     def test_case_c_example(self):
