@@ -10,9 +10,11 @@ outlier pairs and in the worst case otherwise.
 
 Cluster loop semantics: the i-th center is the i-th element of the
 permutation even if it was already swallowed by an earlier cluster, so
-clusters can be empty; the loop stops once every outlier is assigned. The
-block for outlier v in cluster i uses the anchor of the *center* u_i, not of
-v itself.
+clusters can be empty. Center u grabs outlier v when d(v, u) <= b d(v, gamma(v)),
+and each outlier joins the first center in permutation order that grabs it
+(every outlier grabs itself); the loop stops once every outlier is assigned,
+so t is the last such position plus one. The block for outlier v in cluster
+i uses the anchor of the *center* u_i, not of v itself.
 
 The derandomized composition (compose_deterministic) counts blocks instead of
 concatenating draws: alpha' is keyed by the alpha_S row each point reads and
@@ -130,14 +132,9 @@ def nearest_anchors(m: MetricSpace, s: Sequence[int]) -> dict[int, int]:
     if not s_sorted:
         raise EmptyS("S must be nonempty")
     cols = np.asarray(s_sorted, dtype=int)
-    in_s = set(s_sorted)
-    gamma = {}
-    for u in range(m.n):
-        if u in in_s:
-            continue
-        row = m.dist[u, cols]
-        gamma[u] = int(cols[int(np.argmin(row))])  # argmin returns the first minimum
-    return gamma
+    outliers = np.setdiff1d(np.arange(m.n), cols)
+    nearest = np.argmin(m.dist[np.ix_(outliers, cols)], axis=1)  # the first minimum
+    return dict(zip(outliers.tolist(), cols[nearest].tolist()))
 
 
 @dataclass(frozen=True)
@@ -190,24 +187,32 @@ def _draw(m: MetricSpace, gamma: dict[int, int], tau: float,
           rng: np.random.Generator) -> CompositionTranscript:
     b = 2.0 + tau * float(rng.random())
     outliers = tuple(gamma)  # nearest_anchors keys every outlier, in increasing order
-    pi = tuple(int(v) for v in rng.permutation(np.asarray(outliers, dtype=int))) if outliers else ()
+    pi = tuple(rng.permutation(np.asarray(outliers, dtype=int)).tolist()) if outliers else ()
     return _greedy_clusters(m, gamma, b, pi)
 
 
 def _greedy_clusters(m: MetricSpace, gamma: dict[int, int], b: float,
                      pi: tuple[int, ...]) -> CompositionTranscript:
-    remaining = set(pi)
-    clusters = []
-    i = 0
-    while remaining:
-        center = pi[i]
-        members = tuple(v for v in pi if v in remaining
-                        and m.dist[v, center] <= b * m.dist[v, gamma[v]])
-        members = tuple(sorted(members))
-        clusters.append((center, members))
-        remaining.difference_update(members)
-        i += 1
-    return CompositionTranscript(b=b, pi=pi, clusters=tuple(clusters), gamma=dict(gamma))
+    """The greedy cluster loop over pi, computed in one pass over the outlier block.
+
+    Center u grabs outlier v when d(v, u) <= b d(v, gamma(v)). Each outlier
+    joins the first center in pi order that grabs it, which is the cluster the
+    loop puts it in, since every outlier grabs itself; t is the last such
+    position plus one, and cluster i holds the outliers whose first grabbing
+    center is pi[i], in increasing index (possibly none).
+    """
+    if not pi:
+        return CompositionTranscript(b=b, pi=pi, clusters=(), gamma=dict(gamma))
+    centers = np.asarray(pi, dtype=int)
+    outliers = np.sort(centers)
+    reach = b * m.dist[outliers, [gamma[v] for v in outliers.tolist()]]
+    grab = m.dist[outliers][:, centers] <= reach[:, None]
+    owner = grab.argmax(axis=1).tolist()  # the first True in pi order
+    members = [[] for _ in range(max(owner) + 1)]
+    for v, i in zip(outliers.tolist(), owner):
+        members[i].append(v)
+    clusters = tuple(zip(pi, map(tuple, members)))
+    return CompositionTranscript(b=b, pi=pi, clusters=clusters, gamma=dict(gamma))
 
 
 def _check_transcript(m: MetricSpace, gamma: dict[int, int], tr: CompositionTranscript) -> None:

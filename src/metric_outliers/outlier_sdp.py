@@ -90,13 +90,22 @@ def _check_distortion(name: str, value: float) -> None:
 def _square(name: str, value: float, x: float) -> float:
     """x ** 2, or a ValueError naming the parameter whose size makes it overflow."""
     try:
-        return x ** 2
+        square = x ** 2
     except OverflowError:
-        raise ValueError(f"{name} is too large: a square overflows, got {value}") from None
+        square = math.inf
+    if square == math.inf:
+        raise ValueError(f"{name} is too large: a square overflows, got {value}")
+    return square
 
 
 def _check_c(c: float) -> None:
     _check_distortion("target distortion", c)
+
+
+def _check_scale(m: MetricSpace, name: str, c: float) -> None:
+    """The upper bound c^2 d^2 of every pair constraint must be a finite float."""
+    if m.n >= 2:
+        _square(name, c, c * float(m.dist.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +120,7 @@ class SdpInstance:
 
     def __post_init__(self):
         _check_c(self.c)
+        _check_scale(self.m, "target distortion", self.c)
         if not 0.0 <= self.f_k < math.inf:
             raise ValueError(f"f_k must be finite and >= 0, got {self.f_k}")
 
@@ -395,6 +405,7 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
     """
     _check_gamma(gamma)
     _check_c(c)
+    _check_scale(m, "gamma * c", gamma * c)
     zeta_source = "supplied"
     if zeta is None:
         if m.n >= 2:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,20 @@ def test_huge_search_parameter_is_named(capsys, claw_file, flag):
                                 "--c", "1.0", "--gamma", "1.5", flag, "1e200"])
     assert payload["error"] == "InvalidArgument"
     assert "got 1e+200" in payload["message"]
+
+
+def test_overflowing_distance_bound_is_the_only_stderr(capsys, claw_file):
+    # c^2 is finite, but (gamma c)^2 d^2 on the claw's distance-2 pairs is not;
+    # no feasibility run may start and warn before the error is reported
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["outliers", "solve", "--metric", claw_file,
+                                      "--c", "1e154", "--gamma", "1.5"])
+    assert [str(w.message) for w in caught] == []
+    assert code == 1 and out == ""
+    assert err == json.dumps({"error": "InvalidArgument",
+                              "message": "gamma * c is too large: a square overflows, got 1.5e+154"},
+                             sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("flag", ["--c", "--gamma", "--zeta"])

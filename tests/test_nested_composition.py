@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +34,7 @@ from metric_outliers.errors import (
 from metric_outliers.lp_geometry import pairwise_distances
 from metric_outliers.nested_composition import (
     CompositionTranscript,
+    _check_transcript,
     _greedy_clusters,
     close_pair_split_bound,
     pair_distance,
@@ -51,6 +54,23 @@ def tiny_inputs(d_su=1.0, d_sv=1.0, d_uv=0.5, p=2.0, seed=3):
     alpha_s = PointSet(points=np.zeros((1, 1)), p=p)
     alpha_x, _ = bourgain_embed(m, BourgainParams(seed=seed, p=p))
     return CompositionInputs(m=m, s=(0,), p=p, alpha_s=alpha_s, alpha_x=alpha_x)
+
+
+def reference_clusters(m, gamma, b, pi):
+    """The greedy cluster loop written out: the i-th center of pi takes every
+    unassigned outlier it grabs, until none is left."""
+    remaining = set(pi)
+    clusters = []
+    i = 0
+    while remaining:
+        center = pi[i]
+        members = tuple(v for v in pi if v in remaining
+                        and m.dist[v, center] <= b * m.dist[v, gamma[v]])
+        members = tuple(sorted(members))
+        clusters.append((center, members))
+        remaining.difference_update(members)
+        i += 1
+    return tuple(clusters)
 
 
 class TestAnchors:
@@ -103,6 +123,28 @@ class TestTranscripts:
             assert len(set(members)) == len(members)
             centers = tuple(c for c, _ in tr.clusters)
             assert centers == tr.pi[:len(centers)]
+
+    def test_matches_reference_loop(self):
+        # integer distances make d(v, u) == b d(v, gamma(v)) hit exactly at b = 2, 3, 4
+        empty = ties = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(4, 14))
+            m = integer_metric(rng, n)
+            for k in (0, 1, int(rng.integers(2, n))):
+                s = tuple(sorted(rng.permutation(n)[k:].tolist()))
+                gamma = nearest_anchors(m, s)
+                for b in (2.0, 3.0, 4.0, 2.0 + 2.0 * float(rng.random())):
+                    pi = tuple(rng.permutation(np.asarray(sorted(gamma), dtype=int)).tolist())
+                    tr = _greedy_clusters(m, gamma, b, pi)
+                    assert tr.to_dict() == CompositionTranscript(
+                        b=b, pi=pi, clusters=reference_clusters(m, gamma, b, pi),
+                        gamma=gamma).to_dict()
+                    _check_transcript(m, gamma, tr)
+                    empty += sum(1 for _, members in tr.clusters if not members)
+                    ties += sum(m.dist[v, u] == b * m.dist[v, gamma[v]]
+                                for v in pi for u in pi if u != v)
+        assert empty > 0 and ties > 0
 
     def test_roundtrip_dict(self):
         inputs = tiny_inputs()
@@ -262,6 +304,16 @@ class TestEstimate:
 
 
 class TestDeterministicComposition:
+    def test_draws_match_pinned_digest(self):
+        # any change to the cluster rule or to the random calls of a draw moves this
+        rng = np.random.default_rng(20)
+        m = integer_metric(rng, 16)
+        inputs = composition_instance(rng, m, k=9, p=2.0, seed=3)
+        det = compose_deterministic(inputs, 32, np.random.default_rng(21))
+        blob = json.dumps([tr.to_dict() for tr in det.transcripts])
+        assert hashlib.sha256(blob.encode()).hexdigest() == (
+            "d2d5c3f0742d8aa730d5bcc176b57805bea68dbb704ac8fad955b8658ae96266")
+
     def test_single_sample_is_one_draw(self):
         inputs = tiny_inputs()
         rng = np.random.default_rng(47)
