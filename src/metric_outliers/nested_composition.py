@@ -69,21 +69,12 @@ class CompositionInputs:
     tau: float = 2.0
 
     def __post_init__(self):
-        s_sorted = tuple(sorted(set(int(i) for i in self.s)))
-        if not s_sorted:
-            raise EmptyS("S must be nonempty")
-        if s_sorted[0] < 0 or s_sorted[-1] >= self.m.n:
-            raise SizeMismatch(f"S contains indices outside 0..{self.m.n - 1}")
+        s_sorted, c_s = _check_subset(self.m, self.s, self.p, self.alpha_s, self.tau)
         object.__setattr__(self, "s", s_sorted)
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
         if self.alpha_x.n != self.m.n:
             raise SizeMismatch(f"alpha_x has {self.alpha_x.n} rows, metric has {self.m.n}")
-        if self.alpha_s.n != len(s_sorted):
-            raise SizeMismatch(f"alpha_s has {self.alpha_s.n} rows, |S|={len(s_sorted)}")
-        if not (self.alpha_s.p == self.alpha_x.p == self.p):
-            raise SizeMismatch("alpha_s.p, alpha_x.p and p must agree")
-        c_s = _require_expanding(self.m, s_sorted, self.alpha_s, "alpha_s")
+        if self.alpha_x.p != self.p:
+            raise SizeMismatch("alpha_x.p must equal p")
         c_x = _require_expanding(self.m, tuple(range(self.m.n)), self.alpha_x, "alpha_x")
         if c_s > c_x * (1.0 + EXPANDING_TOL):
             raise ValueError(f"c_S={c_s:g} exceeds c_X={c_x:g}; the finer embedding must not be coarser")
@@ -114,6 +105,25 @@ class CompositionInputs:
     @cached_property
     def gamma(self) -> dict[int, int]:
         return nearest_anchors(self.m, self.s)
+
+
+def _check_subset(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet,
+                  tau: float) -> tuple[tuple[int, ...], float]:
+    """The checks both compositions share: S a nonempty subset of 0..n-1, tau
+    finite and positive, alpha_s an expanding lp embedding of sorted(S).
+    Returns sorted(S) and c_S."""
+    s_sorted = tuple(sorted(set(int(i) for i in s)))
+    if not s_sorted:
+        raise EmptyS("S must be nonempty")
+    if s_sorted[0] < 0 or s_sorted[-1] >= m.n:
+        raise SizeMismatch(f"S contains indices outside 0..{m.n - 1}")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and positive, got {tau}")
+    if alpha_s.n != len(s_sorted):
+        raise SizeMismatch(f"alpha_s has {alpha_s.n} rows, |S|={len(s_sorted)}")
+    if alpha_s.p != p:
+        raise SizeMismatch("alpha_s.p must equal p")
+    return s_sorted, _require_expanding(m, s_sorted, alpha_s, "alpha_s")
 
 
 def _require_expanding(m: MetricSpace, subset: tuple[int, ...], emb: PointSet, name: str) -> float:
@@ -413,6 +423,8 @@ def expansion_coefficients(case: str, k: int = 0, tau=2, kappa=2) -> tuple[Fract
     Computed in rational arithmetic; at tau=2, kappa=2 these are
     (1,0), (0,1), (7,9), (31,45) and ((155/2)H_k, (225/2)H_k + 1).
     """
+    if not (math.isfinite(tau) and math.isfinite(kappa)):
+        raise ValueError(f"tau and kappa must be finite, got tau={tau}, kappa={kappa}")
     tau = Fraction(tau)
     kappa = Fraction(kappa)
     if tau <= 0:
@@ -439,9 +451,22 @@ def expansion_coefficients(case: str, k: int = 0, tau=2, kappa=2) -> tuple[Fract
 
 
 def expansion_bound(q: BoundQuery) -> float:
-    """The multiplier of d(x,y) bounding the (expected, for case e) expansion."""
+    """The multiplier of d(x,y) bounding the (expected, for case e) expansion.
+
+    c_s and c_x are distortions, so each must be finite and >= 1; a
+    multiplier too large for a float raises ValueError.
+    """
+    for name, c in (("c_s", q.c_s), ("c_x", q.c_x)):
+        if not (math.isfinite(c) and c >= 1.0):
+            raise ValueError(f"{name} must be finite and >= 1, got {c}")
     coef_s, coef_x = expansion_coefficients(q.case, k=q.k, tau=q.tau, kappa=q.kappa)
-    return float(coef_s) * q.c_s + float(coef_x) * q.c_x
+    try:
+        value = float(coef_s) * q.c_s + float(coef_x) * q.c_x
+    except OverflowError:  # a coefficient beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the case ({q.case}) multiplier overflows a float")
+    return value
 
 
 def table_case(inputs: CompositionInputs, tr: CompositionTranscript, x: int, y: int,
@@ -509,13 +534,8 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
     must return an expanding embedding of the submetric; the default runs the
     Bourgain embedding on the subset with a seed derived from rng.
     """
-    s_sorted = tuple(sorted(set(int(i) for i in s)))
+    s_sorted, _ = _check_subset(m, s, p, alpha_s, tau)
     gamma = nearest_anchors(m, s_sorted)
-    if alpha_s.n != len(s_sorted):
-        raise SizeMismatch(f"alpha_s has {alpha_s.n} rows, |S|={len(s_sorted)}")
-    if alpha_s.p != p:
-        raise SizeMismatch("alpha_s.p must equal p")
-    _require_expanding(m, s_sorted, alpha_s, "alpha_s")
 
     if transcript is None:
         transcript = _draw(m, gamma, tau, rng)

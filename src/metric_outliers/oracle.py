@@ -8,6 +8,7 @@ Budgets guard runtime, they never trade away exactness.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -85,8 +86,10 @@ def distortion_bracket(m: MetricSpace, tol: float = 1e-3) -> tuple[float, float]
     that of a Gram matrix the run accepted. lower is the best LLR certificate
     found, 1.0 if there is none. An undecided run moves the search past its
     c but not the certified lower end, so upper - lower <= tol holds unless a
-    run was undecided.
+    run was undecided. tol must be finite and positive.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if m.n < 2 or is_l2_isometric(m):
         return 1.0, 1.0
     _, stats = bourgain_embed(m, BourgainParams(seed=0, p=2.0))

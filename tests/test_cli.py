@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -314,3 +315,92 @@ def test_compose_run_reruns_are_byte_identical(capsys, compose_args):
     code, out1, _ = run(capsys, argv)
     assert code == 0
     assert run(capsys, argv)[1] == out1
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_bad_distortion_tol_exits_1(capsys, claw_file, tol):
+    # tol <= 0 never ends the bisection; nan and inf printed invalid JSON
+    payload = error_of(capsys, ["oracle", "distortion", "--metric", claw_file, "--tol", tol])
+    assert payload["error"] == "InvalidArgument"
+    assert f"got {float(tol)}" in payload["message"]
+
+
+@pytest.mark.parametrize("command", ["run", "estimate"])
+@pytest.mark.parametrize("tau", ["-1", "0", "nan", "inf"])
+def test_bad_composition_tau_exits_1(capsys, compose_args, command, tau):
+    extra = ["--pair", "0,3"] if command == "estimate" else []
+    payload = error_of(capsys, ["compose", command] + compose_args + extra + ["--tau", tau])
+    assert payload["error"] == "InvalidArgument"
+    assert "tau must be finite and positive" in payload["message"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tau", "inf"], ["--tau", "nan"], ["--kappa", "inf"], ["--tau", "1e308"],
+    ["--c-s", "nan"], ["--c-x", "inf"], ["--c-s", "0.5"], ["--c-x", "1e308"],
+], ids=lambda flags: "".join(flags))
+def test_bad_bound_parameter_exits_1(capsys, flags):
+    base = {"--case": "d", "--c-s": "1", "--c-x": "2"}
+    base.update(dict(zip(flags[::2], flags[1::2])))
+    payload = error_of(capsys, ["compose", "bound"] + [a for kv in base.items() for a in kv])
+    assert payload["error"] == "InvalidArgument"
+
+
+# -- the provenance and output contract, for every leaf command ------------------
+
+LEAVES = [
+    ["metric", "validate", "--metric", "{claw}"],
+    ["metric", "from-graph", "--graph", "{edge}", "--metric-out", "{tmp}/m.txt"],
+    ["embed", "bourgain", "--metric", "{claw}", "--seed", "3"],
+    ["compose", "run", "--metric", "{claw}", "--s", "0,1,2", "--alpha-s", "{alpha_s}",
+     "--alpha-x", "{alpha_x}", "--samples", "4", "--seed", "11"],
+    ["compose", "estimate", "--metric", "{claw}", "--s", "0,1,2", "--alpha-s", "{alpha_s}",
+     "--alpha-x", "{alpha_x}", "--pair", "0,3", "--trials", "20"],
+    ["compose", "bound", "--case", "e", "--c-s", "1", "--c-x", "2", "--k", "3"],
+    ["outliers", "solve", "--metric", "{claw}", "--c", "1", "--gamma", "1.5", "--seed", "7"],
+    ["oracle", "vc", "--graph", "{edge}"],
+    ["oracle", "outliers", "--metric", "{claw}"],
+    ["oracle", "distortion", "--metric", "{claw}"],
+    ["oracle", "hypercube", "--graph", "{edge}", "--scale", "2"],
+    ["oracle", "dwclasses", "--graph", "{edge}"],
+    ["gadget", "lp", "--graph", "{edge}"],
+    ["gadget", "l1", "--graph", "{edge}", "--graph-out", "{tmp}/g.txt"],
+    # the output names the input: the digest is that of the graph as read
+    ["gadget", "lp", "--graph", "{edge}", "--graph-out", "{edge}"],
+]
+INPUT_FILE_FLAGS = ("--metric", "--graph", "--alpha-s", "--alpha-x")
+
+
+@pytest.mark.parametrize("template", LEAVES, ids=lambda t: "-".join(t[:2]) + (
+    "-overwrites-input" if t[-2:] == ["--graph-out", "{edge}"] else ""))
+def test_provenance_and_output_contract(capsys, tmp_path, claw_file, edge_file,
+                                        compose_args, template):
+    alpha_s, alpha_x = (compose_args[compose_args.index(flag) + 1]
+                        for flag in ("--alpha-s", "--alpha-x"))
+    argv = [arg.format(claw=claw_file, edge=edge_file, alpha_s=alpha_s, alpha_x=alpha_x,
+                       tmp=tmp_path) for arg in template]
+    before = {path: open(path, "rb").read() for path in (claw_file, edge_file, alpha_s, alpha_x)}
+
+    def fresh_run(extra):
+        for path, data in before.items():
+            with open(path, "wb") as fh:
+                fh.write(data)
+        return run(capsys, argv + extra)
+
+    code, out, err = fresh_run([])
+    assert code == 0 and err == ""
+    given = {flag[2:].replace("-", "_"): argv[i + 1]
+             for i, flag in enumerate(argv) if flag in INPUT_FILE_FLAGS}
+    provenance = json.loads(out)["provenance"]
+    assert provenance["inputs"] == {
+        name: "sha256:" + hashlib.sha256(before[path]).hexdigest() for name, path in given.items()}
+
+    dest = tmp_path / "result.json"
+    assert fresh_run(["-o", str(dest)]) == (0, "", "")
+    assert dest.read_text() == out
+    dest.unlink()
+    assert fresh_run(["-o", str(dest), "--human"]) == (0, "", "")
+    assert dest.read_text() == out
+
+    code, human, err = fresh_run(["--human"])
+    assert code == 0 and err == ""
+    assert human.endswith("\n") and "{" not in human

@@ -30,6 +30,7 @@ from metric_outliers.errors import (
     InvalidCase,
     KappaOutOfRange,
     NotExpanding,
+    SizeMismatch,
 )
 from metric_outliers.lp_geometry import pairwise_distances
 from metric_outliers.nested_composition import (
@@ -437,6 +438,23 @@ class TestBoundCalculator:
         with pytest.raises(KappaOutOfRange):
             expansion_coefficients("e", k=1, kappa=1)
 
+    @pytest.mark.parametrize("tau,kappa", [(float("inf"), 2.0), (float("nan"), 2.0),
+                                           (2.0, float("inf")), (2.0, float("nan"))])
+    def test_non_finite_tau_or_kappa_rejected(self, tau, kappa):
+        with pytest.raises(ValueError, match="must be finite"):
+            expansion_coefficients("d", tau=tau, kappa=kappa)
+
+    @pytest.mark.parametrize("c_s,c_x", [(float("nan"), 2.0), (1.0, float("inf")),
+                                         (0.5, 2.0), (1.0, -1.0)])
+    def test_distortion_outside_one_to_inf_rejected(self, c_s, c_x):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            expansion_bound(BoundQuery(case="c", c_s=c_s, c_x=c_x))
+
+    @pytest.mark.parametrize("c_x,tau", [(1e308, 2.0), (1.0, 1e308)])
+    def test_overflowing_multiplier_rejected(self, c_x, tau):
+        with pytest.raises(ValueError, match="overflows"):
+            expansion_bound(BoundQuery(case="c", c_s=1.0, c_x=c_x, tau=tau))
+
     def test_harmonic(self):
         assert harmonic_number(0) == 0
         assert harmonic_number(3) == Fraction(11, 6)
@@ -513,6 +531,33 @@ class TestComposeStrong:
         with pytest.raises(CallbackNotExpanding):
             compose_strong(m, inputs.s, 2.0, inputs.alpha_s, rng,
                            cluster_embedder=collapsing)
+
+
+BAD_TAUS = [-1.0, 0.0, float("nan"), float("inf")]
+
+
+class TestSubsetAndTauChecks:
+    """CompositionInputs and compose_strong run the same S, alpha_S and tau checks."""
+
+    @pytest.mark.parametrize("tau", BAD_TAUS)
+    def test_inputs_reject_bad_tau(self, line_metric, tau):
+        alpha, _ = bourgain_embed(line_metric, BourgainParams(seed=0))
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            CompositionInputs(m=line_metric, s=(0, 1), p=2.0, alpha_s=PointSet(
+                points=alpha.points[:2], p=2.0), alpha_x=alpha, tau=tau)
+
+    @pytest.mark.parametrize("tau", BAD_TAUS)
+    def test_strong_rejects_bad_tau(self, claw_metric, tau):
+        alpha_s = PointSet(points=np.array([[0.0], [-1.0], [1.0]]), p=2.0)
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            compose_strong(claw_metric, (0, 1, 2), 2.0, alpha_s, np.random.default_rng(0),
+                           tau=tau)
+
+    @pytest.mark.parametrize("s", [(0, 1, 7), (-1, 0, 1)])
+    def test_strong_rejects_s_out_of_range(self, claw_metric, s):
+        alpha_s = PointSet(points=np.array([[0.0], [-1.0], [1.0]]), p=2.0)
+        with pytest.raises(SizeMismatch, match=r"S contains indices outside 0\.\.3"):
+            compose_strong(claw_metric, s, 2.0, alpha_s, np.random.default_rng(0))
 
 
 class TestDegenerateSubset:
