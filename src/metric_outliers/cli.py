@@ -49,6 +49,9 @@ from .outlier_sdp import search_min_outliers
 
 # input-file flags, digested into the provenance; output flags never are
 INPUT_FLAGS = ("metric", "graph", "alpha_s", "alpha_x")
+# largest `compose bound --k`: the exact H_k coefficients then stay near 3 500
+# digits, below the 4 300 that Python converts to a string by default
+BOUND_MAX_K = 8000
 
 
 def _digest(path: str) -> str:
@@ -142,6 +145,8 @@ def _cmd_compose_estimate(args):
 
 
 def _cmd_compose_bound(args):
+    if not 0 <= args.k <= BOUND_MAX_K:
+        raise ValueError(f"--k must be in 0..{BOUND_MAX_K}, got {args.k}")
     coef_s, coef_x = expansion_coefficients(args.case, k=args.k, tau=args.tau, kappa=args.kappa)
     value = expansion_bound(BoundQuery(case=args.case, c_s=args.c_s, c_x=args.c_x,
                                        k=args.k, tau=args.tau, kappa=args.kappa))
@@ -157,27 +162,20 @@ def _cmd_compose_bound(args):
 def _cmd_outliers_solve(args):
     m = read_metric_text(args.metric)
     mode = {"weak": "weak_factor", "strong": "strong_subset"}[args.mode]
-    result = search_min_outliers(m, args.c, args.gamma, mode=mode, zeta=args.zeta,
-                                 seed=args.seed)
+    result = search_min_outliers(m, args.c, args.gamma, mode=mode, zeta=args.zeta)
+    meta = result.metadata
     payload = {
-        "k": result.metadata.get("k"),
+        "k": meta["k"],
         "K": list(result.outliers),
-        "delta": result.metadata.get("delta"),
+        "delta": meta["delta"],
         "achieved_distortion": result.achieved_distortion,
         "certified_bound": result.certified_bound,
         "gamma": result.gamma,
         "embedding": {"p": result.embedding.p, "points": result.embedding.points.tolist()},
-        "solver": {
-            "objective": result.metadata.get("objective"),
-            "max_violation": result.metadata.get("max_violation"),
-            "k0": result.metadata.get("k0"),
-            "mode": result.metadata.get("mode"),
-            "zeta": result.metadata.get("zeta"),
-            "g_value": result.metadata.get("g_value"),
-            "f_k": result.metadata.get("f_k"),
-        },
+        "solver": {key: meta[key] for key in ("objective", "max_violation", "k0", "mode",
+                                               "zeta", "g_value", "f_k")},
     }
-    return payload, (f"k={result.metadata.get('k')} |K|={len(result.outliers)} "
+    return payload, (f"k={meta['k']} |K|={len(result.outliers)} "
                      f"achieved {result.achieved_distortion:.4f} <= gamma*c = {args.gamma * args.c:.4f}")
 
 

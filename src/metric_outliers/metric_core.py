@@ -5,6 +5,7 @@ low hundreds. Validation rejects bad inputs, it never repairs them.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -87,9 +88,12 @@ def from_matrix(matrix, tol_tri: float = DEFAULT_TRIANGLE_TOL,
                 labels: Optional[Sequence[str]] = None) -> MetricSpace:
     """Validate a square distance matrix into a MetricSpace.
 
-    Raises AsymmetricMatrix, NonzeroDiagonal, NonpositiveOffDiagonal, or
+    Raises ValueError for a tol_tri that is not finite or below 0, then
+    AsymmetricMatrix, NonzeroDiagonal, NonpositiveOffDiagonal, or
     TriangleViolation(i, j, k) naming the first offending triple.
     """
+    if not 0.0 <= tol_tri < math.inf:
+        raise ValueError(f"tol_tri must be finite and >= 0, got {tol_tri}")
     d = np.asarray(matrix, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise AsymmetricMatrix(f"expected a square matrix, got shape {d.shape}")

@@ -16,11 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .bourgain import BourgainParams, bourgain_embed
 from .errors import BudgetExceeded, SolverFailure
 from .lp_geometry import is_l2_isometric
 from .metric_core import Graph, MetricSpace, from_graph, restrict
-from .outlier_sdp import distortion_feasible
+from .outlier_sdp import distortion_feasible, upper_distortion
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,8 @@ def distortion_bracket(m: MetricSpace, tol: float = 1e-3) -> tuple[float, float]
     """Witnessed bracket (lower, upper) on the optimal l2 distortion c2(m).
 
     Bisection over c on the three-valued feasibility run. upper is the
-    distortion of an embedding in hand: the seeded Bourgain embedding's, or
-    that of a Gram matrix the run accepted. lower is the best LLR certificate
+    distortion of an embedding in hand: the best of upper_distortion's, or a
+    Gram matrix a run accepted. lower is the best LLR certificate
     found, 1.0 if there is none. An undecided run moves the search past its
     c but not the certified lower end, so upper - lower <= tol holds unless a
     run was undecided. tol must be finite and positive.
@@ -92,8 +91,7 @@ def distortion_bracket(m: MetricSpace, tol: float = 1e-3) -> tuple[float, float]
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if m.n < 2 or is_l2_isometric(m):
         return 1.0, 1.0
-    _, stats = bourgain_embed(m, BourgainParams(seed=0, p=2.0))
-    hi = float(stats.distortion)
+    hi = upper_distortion(m)
     lo = lower = 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
@@ -109,11 +107,9 @@ def distortion_bracket(m: MetricSpace, tol: float = 1e-3) -> tuple[float, float]
 
 
 def optimal_distortion_l2(m: MetricSpace, tol: float = 1e-3) -> float:
-    """The optimal l2 distortion within tol: the upper end of
-    distortion_bracket, the distortion of an embedding in hand. Its lower end,
-    an LLR certificate, is within tol below unless a feasibility run was
-    undecided.
-    """
+    """The optimal l2 distortion within tol, with no random draw: the upper end
+    of distortion_bracket, an embedding in hand, with an LLR certificate within
+    tol below unless a feasibility run was undecided."""
     return distortion_bracket(m, tol)[1]
 
 

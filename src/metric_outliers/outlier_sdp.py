@@ -25,7 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from .bourgain import BourgainParams, bourgain_embed
 from .errors import Exhausted, GammaNotAboveOne, MissingZetaK
 from .lp_geometry import PointSet, centered_gram, points_from_gram
 from .metric_core import MetricSpace, distortion_stats, restrict
@@ -98,10 +97,6 @@ def _square(name: str, value: float, x: float) -> float:
     return square
 
 
-def _check_c(c: float) -> None:
-    _check_distortion("target distortion", c)
-
-
 def _check_scale(m: MetricSpace, name: str, c: float) -> None:
     """The upper bound c^2 d^2 of every pair constraint must be a finite float."""
     if m.n >= 2:
@@ -119,7 +114,7 @@ class SdpInstance:
     f_k: float
 
     def __post_init__(self):
-        _check_c(self.c)
+        _check_distortion("target distortion", self.c)
         _check_scale(self.m, "target distortion", self.c)
         if not 0.0 <= self.f_k < math.inf:
             raise ValueError(f"f_k must be finite and >= 0, got {self.f_k}")
@@ -216,6 +211,19 @@ def _lp_polish(work: _Work, g: np.ndarray) -> Optional[np.ndarray]:
     return out
 
 
+def _ratios(m: MetricSpace, g: np.ndarray) -> np.ndarray:
+    """r(G) / d^2 over the pairs x < y, r(G) = G_xx + G_yy - 2 G_xy."""
+    xs, ys = np.triu_indices(m.n, k=1)
+    diag = np.diag(g)
+    return (diag[xs] + diag[ys] - 2.0 * g[xs, ys]) / m.dist[xs, ys] ** 2
+
+
+def _distortion(ratio: np.ndarray) -> float:
+    """Distortion sqrt(max / min) of the embedding with pair ratios r / d^2."""
+    rmin = ratio.min()
+    return math.sqrt(ratio.max() / rmin) if rmin > 0.0 else math.inf
+
+
 def _initial_gram(m: MetricSpace) -> np.ndarray:
     """PSD-clamped centered Gram, rescaled so no pair contracts.
 
@@ -224,19 +232,19 @@ def _initial_gram(m: MetricSpace) -> np.ndarray:
     the delta weights can absorb.
     """
     b = _psd_project(centered_gram(m))
-    n = m.n
-    if n < 2:
-        return b
-    xs, ys = np.triu_indices(n, k=1)
-    diag = np.diag(b)
-    r = diag[xs] + diag[ys] - 2.0 * b[xs, ys]
-    ratio = r / (m.dist[xs, ys] ** 2)
-    rmin = float(ratio.min())
-    if rmin <= 1e-6:
-        return b  # clamping collapsed a pair; scaling cannot fix that
-    if rmin < 1.0:
-        b = b / rmin
-    return b
+    rmin = float(_ratios(m, b).min(initial=1.0))
+    # at rmin <= 1e-6 clamping collapsed a pair, which scaling cannot fix
+    return b / rmin if 1e-6 < rmin < 1.0 else b
+
+
+def upper_distortion(m: MetricSpace, grams: Sequence[np.ndarray] = ()) -> float:
+    """The least measured l2 distortion of the embeddings in hand: `grams`, the
+    rescaled centered Gram and the distance rows x -> d(x, .) (at most sqrt(n/2)).
+    Nothing is drawn at random; relabeling moves the value only by rounding."""
+    if m.n < 2:
+        return 1.0
+    rows = m.dist @ m.dist  # the Gram matrix of the distance rows
+    return min(_distortion(_ratios(m, g)) for g in (*grams, _initial_gram(m), rows))
 
 
 def _first_witness(inst: SdpInstance, level: float,
@@ -310,10 +318,9 @@ def distortion_feasible(m: MetricSpace, c: float
             r_next = work.pair_r(g)
             r, r_bar = r_next, 2.0 * r_next - r
         ratio = r / work.d2
-        rmin = ratio.min()
-        dist = math.sqrt(ratio.max() / rmin) if rmin > 0.0 else math.inf
+        dist = _distortion(ratio)
         if dist <= c:
-            return "feasible", g / rmin, dist
+            return "feasible", g / ratio.min(), dist
         if it > 0 and it % 50 == 0:
             bound = _llr_bound(work, u / 2.0)
             if bound > c:
@@ -385,8 +392,7 @@ def round_solution(sol: SdpSolution, gamma: float,
 def search_min_outliers(m: MetricSpace, c: float, gamma: float,
                         mode: str = "weak_factor",
                         zeta: Optional[float] = None,
-                        zeta_k: Optional[float] = None,
-                        seed: int = 0) -> OutlierResult:
+                        zeta_k: Optional[float] = None) -> OutlierResult:
     """Try k = 0, 1, 2, ... until a checked witness shows the SDP with f(k)
     admits value <= k + EPS; round it with round_solution.
 
@@ -399,25 +405,22 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
     Sum(delta) <= EPS caps every delta_x + delta_y, so any solution at k = 0
     has distortion <= c0; a certificate at c0 therefore rules k = 0 out.
     metadata["k0"] is the c0 run's verdict: "feasible", "infeasible"
-    (certified) or "undecided". zeta defaults to the measured distortion of a
-    Bourgain run seeded by `seed` (recorded in the metadata); in
-    strong_subset mode zeta_k defaults to that same value.
+    (certified) or "undecided". zeta defaults to upper_distortion over the
+    gamma*c witness ("measured" in metadata["zeta_source"]); in strong_subset
+    mode zeta_k defaults to zeta.
     """
     _check_gamma(gamma)
-    _check_c(c)
+    _check_distortion("target distortion", c)
     _check_scale(m, "gamma * c", gamma * c)
+    high = distortion_feasible(m, gamma * c)
     zeta_source = "supplied"
     if zeta is None:
-        if m.n >= 2:
-            _, stats = bourgain_embed(m, BourgainParams(seed=seed, p=2.0))
-            zeta = max(stats.distortion, 1.0)
-        else:
-            zeta = 1.0
-        zeta_source = f"bourgain(seed={seed})"
+        zeta = upper_distortion(m, [high[1]] if high[0] == "feasible" else [])
+        zeta_source = "measured"
     if mode == "strong_subset" and zeta_k is None:
         zeta_k = zeta
     c0 = math.sqrt((c ** 2 + EPS * f_of_k(0, zeta, mode, zeta_k=zeta_k)) / (1.0 - EPS))
-    runs = [distortion_feasible(m, c0), distortion_feasible(m, gamma * c)]
+    runs = [distortion_feasible(m, c0), high]
     # the first witness, not the least delta sum: reclaim can only keep points
     # the accepted Gram embeds within [d, gamma*c*d], and the feasibility
     # witnesses embed the most (least-sum left planted-n128 of the benchmark
@@ -436,7 +439,6 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
                 "zeta": zeta,
                 "zeta_k": zeta_k,
                 "zeta_source": zeta_source,
-                "seed": seed,
                 "k0": runs[0][0],
             })
             return result

@@ -220,7 +220,7 @@ def test_criterion_7_end_to_end_rounding(claw_metric, k3):
     ok = True
     for name, m in (("claw", claw_metric), ("lp_gadget(K3)", gadget_metric)):
         for gamma in (1.25, 1.5, 2.0):
-            res = search_min_outliers(m, 1.0, gamma, seed=7)
+            res = search_min_outliers(m, 1.0, gamma)
             verified = verify_outlier_embedding(m, res.outliers, res.embedding,
                                                 gamma * 1.0, tol=1e-3)
             within = len(res.outliers) <= res.certified_bound

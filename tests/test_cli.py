@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from metric_outliers import BourgainParams, Graph, bourgain_embed, from_graph
-from metric_outliers.cli import dispatch
+from metric_outliers.cli import BOUND_MAX_K, dispatch
 from metric_outliers.lp_geometry import write_embedding
 from metric_outliers.metric_core import write_graph_text, write_metric_text
+
+from conftest import integer_metric
 
 
 @pytest.fixture
@@ -50,6 +52,14 @@ def test_metric_validate_names_the_triple(capsys, tmp_path):
     assert "(0,1,2)" in payload["message"]
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_metric_validate_rejects_a_bad_tolerance(capsys, tmp_path, tol):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3\n0 1 3\n1 0 1\n3 1 0\n")
+    payload = error_of(capsys, ["metric", "validate", "--metric", str(bad), "--tol-tri", tol])
+    assert payload["error"] == "InvalidArgument" and "tol_tri" in payload["message"]
+
+
 def test_metric_validate_ok(capsys, claw_file):
     code, out, _ = run(capsys, ["metric", "validate", "--metric", claw_file])
     assert code == 0
@@ -87,6 +97,19 @@ def test_outliers_solve_end_to_end(capsys, claw_file):
                                       "g_value", "f_k"}
     assert payload["solver"]["k0"] == "infeasible"
     assert len(payload["delta"]) == 4
+
+
+def test_outliers_solve_does_not_depend_on_the_seed(capsys, tmp_path):
+    path = tmp_path / "integer6.txt"
+    write_metric_text(str(path), integer_metric(np.random.default_rng([101]), 6))
+    payloads = []
+    for seed in (0, 7):
+        code, out, _ = run(capsys, ["outliers", "solve", "--metric", str(path), "--c", "1",
+                                    "--gamma", "1.5", "--seed", str(seed)])
+        payload = json.loads(out)
+        assert code == 0 and payload["provenance"].pop("seed") == seed
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
 
 
 def test_byte_identical_reruns(capsys, claw_file):
@@ -140,6 +163,14 @@ def test_compose_bound(capsys):
     payload = json.loads(out)
     assert payload["multiplier"] == pytest.approx(25.0)
     assert payload["coef_c_s"] == "7"
+
+
+def test_compose_bound_names_a_too_large_k(capsys):
+    argv = ["compose", "bound", "--case", "e", "--c-s", "1", "--c-x", "2", "--k"]
+    payload = error_of(capsys, argv + ["32000"])
+    assert payload["error"] == "InvalidArgument" and "--k" in payload["message"]
+    code, out, _ = run(capsys, argv + [str(BOUND_MAX_K)])
+    assert code == 0 and json.loads(out)["multiplier"] > 0
 
 
 def test_oracle_subcommands(capsys, tmp_path, edge_file, claw_file):

@@ -59,6 +59,16 @@ class TestFromMatrix:
         with pytest.raises(NonpositiveOffDiagonal):
             from_matrix([[0, 0], [0, 0]])
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_bad_triangle_tolerance_is_named(self, tmp_path, tol):
+        bad = [[0, 1, 3], [1, 0, 1], [3, 1, 0]]  # d(0,2) > d(0,1) + d(1,2)
+        with pytest.raises(ValueError, match="tol_tri"):
+            from_matrix(bad, tol_tri=tol)
+        path = tmp_path / "bad.txt"
+        path.write_text("3\n0 1 3\n1 0 1\n3 1 0\n")
+        with pytest.raises(ValueError, match="tol_tri"):
+            read_metric_text(str(path), tol_tri=tol)
+
     def test_rejects_non_square(self):
         with pytest.raises(AsymmetricMatrix):
             from_matrix([[0, 1, 2], [1, 0, 1]])

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +8,12 @@ import pytest
 from metric_outliers import (
     BourgainParams,
     CompositionInputs,
+    Graph,
     PointSet,
     bicriteria_bound,
     bourgain_embed,
     compose_deterministic,
+    distortion_bracket,
     distortion_stats,
     f_of_k,
     from_graph,
@@ -31,10 +35,34 @@ from metric_outliers.outlier_sdp import (
     _lp_polish,
     distortion_feasible,
     round_solution,
+    upper_distortion,
     weak_g,
 )
 
 from conftest import integer_metric
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's instance generators)
+
+
+def benchmark_instances():
+    """(label, metric, gamma): the solve-planted instances with n <= 33 and the
+    oracle-exact lp gadgets at seed 11, each at gamma = 1.5 and 1.1, except
+    integer-n5 and integer-n7 at 1.1."""
+    cases = []
+    for i, (n_core, k) in enumerate(workloads.PLANTED_SHAPES):
+        if n_core + k <= 33:
+            dist = workloads.planted_metric(np.random.default_rng([i]), n_core, k)
+            cases.append((f"planted-n{n_core + k}", from_matrix(dist, tol_tri=1e-9)))
+    for j, n in enumerate(workloads.INTEGER_SIZES):
+        dist = workloads.integer_metric(np.random.default_rng([100 + j]), n)
+        cases.append((f"integer-n{n}", from_matrix(dist, tol_tri=0.0)))
+    rng = np.random.default_rng(11)
+    for i, (n, cover) in enumerate(workloads.GADGET_SOURCES):
+        edges = workloads.random_graph_with_cover(rng, n, cover)
+        cases.append((f"gadget{i}-n{n}", from_graph(lp_gadget(Graph(n, tuple(edges))).graph)))
+    return [(label, m, gamma) for label, m in cases for gamma in (1.5, 1.1)
+            if (label, gamma) not in (("integer-n5", 1.1), ("integer-n7", 1.1))]
 
 
 class TestFOfK:
@@ -212,12 +240,19 @@ class TestSearch:
         assert search_min_outliers(m, 1.0, 1.5).outliers == ()
 
     def test_outliers_invariant_under_relabeling(self):
-        m = integer_metric(np.random.default_rng([101]), 6)
-        base = search_min_outliers(m, 1.0, 1.5).outliers
-        for s in range(1, 6):
-            perm = np.random.default_rng(1000 + s).permutation(m.n)
-            res = search_min_outliers(from_matrix(m.dist[np.ix_(perm, perm)]), 1.0, 1.5)
-            assert tuple(sorted(int(perm[i]) for i in res.outliers)) == base, s
+        # zeta and K (mapped back) stay put under 5 relabelings. integer-n5 and
+        # integer-n7 are left out at gamma = 1.1: there the delta LP's optimum
+        # and the (delta, index) reclaim order depend on the labels, and K
+        # changes within the same size
+        for label, m, gamma in benchmark_instances():
+            base = search_min_outliers(m, 1.0, gamma)
+            for s in range(1, 6):
+                perm = np.random.default_rng(1000 + s).permutation(m.n)
+                res = search_min_outliers(from_matrix(m.dist[np.ix_(perm, perm)]), 1.0, gamma)
+                assert res.metadata["zeta"] == pytest.approx(base.metadata["zeta"], rel=1e-12,
+                                                              abs=0.0), (label, gamma, s)
+                assert tuple(sorted(int(perm[i]) for i in res.outliers)) == base.outliers, \
+                    (label, gamma, s)
 
     def test_strong_mode_runs(self, claw_metric):
         res = search_min_outliers(claw_metric, 1.0, 1.5, mode="strong_subset")
@@ -227,6 +262,25 @@ class TestSearch:
     def test_gamma_validation(self, claw_metric):
         with pytest.raises(GammaNotAboveOne):
             search_min_outliers(claw_metric, 1.0, 1.0)
+
+
+class TestUpperDistortion:
+    def test_one_on_a_line(self):
+        x = np.arange(5.0)[:, None]
+        m = from_matrix(np.abs(x - x.T))
+        assert upper_distortion(m, [gram_of_points(x)]) == 1.0
+        assert upper_distortion(m) == pytest.approx(1.0, abs=1e-12)
+
+    def test_between_the_certified_lower_end_and_sqrt_n(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.generators.atlas import graph_atlas_g
+        metrics = [integer_metric(np.random.default_rng([s]), n)
+                   for s, n in ((1, 4), (2, 5), (3, 6), (4, 7), (5, 9))]
+        metrics += [from_graph(Graph(g.number_of_nodes(), tuple(g.edges())))
+                    for g in graph_atlas_g() if 3 <= g.number_of_nodes() <= 5 and nx.is_connected(g)]
+        for m in metrics:
+            upper = upper_distortion(m)
+            assert distortion_bracket(m)[0] <= upper <= math.sqrt(m.n)
 
 
 class TestBicriteriaBound:
