@@ -104,26 +104,42 @@ def sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+def _center(d2: np.ndarray) -> np.ndarray:
+    """B = -1/2 * J * D^2 * J for each matrix of a stack (..., k, k) of squared distances."""
+    k = d2.shape[-1]
+    j = np.eye(k) - np.full((k, k), 1.0 / k)
+    b = -0.5 * j @ d2 @ j
+    return (b + np.swapaxes(b, -1, -2)) / 2.0
+
+
 def centered_gram(m: "MetricSpace") -> np.ndarray:
     """Double-centered squared-distance matrix B = -1/2 * J * D^2 * J."""
-    d2 = np.asarray(m.dist, dtype=float) ** 2
-    n = d2.shape[0]
-    j = np.eye(n) - np.full((n, n), 1.0 / n)
-    b = -0.5 * j @ d2 @ j
-    return (b + b.T) / 2.0
+    return _center(np.asarray(m.dist, dtype=float) ** 2)
+
+
+def schoenberg_test(d2: np.ndarray, tol_eig: float = 1e-8, lam_ref: float = 0.0) -> np.ndarray:
+    """Schoenberg criterion on a stack (r, k, k) of squared-distance matrices.
+
+    Row i passes iff the smallest eigenvalue of its centered Gram matrix is
+    >= -tol_eig * max(lam_max, lam_ref, 1e-30), lam_max its largest
+    eigenvalue. lam_ref = 0 is the plain test; a larger lam_ref measures the
+    tolerance against a bound on lam_max known from a larger set.
+    """
+    if d2.shape[-1] == 0:
+        return np.ones(d2.shape[0], dtype=bool)
+    vals = np.linalg.eigvalsh(_center(d2))
+    scale = np.maximum(np.maximum(vals[:, -1], lam_ref), 1e-30)
+    return vals[:, 0] >= -tol_eig * scale
 
 
 def is_l2_isometric(m: "MetricSpace", tol_eig: float = 1e-8) -> bool:
     """Schoenberg criterion: true iff the centered Gram matrix is PSD.
 
     The decision is exact in theory; tol_eig only absorbs floating-point
-    error, relative to the largest eigenvalue.
+    error, relative to the largest eigenvalue. The one-row case of
+    schoenberg_test.
     """
-    vals, _ = sorted_eigh(centered_gram(m))
-    if vals.size == 0:
-        return True
-    lam_max = max(float(vals[0]), 0.0)
-    return float(vals[-1]) >= -tol_eig * max(lam_max, 1e-30)
+    return bool(schoenberg_test(np.asarray(m.dist, dtype=float)[None] ** 2, tol_eig)[0])
 
 
 def points_from_gram(g: np.ndarray, tol_eig: float = 1e-8) -> PointSet:

@@ -11,15 +11,19 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
+from itertools import combinations, islice
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import BudgetExceeded, SolverFailure
-from .lp_geometry import is_l2_isometric
-from .metric_core import Graph, MetricSpace, from_graph, restrict
+from .lp_geometry import centered_gram, is_l2_isometric, schoenberg_test
+from .metric_core import Graph, MetricSpace, from_graph
 from .outlier_sdp import distortion_feasible, upper_distortion
+
+
+BLOCK = 256  # candidate sets per batch: each batch's temporaries stay within a few MB
+MAX_CORES = 4096  # cores the filter keeps: 256 x 4096 float32 products are 4 MB
 
 
 @dataclass(frozen=True)
@@ -28,6 +32,14 @@ class OracleBudget:
     max_subset_size: Optional[int] = None
     max_columns: Optional[int] = None
     time_cap: Optional[float] = None  # seconds
+
+    def __post_init__(self):
+        for name in ("max_nodes", "max_subset_size", "max_columns"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.time_cap is not None and not (math.isfinite(self.time_cap) and self.time_cap > 0):
+            raise ValueError(f"time_cap must be finite and positive, got {self.time_cap}")
 
     def deadline(self) -> Optional[float]:
         return None if self.time_cap is None else time.monotonic() + self.time_cap
@@ -41,39 +53,96 @@ def _check_deadline(deadline: Optional[float]) -> None:
         raise BudgetExceeded("time cap exhausted")
 
 
+def _incidence(rows: np.ndarray, n: int) -> np.ndarray:
+    """Boolean (len(rows), n) matrix, True at the entries each row lists."""
+    inc = np.zeros((len(rows), n), dtype=bool)
+    np.put_along_axis(inc, rows, True, axis=1)
+    return inc
+
+
+def _subsets(n: int, size: int) -> Iterator[np.ndarray]:
+    """The size-subsets of range(n) in lexicographic order, BLOCK rows at a time."""
+    it = combinations(range(n), size)
+    while chunk := list(islice(it, BLOCK)):
+        yield np.array(chunk, dtype=np.intp)
+
+
+def _hitting_sets(n: int, size: int, sets: np.ndarray,
+                  deadline: Optional[float]) -> Iterator[np.ndarray]:
+    """The size-subsets of range(n) that meet every row of the incidence
+    matrix sets (one row per set to hit), in lexicographic order, a block at
+    a time; blocks left empty by the filter are skipped."""
+    sets_t = sets.T.astype(np.float32)
+    for block in _subsets(n, size):
+        _check_deadline(deadline)
+        block = block[(_incidence(block, n).astype(np.float32) @ sets_t > 0).all(axis=1)]
+        if len(block):
+            yield block
+
+
 def min_vertex_cover(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[int, tuple[int, ...]]:
-    """Exact minimum vertex cover by subset enumeration in increasing size."""
+    """Exact minimum vertex cover: the lexicographically first smallest set
+    that hits every edge."""
     if g.n > budget.max_nodes:
         raise BudgetExceeded(f"{g.n} nodes exceeds max_nodes={budget.max_nodes}")
     if not g.edges:
         return 0, ()
     deadline = budget.deadline()
+    edges = _incidence(np.array(g.edges), g.n)
     for size in range(1, g.n + 1):
-        for cand in combinations(range(g.n), size):
-            _check_deadline(deadline)
-            cset = set(cand)
-            if all(u in cset or v in cset for u, v in g.edges):
-                return size, tuple(cand)
+        for block in _hitting_sets(g.n, size, edges, deadline):
+            return size, tuple(int(v) for v in block[0])
     raise SolverFailure("unreachable: the full vertex set covers all edges")
+
+
+def _cores(m: MetricSpace, d2: np.ndarray, tol_eig: float,
+           deadline: Optional[float]) -> np.ndarray:
+    """Incidence rows of the first MAX_CORES 4-point sets that fail the
+    Schoenberg test with the tolerance measured against lam_max of all of m."""
+    lam_ref = float(np.linalg.eigvalsh(centered_gram(m))[-1]) if m.n else 0.0
+    found = np.zeros((0, 4), dtype=np.intp)
+    for quads in _subsets(m.n, 4):
+        if len(found) >= MAX_CORES:
+            break
+        _check_deadline(deadline)
+        sub = d2[quads[:, :, None], quads[:, None, :]]
+        found = np.concatenate([found, quads[~schoenberg_test(sub, tol_eig, lam_ref)]])
+    return _incidence(found[:MAX_CORES], m.n)
 
 
 def min_outlier_isometric_l2(m: MetricSpace, budget: OracleBudget = DEFAULT_BUDGET,
                              tol_eig: float = 1e-8) -> tuple[int, tuple[int, ...]]:
     """Smallest K such that the metric minus K embeds isometrically into l2.
 
-    Enumerates candidate outlier sets in increasing size, lexicographic order,
-    so the witness is the lexicographically first of minimum size.
+    Returns the lexicographically first K of minimum size: candidate sets
+    are taken in increasing size and lexicographic order, and the first
+    whose complement passes the Schoenberg test (is_l2_isometric's rule) wins.
+
+    Most candidates are never tested. Every 3-point metric embeds in l2, so
+    the smallest non-embeddable sets have 4 points; the 4-point sets that
+    fail the test are found first, in batched tests, and kept as cores.
+    A candidate that misses a core leaves that core in its complement and is
+    dropped untested; the rest of each block of candidates is tested in one
+    batched eigenvalue call. The filter is exact, not a heuristic: if Q is a
+    subset of T, the centered-Gram quadratic form of Q is that of T on the
+    vectors supported on Q, so lam_min(T) <= lam_min(Q) and
+    lam_max(T) <= lam_max(X) for the whole space X. A core is required to
+    fail with its tolerance measured against lam_max(X), so every T that
+    contains it fails the test with its own lam_max. Keeping only some of
+    the cores (MAX_CORES) weakens the filter but not its exactness.
     """
     if m.n > budget.max_nodes:
         raise BudgetExceeded(f"{m.n} nodes exceeds max_nodes={budget.max_nodes}")
     limit = m.n - 1 if budget.max_subset_size is None else min(budget.max_subset_size, m.n - 1)
     deadline = budget.deadline()
+    d2 = np.asarray(m.dist, dtype=float) ** 2
+    cores = _cores(m, d2, tol_eig, deadline)
     for size in range(0, limit + 1):
-        for cand in combinations(range(m.n), size):
-            _check_deadline(deadline)
-            sub, _ = restrict(m, cand)
-            if is_l2_isometric(sub, tol_eig=tol_eig):
-                return size, tuple(cand)
+        for block in _hitting_sets(m.n, size, cores, deadline):
+            kept = np.nonzero(~_incidence(block, m.n))[1].reshape(len(block), m.n - size)
+            passed = schoenberg_test(d2[kept[:, :, None], kept[:, None, :]], tol_eig)
+            if passed.any():
+                return size, tuple(int(v) for v in block[np.argmax(passed)])
     raise BudgetExceeded(f"no outlier set of size <= {limit} found within budget")
 
 

@@ -356,6 +356,19 @@ def test_bad_distortion_tol_exits_1(capsys, claw_file, tol):
     assert f"got {float(tol)}" in payload["message"]
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["oracle", "outliers", "--metric", "{claw}", "--time-cap", "nan"], "time_cap"),
+    (["oracle", "outliers", "--metric", "{claw}", "--max-size", "-1"], "max_subset_size"),
+    (["oracle", "vc", "--graph", "{edge}", "--max-nodes", "-1"], "max_nodes"),
+    (["oracle", "hypercube", "--graph", "{edge}", "--max-columns", "-1"], "max_columns"),
+], ids=["time-cap-nan", "max-size", "max-nodes", "max-columns"])
+def test_bad_oracle_budget_exits_1(capsys, claw_file, edge_file, argv, field):
+    # nan ran with no cap, and -1 columns refuted the single edge, which embeds
+    argv = [a.format(claw=claw_file, edge=edge_file) for a in argv]
+    payload = error_of(capsys, argv)
+    assert payload["error"] == "InvalidArgument" and field in payload["message"]
+
+
 @pytest.mark.parametrize("command", ["run", "estimate"])
 @pytest.mark.parametrize("tau", ["-1", "0", "nan", "inf"])
 def test_bad_composition_tau_exits_1(capsys, compose_args, command, tau):

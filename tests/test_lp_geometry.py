@@ -18,6 +18,7 @@ from metric_outliers.lp_geometry import (
     embedding_from_json,
     embedding_to_json,
     gram_of_points,
+    schoenberg_test,
     sorted_eigh,
 )
 
@@ -90,6 +91,20 @@ class TestSchoenberg:
         rng = np.random.default_rng(11)
         for _ in range(10):
             assert is_l2_isometric(point_metric(rng, int(rng.integers(2, 10))))
+
+    def test_batch_rows_are_the_one_row_case(self, claw_metric, stretched_pair_metric):
+        rng = np.random.default_rng(3)
+        line4 = from_matrix([[abs(i - j) for j in range(4)] for i in range(4)])
+        metrics = [claw_metric, line4, stretched_pair_metric, point_metric(rng, 4)]
+        d2 = np.stack([m.dist ** 2 for m in metrics])
+        assert schoenberg_test(d2).tolist() == [is_l2_isometric(m) for m in metrics]
+        assert schoenberg_test(np.zeros((2, 0, 0))).tolist() == [True, True]
+
+    def test_lam_ref_scales_the_tolerance(self, stretched_pair_metric):
+        vals = np.linalg.eigvalsh(centered_gram(stretched_pair_metric))
+        d2 = stretched_pair_metric.dist[None] ** 2
+        assert not schoenberg_test(d2, lam_ref=vals[-1])[0]
+        assert schoenberg_test(d2, lam_ref=-vals[0] / 1e-8 * 2)[0]
 
 
 class TestPointsFromGram:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from metric_outliers.errors import BudgetExceeded
 from metric_outliers.hardness_gadgets import l1_gadget, lp_gadget
 from metric_outliers.oracle import OracleBudget
 
+from conftest import integer_metric
+
 # graphs with a known optimal l2 distortion c2: even cycles (regular polygon,
 # Linial-Magen), hypercubes (sqrt(d), Enflo) and stars (sqrt(2 - 2/m))
 KNOWN_C2 = (
@@ -32,6 +36,61 @@ KNOWN_C2 = (
     + [(f"K1,{m}", Graph(m + 1, tuple((0, i) for i in range(1, m + 1))), np.sqrt(2.0 - 2.0 / m))
        for m in (3, 4, 5, 6)]
 )
+
+
+def cycle(n: int) -> Graph:
+    return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def atlas_graphs(max_nodes: int, connected: bool):
+    nx = pytest.importorskip("networkx")
+    from networkx.generators.atlas import graph_atlas_g
+    for g_nx in graph_atlas_g():
+        n = g_nx.number_of_nodes()
+        if 1 <= n <= max_nodes and (not connected or (n >= 2 and nx.is_connected(g_nx))):
+            yield Graph(n=n, edges=tuple((int(u), int(v)) for u, v in g_nx.edges()))
+
+
+def enumerated_outliers(m):
+    """Reference: restrict and test every candidate set, by size, in lexicographic order."""
+    for size in range(m.n):
+        for cand in combinations(range(m.n), size):
+            if is_l2_isometric(restrict(m, cand)[0]):
+                return size, cand
+
+
+def enumerated_cover(g):
+    """Reference: the first candidate set, by size, in lexicographic order, that covers every edge."""
+    for size in range(g.n + 1):
+        for cand in combinations(range(g.n), size):
+            if all(u in cand or v in cand for u, v in g.edges):
+                return size, cand
+
+
+class TestAgainstEnumeration:
+    """The oracles' (size, witness) equals plain subset enumeration's."""
+
+    def test_atlas_graph_metrics(self):
+        graphs = list(atlas_graphs(7, connected=True))
+        assert len(graphs) == 995  # 1 + 2 + 6 + 21 + 112 + 853 on 2..7 nodes
+        for g in graphs:
+            m = from_graph(g)
+            assert min_outlier_isometric_l2(m) == enumerated_outliers(m), g.edges
+
+    def test_integer_metrics(self):
+        rng = np.random.default_rng(2024)
+        for i in range(60):
+            m = integer_metric(rng, 4 + i % 7)
+            assert min_outlier_isometric_l2(m) == enumerated_outliers(m), i
+
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_cycles(self, n):
+        m = from_graph(cycle(n))
+        assert min_outlier_isometric_l2(m) == enumerated_outliers(m)
+
+    def test_vertex_cover_on_atlas_graphs(self):
+        for g in atlas_graphs(7, connected=False):
+            assert min_vertex_cover(g) == enumerated_cover(g), g.edges
 
 
 class TestVertexCover:
@@ -85,6 +144,15 @@ class TestMinOutlier:
             assert out == vc, f"graph atlas entry with {n} nodes, edges {g.edges}"
             checked += 1
         assert checked == 18  # 1 + 2 + 4 + 11 non-isomorphic graphs on 1..4 nodes
+
+    def test_twenty_point_gadget_matches_vertex_cover(self):
+        petersen = Graph(10, tuple((i, (i + 1) % 5) for i in range(5))
+                         + tuple((i, i + 5) for i in range(5))
+                         + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)))
+        m = from_graph(lp_gadget(petersen).graph)
+        size, witness = min_outlier_isometric_l2(m, OracleBudget(max_nodes=20))
+        assert size == min_vertex_cover(petersen)[0] == 6
+        assert is_l2_isometric(restrict(m, witness)[0])
 
 
 class TestOptimalDistortion:
@@ -197,6 +265,33 @@ class TestBudgets:
     def test_subset_size_cap(self, claw_metric):
         with pytest.raises(BudgetExceeded):
             min_outlier_isometric_l2(claw_metric, OracleBudget(max_subset_size=0))
+
+    def test_subset_size_cap_at_and_below_the_answer(self):
+        m = from_graph(cycle(8))
+        size, witness = min_outlier_isometric_l2(m)
+        assert size >= 2
+        assert min_outlier_isometric_l2(m, OracleBudget(max_subset_size=size)) == (size, witness)
+        with pytest.raises(BudgetExceeded, match=f"size <= {size - 1} found"):
+            min_outlier_isometric_l2(m, OracleBudget(max_subset_size=size - 1))
+
+    @pytest.mark.parametrize("oracle_call", [
+        lambda b: min_outlier_isometric_l2(from_graph(lp_gadget(cycle(5)).graph), b),
+        lambda b: min_vertex_cover(cycle(9), b),
+    ], ids=["outliers", "vertex-cover"])
+    def test_time_cap_for_subset_searches(self, oracle_call):
+        with pytest.raises(BudgetExceeded, match="time cap"):
+            oracle_call(OracleBudget(time_cap=1e-9))
+
+    @pytest.mark.parametrize("field,value", [
+        ("time_cap", float("nan")), ("time_cap", float("inf")), ("time_cap", 0.0),
+        ("time_cap", -1.0), ("max_nodes", -1), ("max_subset_size", -1), ("max_columns", -1),
+    ])
+    def test_bad_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OracleBudget(**{field: value})
+
+    def test_smallest_valid_caps(self):
+        assert OracleBudget(max_nodes=0, max_subset_size=0, max_columns=0, time_cap=1e-9)
 
     def test_node_cap_for_hypercube(self):
         big = Graph(n=18, edges=tuple((i, i + 1) for i in range(17)))
