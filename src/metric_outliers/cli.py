@@ -8,10 +8,10 @@ Exit codes: 0 success, 1 domain error (JSON error object on stderr), 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .oracle import (
     OracleBudget,
     distortion_bracket,
     dw_edge_classes,
+    hypercube_column_bound,
     hypercube_embeddable,
     min_outlier_isometric_l2,
     min_vertex_cover,
@@ -180,9 +181,17 @@ def _cmd_outliers_solve(args):
 
 
 def _budget(args) -> OracleBudget:
-    # each oracle subcommand declares only the budget flags its oracle reads
-    return OracleBudget(**{f.name: getattr(args, f.name)
-                           for f in fields(OracleBudget) if hasattr(args, f.name)})
+    # each oracle subcommand declares only the budget flags its oracle reads;
+    # each field is checked alone, so an error names the flag that set it
+    flags = {"max_nodes": "--max-nodes", "max_subset_size": "--max-size",
+             "max_columns": "--max-columns", "time_cap": "--time-cap"}
+    given = {name: getattr(args, name) for name in flags if hasattr(args, name)}
+    for name, value in given.items():
+        try:
+            OracleBudget(**{name: value})
+        except ValueError as exc:
+            raise ValueError(f"{flags[name]} ({name}){str(exc).removeprefix(name)}") from None
+    return OracleBudget(**given)
 
 
 def _cmd_oracle_vc(args):
@@ -204,9 +213,17 @@ def _cmd_oracle_distortion(args):
 
 
 def _cmd_oracle_hypercube(args):
-    ok, witness = hypercube_embeddable(read_graph_text(args.graph), args.scale, _budget(args))
-    return ({"embeddable": ok, "witness": witness.tolist() if witness is not None else None,
-             "scale": args.scale}, f"hypercube embeddable at scale {args.scale}: {ok}")
+    g = read_graph_text(args.graph)
+    ok, witness = hypercube_embeddable(g, args.scale, _budget(args))
+    # a witness is final; a refutation only when the column search was not capped
+    complete = ok or args.max_columns is None or \
+        args.max_columns >= hypercube_column_bound(g, args.scale)
+    summary = f"hypercube embeddable at scale {args.scale}: {ok}"
+    if not complete:
+        summary += f" (refuted only within --max-columns {args.max_columns})"
+    return ({"embeddable": ok, "complete": complete,
+             "witness": witness.tolist() if witness is not None else None,
+             "scale": args.scale}, summary)
 
 
 def _cmd_oracle_dwclasses(args):
@@ -233,7 +250,9 @@ def _cmd_gadget(args):
 # -- parser ----------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it found it
     parser = argparse.ArgumentParser(
         prog="metric-outliers",
         description="Outlier embeddings of finite metrics into lp: composition, SDP, oracles, gadgets.",

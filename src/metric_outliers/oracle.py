@@ -198,6 +198,12 @@ def _column_cap(dist: np.ndarray, scale: int) -> tuple[int, int]:
     return root, int(round(scale * sums[root]))
 
 
+def hypercube_column_bound(g: Graph, scale: int) -> int:
+    """The column count up to which hypercube_embeddable's search is complete:
+    a refutation with max_columns below it holds only within max_columns."""
+    return _column_cap(np.rint(from_graph(g).dist).astype(int), scale)[1]
+
+
 def hypercube_embeddable(g: Graph, scale: int, budget: OracleBudget = DEFAULT_BUDGET
                          ) -> tuple[bool, Optional[np.ndarray]]:
     """Decide whether binary codewords exist whose Hamming distances equal
@@ -205,8 +211,8 @@ def hypercube_embeddable(g: Graph, scale: int, budget: OracleBudget = DEFAULT_BU
 
     Backtracks node by node over column-pattern groups (columns with equal
     prefixes are interchangeable, which quotients away column order), with the
-    first row normalized to all zeros. False with the default column budget is
-    a complete refutation.
+    first row normalized to all zeros. False is a complete refutation unless
+    budget.max_columns is below hypercube_column_bound(g, scale).
     """
     if scale < 1:
         raise ValueError("scale must be a positive integer")

@@ -397,13 +397,20 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
     admits value <= k + EPS; round it with round_solution.
 
     The witnesses are Gram matrices, tried in this order for every k, each
-    with its LP-polished delta: the Gram of a plain feasibility run at
-    c0 = sqrt((c^2 + EPS * f(0)) / (1 - EPS)), the Gram of one at gamma*c
-    (each when that run finds one within FEAS_ITERS iterations), the rescaled
-    centered Gram, and G = 0. The first whose delta sums to at most k + EPS
-    and meets every pair constraint within EPS_FEAS is accepted.
-    Sum(delta) <= EPS caps every delta_x + delta_y, so any solution at k = 0
-    has distortion <= c0; a certificate at c0 therefore rules k = 0 out.
+    with its LP-polished delta: the Gram of a plain feasibility run at c0
+    (below), the Gram of one at gamma*c (each when that run finds one within
+    FEAS_ITERS iterations), the rescaled centered Gram, and G = 0. The first
+    whose delta sums to at most k + EPS and meets every pair constraint within
+    EPS_FEAS is accepted.
+
+    c0 = sqrt((c^2 + EPS * f(0) + EPS_FEAS) / (1 - EPS - EPS_FEAS)) bounds the
+    distortion of every witness k = 0 can accept. There sum(delta) <= EPS
+    caps every delta_x + delta_y, and the residual check admits a violation
+    of EPS_FEAS * d^2 on each side, so each pair has
+    (1 - EPS - EPS_FEAS) d^2 <= r(G) <= (c^2 + EPS * f(0) + EPS_FEAS) d^2,
+    and G has distortion sqrt(max / min of r(G) / d^2) <= c0. A certificate
+    at c0 therefore rules k = 0 out, and the search then starts at k = 1
+    without trying the witnesses at k = 0.
     metadata["k0"] is the c0 run's verdict: "feasible", "infeasible"
     (certified) or "undecided". zeta defaults to upper_distortion over the
     gamma*c witness ("measured" in metadata["zeta_source"]); in strong_subset
@@ -419,7 +426,8 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
         zeta_source = "measured"
     if mode == "strong_subset" and zeta_k is None:
         zeta_k = zeta
-    c0 = math.sqrt((c ** 2 + EPS * f_of_k(0, zeta, mode, zeta_k=zeta_k)) / (1.0 - EPS))
+    f0 = f_of_k(0, zeta, mode, zeta_k=zeta_k)
+    c0 = math.sqrt((c ** 2 + EPS * f0 + EPS_FEAS) / (1.0 - EPS - EPS_FEAS))
     runs = [distortion_feasible(m, c0), high]
     # the first witness, not the least delta sum: reclaim can only keep points
     # the accepted Gram embeds within [d, gamma*c*d], and the feasibility
@@ -427,7 +435,7 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
     # corpus with K = [126])
     grams = [g for verdict, g, _ in runs if verdict == "feasible"]
     grams += [_initial_gram(m), np.zeros((m.n, m.n))]
-    for k in range(0, m.n + 1):
+    for k in range(1 if runs[0][0] == "infeasible" else 0, m.n + 1):
         f_k = f_of_k(k, zeta, mode, zeta_k=zeta_k)
         sol = _first_witness(SdpInstance(m, c, f_k), k + EPS, grams)
         if sol is not None:

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +80,33 @@ def test_metric_from_graph(capsys, edge_file):
 def test_usage_error_exits_2(capsys):
     assert dispatch(["oracle", "vc"]) == 2
     assert dispatch(["definitely-not-a-command"]) == 2
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys, tmp_path, claw_file, edge_file):
+    # one process interleaves successes, usage errors (2) and domain errors (1);
+    # each call must print what a fresh process prints for the same argv
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3\n0 1 3\n1 0 1\n3 1 0\n")
+    solve = ["outliers", "solve", "--metric", claw_file, "--c", "1", "--gamma", "1.5"]
+    argvs = {
+        "vc": ["oracle", "vc", "--graph", edge_file],
+        "usage": ["oracle", "vc", "--graph", edge_file, "--max-size", "3"],
+        "domain": ["metric", "validate", "--metric", str(bad)],
+        "strong": solve + ["--mode", "strong", "--seed", "5"],
+        "weak": solve,
+    }
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    procs = {name: subprocess.Popen([sys.executable, "-m", "metric_outliers.cli", *argv],
+                                    stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                    env=env)
+             for name, argv in argvs.items()}
+    fresh = {}
+    for name, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        fresh[name] = (proc.returncode, out, err)
+    assert [fresh[name][0] for name in argvs] == [0, 2, 1, 0, 0]
+    for name in ["vc", "usage", "domain", "strong", "usage", "weak", "domain", "vc", "weak"]:
+        assert run(capsys, argvs[name]) == fresh[name], name
 
 
 def test_missing_file_exits_1(capsys):
@@ -180,6 +211,28 @@ def test_oracle_subcommands(capsys, tmp_path, edge_file, claw_file):
     assert code == 0 and json.loads(out)["embeddable"] is True
     code, out, _ = run(capsys, ["oracle", "dwclasses", "--graph", edge_file])
     assert code == 0 and json.loads(out)["num_classes"] == 1
+
+
+def test_oracle_hypercube_marks_a_capped_refutation(capsys, tmp_path):
+    # the 4-cycle embeds in 2 columns; its complete column bound is 4
+    path = tmp_path / "c4.txt"
+    write_graph_text(str(path), Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3))))
+    argv = ["oracle", "hypercube", "--graph", str(path)]
+    for extra, embeddable, complete in (([], True, True),
+                                        (["--max-columns", "1"], False, False),
+                                        (["--max-columns", "3"], True, True),
+                                        (["--max-columns", "4"], True, True)):
+        code, out, _ = run(capsys, argv + extra)
+        payload = json.loads(out)
+        assert code == 0 and (payload["embeddable"], payload["complete"]) == (embeddable, complete)
+    code, out, _ = run(capsys, argv + ["--max-columns", "1", "--human"])
+    assert out == "hypercube embeddable at scale 1: False (refuted only within --max-columns 1)\n"
+    # the triangle is not bipartite: refuted within its bound, or with no cap
+    write_graph_text(str(path), Graph(3, ((0, 1), (1, 2), (0, 2))))
+    for extra in ([], ["--max-columns", "2"]):
+        code, out, _ = run(capsys, argv + extra)
+        payload = json.loads(out)
+        assert code == 0 and (payload["embeddable"], payload["complete"]) == (False, True)
 
 
 def test_oracle_distortion_is_an_upper_bound(capsys, claw_file):
@@ -367,6 +420,8 @@ def test_bad_oracle_budget_exits_1(capsys, claw_file, edge_file, argv, field):
     argv = [a.format(claw=claw_file, edge=edge_file) for a in argv]
     payload = error_of(capsys, argv)
     assert payload["error"] == "InvalidArgument" and field in payload["message"]
+    # the message leads with the flag as typed, then the field it sets
+    assert payload["message"].startswith(f"{argv[-2]} ({field}) ")
 
 
 @pytest.mark.parametrize("command", ["run", "estimate"])

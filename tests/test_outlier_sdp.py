@@ -25,14 +25,18 @@ from metric_outliers import (
 from metric_outliers.errors import GammaNotAboveOne, MissingZetaK
 from metric_outliers.hardness_gadgets import lp_gadget
 from metric_outliers.lp_geometry import gram_of_points, pairwise_distances, points_from_gram
+from metric_outliers import outlier_sdp
 from metric_outliers.outlier_sdp import (
+    EPS,
     EPS_FEAS,
     SdpInstance,
     SdpSolution,
     _Work,
+    _distortion,
     _first_witness,
     _initial_gram,
     _lp_polish,
+    _ratios,
     distortion_feasible,
     round_solution,
     upper_distortion,
@@ -262,6 +266,59 @@ class TestSearch:
     def test_gamma_validation(self, claw_metric):
         with pytest.raises(GammaNotAboveOne):
             search_min_outliers(claw_metric, 1.0, 1.0)
+
+
+class TestK0Skip:
+    """After a certificate at c0 the search starts at k = 1. The skip is sound
+    only if c0 bounds the distortion of every witness k = 0 can accept."""
+
+    def test_skipped_k0_pass_could_not_accept(self, monkeypatch, claw_metric):
+        # the explicit k = 0 pass over the witnesses the search holds finds
+        # nothing, and the search LP-polishes at f(1) and above only
+        polished_f = []
+        polish = outlier_sdp._lp_polish
+
+        def counted(work, g):
+            polished_f.append(work.f)
+            return polish(work, g)
+
+        monkeypatch.setattr(outlier_sdp, "_lp_polish", counted)
+        cases = benchmark_instances() + [("claw", claw_metric, gamma) for gamma in (1.5, 1.1)]
+        certified = 0
+        for label, m, gamma in cases:
+            polished_f.clear()
+            res = search_min_outliers(m, 1.0, gamma)
+            if res.metadata["k0"] != "infeasible":
+                continue
+            certified += 1
+            zeta = res.metadata["zeta"]
+            assert polished_f and min(polished_f) >= f_of_k(1, zeta), (label, gamma)
+            verdict, high, _ = distortion_feasible(m, gamma)
+            grams = [high] if verdict == "feasible" else []
+            grams += [_initial_gram(m), np.zeros((m.n, m.n))]
+            assert _first_witness(SdpInstance(m, 1.0, f_of_k(0, zeta)), EPS, grams) is None, \
+                (label, gamma)
+        # every instance here needs distortion above c0
+        assert certified == len(cases)
+
+    def test_k0_witnesses_stay_within_c0(self):
+        # Grams whose top ratio sits just above c^2, so a delta summing to
+        # about EPS can absorb it, and scaled to contract by up to 2 EPS
+        rng = np.random.default_rng(2024)
+        accepted = 0
+        for _ in range(60):
+            m = integer_metric(rng, int(rng.integers(4, 9)))
+            g = (_initial_gram(m), m.dist @ m.dist)[int(rng.integers(2))]
+            ratio = _ratios(m, g)
+            g = g / ratio.min() * rng.uniform(1.0 - 2.0 * EPS, 1.0)
+            f = float(rng.uniform(1.0, 4.0))
+            c = math.sqrt(max(1.0, _distortion(ratio) ** 2 - rng.uniform(0.0, 2.0) * EPS * f))
+            if _first_witness(SdpInstance(m, c, f), EPS, [g]) is None:
+                continue
+            accepted += 1
+            c0 = math.sqrt((c ** 2 + EPS * f + EPS_FEAS) / (1.0 - EPS - EPS_FEAS))
+            assert _distortion(_ratios(m, g)) <= c0
+        assert accepted >= 10
 
 
 class TestUpperDistortion:
