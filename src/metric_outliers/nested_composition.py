@@ -36,8 +36,10 @@ import numpy as np
 from .bourgain import BourgainParams, bourgain_embed
 from .errors import (
     CallbackNotExpanding,
+    DomainError,
     EmptyS,
     InconsistentTranscript,
+    IndexOutOfRange,
     InvalidCase,
     KappaOutOfRange,
     NotExpanding,
@@ -47,6 +49,7 @@ from .lp_geometry import PointSet
 from .metric_core import MetricSpace, distortion_stats, restrict
 
 EXPANDING_TOL = 1e-9
+BLOCK = 512  # Monte Carlo trials per batch: a batch's arrays hold BLOCK x (k + dims) numbers
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +108,13 @@ class CompositionInputs:
     @cached_property
     def gamma(self) -> dict[int, int]:
         return nearest_anchors(self.m, self.s)
+
+    @cached_property
+    def anchor_of(self) -> np.ndarray:
+        """gamma as an array over 0..n-1, extended by the identity on S."""
+        anchors = np.arange(self.m.n)
+        anchors[list(self.gamma)] = list(self.gamma.values())
+        return anchors
 
 
 def _check_subset(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet,
@@ -342,47 +352,85 @@ def compose_deterministic(inputs: CompositionInputs, m_samples: int,
     )
 
 
+def _check_pair(n: int, x: int, y: int) -> None:
+    for v in (x, y):
+        if not 0 <= v < n:
+            raise IndexOutOfRange(f"pair index {v} is outside 0..{n - 1}")
+
+
+def _owner_distances(inputs: CompositionInputs, x: int, y: int,
+                     cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """||alpha(x) - alpha(y)||_p in each draw t where x's cluster has center
+    cx[t] and y's has center cy[t]; a point of S is its own owner.
+
+    Only the blocks that differ are read: alpha', and the blocks of the two
+    owners' clusters. In the block of x's cluster, x reads its own alpha_X row
+    and y reads the cluster anchor's row, or its own if it is in the same
+    cluster; a point of S is in no cluster, so its term is zero.
+    """
+    p = inputs.p
+    a_s, a_x = inputs.alpha_s.points, inputs.alpha_x.points
+    gx, gy = inputs.anchor_of[cx], inputs.anchor_of[cy]
+    same = cx == cy
+    total = np.sum(np.abs(a_s[np.searchsorted(inputs.s, gx)]
+                          - a_s[np.searchsorted(inputs.s, gy)]) ** p, axis=1)
+    total += np.sum(np.abs(a_x[x] - a_x[np.where(same, y, gx)]) ** p, axis=1)
+    total += np.sum(np.abs(a_x[y] - a_x[np.where(same, y, gy)]) ** p, axis=1)
+    root = 1.0 / p  # taken as a float power: numpy's array power can differ in the last bit
+    return np.array([t ** root for t in total.tolist()])
+
+
 def pair_distance(inputs: CompositionInputs, tr: CompositionTranscript, x: int, y: int) -> float:
     """||alpha(x) - alpha(y)||_p for one draw, using only the blocks that differ.
 
-    Blocks other than the clusters owning x or y are constant across the pair,
-    so the cost is independent of the cluster count.
+    Finding the clusters of x and y scans the member lists, O(k); the
+    distance then reads two rows of alpha_S and four of alpha_X, O(dims).
     """
-    p = inputs.p
-    owner = tr.cluster_of()
-    ax = inputs.alpha_x.points
+    _check_pair(inputs.m.n, x, y)
+    cx, cy = (np.array([next((c for c, ms in tr.clusters if v in ms), v)]) for v in (x, y))
+    return float(_owner_distances(inputs, x, y, cx, cy)[0])
 
-    def prime_row(v: int) -> np.ndarray:
-        if v in inputs.s_row:
-            return inputs.alpha_s.points[inputs.s_row[v]]
-        center = tr.clusters[owner[v]][0]
-        return inputs.alpha_s.points[inputs.s_row[inputs.gamma[center]]]
 
-    total = float(np.sum(np.abs(prime_row(x) - prime_row(y)) ** p))
-    cx = owner.get(x)
-    cy = owner.get(y)
-    if cx is not None and cx == cy:
-        total += float(np.sum(np.abs(ax[x] - ax[y]) ** p))
-    else:
-        if cx is not None:
-            anchor = inputs.gamma[tr.clusters[cx][0]]
-            total += float(np.sum(np.abs(ax[x] - ax[anchor]) ** p))
-        if cy is not None:
-            anchor = inputs.gamma[tr.clusters[cy][0]]
-            total += float(np.sum(np.abs(ax[y] - ax[anchor]) ** p))
-    return total ** (1.0 / p)
+def _draw_block(inputs: CompositionInputs, count: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """count draws of b, shape (count,), and pi, shape (count, k), with the
+    random calls of count sample_transcript calls in the same order."""
+    u = np.empty(count)
+    order = np.empty((count, inputs.k), dtype=int)
+    for t in range(count):
+        u[t] = rng.random()
+        if inputs.k:
+            order[t] = rng.permutation(inputs.k)
+    return 2.0 + inputs.tau * u, np.asarray(inputs.outliers, dtype=int)[order]
+
+
+def _owners(inputs: CompositionInputs, v: int, b: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """Per draw, the center of v's cluster: the first center in pi order with
+    d(v, u) <= b d(v, gamma(v)). A point of S is its own owner."""
+    if v in inputs.s_row:
+        return np.full(len(b), v)
+    d = inputs.m.dist[v]
+    grab = d[pi] <= b[:, None] * d[inputs.gamma[v]]
+    return pi[np.arange(len(b)), grab.argmax(axis=1)]  # the first True in pi order
 
 
 def estimate_expected_expansion(inputs: CompositionInputs, pair: tuple[int, int],
                                 trials: int, rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the pair's composed distance."""
+    """Monte Carlo mean and standard error of the pair's composed distance.
+
+    The trials run BLOCK at a time. They consume rng as `trials` calls of
+    sample_transcript do, and each trial's distance is pair_distance on that
+    draw, but only the clusters of x and y are found.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     x, y = pair
+    _check_pair(inputs.m.n, x, y)
     vals = np.empty(trials)
-    for t in range(trials):
-        tr = sample_transcript(inputs, rng)
-        vals[t] = pair_distance(inputs, tr, x, y)
+    for start in range(0, trials, BLOCK):
+        b, pi = _draw_block(inputs, min(BLOCK, trials - start), rng)
+        vals[start:start + len(b)] = _owner_distances(
+            inputs, x, y, _owners(inputs, x, b, pi), _owners(inputs, y, b, pi))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr
@@ -496,6 +544,10 @@ def close_pair_split_bound(inputs: CompositionInputs, x: int, y: int) -> float:
     """
     if abs(inputs.tau - 2.0) > 1e-12:
         raise ValueError("the closed-form split bound is stated for tau = 2")
+    _check_pair(inputs.m.n, x, y)
+    for v in (x, y):
+        if v in inputs.s_row:
+            raise DomainError(f"the split bound is for outlier pairs; {v} is in S")
     d = inputs.m.dist
     dxy = d[x, y]
     betas = []

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +25,13 @@ from metric_outliers import (
     restrict,
     sample_transcript,
 )
+from metric_outliers import nested_composition
 from metric_outliers.errors import (
     CallbackNotExpanding,
+    DomainError,
     EmptyS,
     InconsistentTranscript,
+    IndexOutOfRange,
     InvalidCase,
     KappaOutOfRange,
     NotExpanding,
@@ -302,6 +307,110 @@ class TestEstimate:
         expected = pairwise_distances(inputs.alpha_x)[u, anchor]
         assert stderr == pytest.approx(0.0, abs=1e-12)
         assert mean == pytest.approx(expected, rel=1e-12)
+
+
+def reference_estimates(inputs, pair, trials_list, seed):
+    """The estimate as a loop of sample_transcript and pair_distance: for each
+    trial count, (mean, stderr) and the next draw of the rng after that many
+    transcripts; also whether x and y shared a cluster in some draw and were
+    split in another."""
+    rng = np.random.default_rng(seed)
+    x, y = pair
+    vals, out, together = [], {}, set()
+    for t in range(1, max(trials_list) + 1):
+        tr = sample_transcript(inputs, rng)
+        vals.append(pair_distance(inputs, tr, x, y))
+        owner = tr.cluster_of()
+        if x in owner and y in owner:
+            together.add(owner[x] == owner[y])
+        if t in trials_list:
+            v = np.array(vals)
+            stderr = float(v.std(ddof=1) / math.sqrt(t)) if t > 1 else 0.0
+            out[t] = ((float(v.mean()), stderr), copy.deepcopy(rng).random())
+    return out, together
+
+
+class TestBatchedEstimate:
+    """estimate_expected_expansion against the per-trial loop it replaces, bit for bit."""
+
+    @pytest.fixture(scope="class", params=[1.0, 1.5, 2.0])
+    def reference(self, request):
+        p = request.param
+        rng = np.random.default_rng(47)
+        m = integer_metric(rng, 10)
+        inputs = composition_instance(rng, m, k=4, p=p, seed=12)
+        s, k = inputs.s, inputs.outliers
+        pairs = [(s[0], s[1]), (s[0], k[0]), (k[0], s[0]), (s[1], s[1]), (k[0], k[0])]
+        pairs += [(u, v) for i, u in enumerate(k) for v in k[i + 1:]]
+        block = nested_composition.BLOCK
+        trials = {1, 2, 3, 4, 5, 9, block - 1, block, block + 1, 2 * block + 3}
+        refs = {pair: reference_estimates(inputs, pair, trials, [47, *pair]) for pair in pairs}
+        return inputs, refs
+
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    def test_matches_per_trial_loop(self, reference, monkeypatch, block):
+        inputs, refs = reference
+        if block is not None:
+            monkeypatch.setattr(nested_composition, "BLOCK", block)
+        block = nested_composition.BLOCK
+        trials_list = [t for t in (1, 2, block - 1, block, block + 1, 2 * block + 3) if t >= 1]
+        together = set()
+        for pair, (ref, seen) in refs.items():
+            together |= seen
+            for trials in trials_list:
+                rng = np.random.default_rng([47, *pair])
+                got = estimate_expected_expansion(inputs, pair, trials, rng)
+                expected, next_draw = ref[trials]
+                assert got == expected, (pair, trials)
+                assert rng.random() == next_draw, (pair, trials)
+        assert together == {True, False}  # same-cluster and split draws both occurred
+
+    def test_estimates_match_pinned_digest(self):
+        # the (mean, stderr) floats of the per-trial loop, at p = 1 and 2 where
+        # the p-th powers are exact; a change to the draws, owners or formula moves this
+        rng = np.random.default_rng(67)
+        m = integer_metric(rng, 9)
+        results = []
+        for p in (1.0, 2.0):
+            inputs = composition_instance(rng, m, k=4, p=p, seed=5)
+            results += [estimate_expected_expansion(inputs, (x, y), 200, rng)
+                        for x in range(9) for y in range(x, 9)]
+        assert hashlib.sha256(repr(results).encode()).hexdigest() == (
+            "7fd95a767c09ec4139f4e74b882675e0f09ffe0f9ea9cfcad9ab7a96776e346f")
+
+    def test_no_outliers(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        m = integer_metric(rng, 6)
+        alpha, _ = bourgain_embed(m, BourgainParams(seed=2, p=1.5))
+        inputs = CompositionInputs(m=m, s=tuple(range(6)), p=1.5, alpha_s=alpha, alpha_x=alpha)
+        assert inputs.k == 0
+        monkeypatch.setattr(nested_composition, "BLOCK", 3)
+        ref, _ = reference_estimates(inputs, (1, 4), {1, 2, 3, 4, 9}, 5)
+        for trials, (expected, next_draw) in ref.items():
+            rng = np.random.default_rng(5)
+            assert estimate_expected_expansion(inputs, (1, 4), trials, rng) == expected
+            assert rng.random() == next_draw
+
+    @pytest.mark.parametrize("pair, bad", [((1, 10 ** 6), 10 ** 6), ((-1, 2), -1), ((0, 7), 7)])
+    def test_pair_index_out_of_range(self, pair, bad):
+        rng = np.random.default_rng(59)
+        m = integer_metric(rng, 7)
+        inputs = composition_instance(rng, m, k=2, p=2.0, seed=3)
+        with pytest.raises(IndexOutOfRange, match=f"index {bad} "):
+            estimate_expected_expansion(inputs, pair, 10, rng)
+        tr = sample_transcript(inputs, rng)
+        with pytest.raises(IndexOutOfRange, match=f"index {bad} "):
+            pair_distance(inputs, tr, *pair)
+
+    def test_split_bound_rejects_points_of_s(self):
+        rng = np.random.default_rng(61)
+        m, s, (x, y) = close_pair_instance(321)
+        inputs = composition_instance_with_s(rng, m, s, 2.0, seed=11)
+        for pair in ((s[0], y), (x, s[0]), (s[0], s[1])):
+            with pytest.raises(DomainError, match="outlier pairs"):
+                close_pair_split_bound(inputs, *pair)
+        with pytest.raises(IndexOutOfRange):
+            close_pair_split_bound(inputs, x, m.n)
 
 
 class TestDeterministicComposition:
