@@ -520,6 +520,7 @@ def expansion_bound(q: BoundQuery) -> float:
 def table_case(inputs: CompositionInputs, tr: CompositionTranscript, x: int, y: int,
                kappa: float = 2.0) -> str:
     """Classify a pair into exactly one of the cases a..e for this draw."""
+    _check_pair(inputs.m.n, x, y)
     in_s_x = x in inputs.s_row
     in_s_y = y in inputs.s_row
     if in_s_x and in_s_y:

@@ -14,7 +14,10 @@ feasible and checked; its objective is an upper bound on the SDP value.
 The witnesses come from plain feasibility at a distortion c (no outlier
 weights): a primal-dual run whose verdicts come with checked witnesses, a
 Gram matrix of distortion <= c or a Linial-London-Rabinovich certificate
-above c.
+above c. A certificate can come at iteration 0, before any iteration runs,
+from the bottom eigenvector of the centered Gram B = -1/2 J D^2 J; the
+eigendecomposition of B that gives it also gives the run's starting Gram,
+and the k-search computes it once for all its runs.
 """
 from __future__ import annotations
 
@@ -176,11 +179,15 @@ class _Work:
         return float(max(rel.max(initial=0.0), 0.0))
 
 
-def _psd_project(g: np.ndarray) -> np.ndarray:
+def _clamp(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The PSD projection of g, with the eigenvalues and eigenvectors it came from."""
     vals, vecs = np.linalg.eigh((g + g.T) / 2.0)
-    vals = np.clip(vals, 0.0, None)
-    out = (vecs * vals) @ vecs.T
-    return (out + out.T) / 2.0
+    out = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+    return (out + out.T) / 2.0, vals, vecs
+
+
+def _psd_project(g: np.ndarray) -> np.ndarray:
+    return _clamp(g)[0]
 
 
 def _lp_polish(work: _Work, g: np.ndarray) -> Optional[np.ndarray]:
@@ -224,6 +231,19 @@ def _distortion(ratio: np.ndarray) -> float:
     return math.sqrt(ratio.max() / rmin) if rmin > 0.0 else math.inf
 
 
+def _centered_start(m: MetricSpace) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The rescaled centered Gram of _initial_gram, and the bottom eigenvector v
+    of the centered Gram B it is clamped from when v^T B v < 0 (else None):
+    both from one eigendecomposition of B."""
+    if m.n < 2:
+        return np.zeros((m.n, m.n)), None
+    b, vals, vecs = _clamp(centered_gram(m))
+    rmin = float(_ratios(m, b).min(initial=1.0))
+    # at rmin <= 1e-6 clamping collapsed a pair, which scaling cannot fix
+    gram = b / rmin if 1e-6 < rmin < 1.0 else b
+    return gram, (vecs[:, 0] if vals[0] < 0.0 else None)
+
+
 def _initial_gram(m: MetricSpace) -> np.ndarray:
     """PSD-clamped centered Gram, rescaled so no pair contracts.
 
@@ -231,20 +251,22 @@ def _initial_gram(m: MetricSpace) -> np.ndarray:
     Starting expanding puts any violations on the upper constraints, which
     the delta weights can absorb.
     """
-    b = _psd_project(centered_gram(m))
-    rmin = float(_ratios(m, b).min(initial=1.0))
-    # at rmin <= 1e-6 clamping collapsed a pair, which scaling cannot fix
-    return b / rmin if 1e-6 < rmin < 1.0 else b
+    return _centered_start(m)[0]
 
 
 def upper_distortion(m: MetricSpace, grams: Sequence[np.ndarray] = ()) -> float:
     """The least measured l2 distortion of the embeddings in hand: `grams`, the
     rescaled centered Gram and the distance rows x -> d(x, .) (at most sqrt(n/2)).
     Nothing is drawn at random; relabeling moves the value only by rounding."""
+    return _least_distortion(m, (*grams, _initial_gram(m)))
+
+
+def _least_distortion(m: MetricSpace, grams: Sequence[np.ndarray]) -> float:
+    """The least distortion of `grams` and the distance rows."""
     if m.n < 2:
         return 1.0
     rows = m.dist @ m.dist  # the Gram matrix of the distance rows
-    return min(_distortion(_ratios(m, g)) for g in (*grams, _initial_gram(m), rows))
+    return min(_distortion(_ratios(m, g)) for g in (*grams, rows))
 
 
 def _first_witness(inst: SdpInstance, level: float,
@@ -266,15 +288,25 @@ def _first_witness(inst: SdpInstance, level: float,
 
 def _llr_bound(work: _Work, w: np.ndarray) -> float:
     """Lower bound on the l2 distortion from pair weights w (Linial, London &
-    Rabinovich 1995).
+    Rabinovich 1995); 1.0 when w is all zero.
 
     w is shifted by mu/n, which adds mu (I - 11^T/n) to its Laplacian, with mu
     chosen so the shifted Laplacian L is PSD with smallest eigenvalue 0 on 1-perp.
     Any Gram matrix G then has sum w r(G) = <L, G> >= 0, so an embedding with
     d^2 <= r <= c^2 d^2 needs c^2 >= sum_{w<0} |w| d^2 / sum_{w>0} w d^2.
+    The bound does not change when w is scaled by a positive factor, so w is
+    first divided by max |w|: eigh's rounding error is relative to the largest
+    eigenvalue of the matrix it factors, and a lift alpha >= 1 would let it
+    swamp weights of order 1e-14.
     """
+    scale = float(np.abs(w).max(initial=0.0))
+    if scale == 0.0:
+        return 1.0
+    w = w / scale
     lap = work.laplacian(w)
-    # a lift of alpha >= any eigenvalue on 1-perp moves the eigenvalue 0 of 1 out of the way
+    # lifting the eigenvalue 0 of 1 by any alpha leaves lam_min <= the smallest
+    # eigenvalue on 1-perp, all soundness needs; alpha >= trace / (n - 1) >= that
+    # eigenvalue makes lam_min equal to it
     alpha = abs(float(np.trace(lap))) + 1.0
     lam_min = np.linalg.eigh(lap + alpha / work.n)[0][0]
     w = w - lam_min / work.n
@@ -299,15 +331,24 @@ def distortion_feasible(m: MetricSpace, c: float
     from the rescaled centered Gram. Every row of that map has unit norm, so
     its squared norm is n/2 and one step size 0.99/sqrt(n/2) serves primal
     and dual. The primal witness is checked every iteration; the dual one, the
-    weights u/2 of the dual iterate u, every 50.
+    weights u/2 of the dual iterate u, every 50. At iteration 0, after the
+    primal check, the certificate comes from the centered Gram B itself: when
+    its bottom eigenvector v has v^T B v < 0, the weights w_xy = -v_x v_y have
+    Laplacian v v^T (v is orthogonal to 1), which is PSD, and sum w d^2 =
+    v^T B v < 0, so they bound the distortion above 1 with no iteration run.
     """
+    return _feasible(m, c, *_centered_start(m))
+
+
+def _feasible(m: MetricSpace, c: float, g: np.ndarray, bottom: Optional[np.ndarray]
+              ) -> tuple[str, Optional[np.ndarray], Optional[float]]:
+    """distortion_feasible from the start (g, bottom) of _centered_start(m)."""
     n = m.n
     if n < 2:
         return "feasible", np.zeros((n, n)), 1.0
     work = _Work(SdpInstance(m, c, 0.0))
     lo, hi = work.d2 / 2.0, work.c2 * work.d2 / 2.0
     step = 0.99 / math.sqrt(n / 2.0)
-    g = _initial_gram(m)
     r = r_bar = work.pair_r(g)  # r(G), and r of the extrapolated 2 G_next - G
     u = np.zeros_like(r)
     for it in range(FEAS_ITERS + 1):
@@ -321,10 +362,14 @@ def distortion_feasible(m: MetricSpace, c: float
         dist = _distortion(ratio)
         if dist <= c:
             return "feasible", g / ratio.min(), dist
-        if it > 0 and it % 50 == 0:
+        if it == 0 and bottom is not None:
+            bound = _llr_bound(work, -bottom[work.xs] * bottom[work.ys])
+        elif it > 0 and it % 50 == 0:
             bound = _llr_bound(work, u / 2.0)
-            if bound > c:
-                return "infeasible", None, bound
+        else:
+            continue
+        if bound > c:
+            return "infeasible", None, bound
     return "undecided", None, None
 
 
@@ -419,22 +464,25 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
     _check_gamma(gamma)
     _check_distortion("target distortion", c)
     _check_scale(m, "gamma * c", gamma * c)
-    high = distortion_feasible(m, gamma * c)
+    # one eigendecomposition of B serves both runs, zeta and the witness list
+    start = _centered_start(m)
+    high = _feasible(m, gamma * c, *start)
     zeta_source = "supplied"
     if zeta is None:
-        zeta = upper_distortion(m, [high[1]] if high[0] == "feasible" else [])
+        witnesses = [high[1]] if high[0] == "feasible" else []
+        zeta = _least_distortion(m, witnesses + [start[0]])
         zeta_source = "measured"
     if mode == "strong_subset" and zeta_k is None:
         zeta_k = zeta
     f0 = f_of_k(0, zeta, mode, zeta_k=zeta_k)
     c0 = math.sqrt((c ** 2 + EPS * f0 + EPS_FEAS) / (1.0 - EPS - EPS_FEAS))
-    runs = [distortion_feasible(m, c0), high]
+    runs = [_feasible(m, c0, *start), high]
     # the first witness, not the least delta sum: reclaim can only keep points
     # the accepted Gram embeds within [d, gamma*c*d], and the feasibility
     # witnesses embed the most (least-sum left planted-n128 of the benchmark
     # corpus with K = [126])
     grams = [g for verdict, g, _ in runs if verdict == "feasible"]
-    grams += [_initial_gram(m), np.zeros((m.n, m.n))]
+    grams += [start[0], np.zeros((m.n, m.n))]
     for k in range(1 if runs[0][0] == "infeasible" else 0, m.n + 1):
         f_k = f_of_k(k, zeta, mode, zeta_k=zeta_k)
         sol = _first_witness(SdpInstance(m, c, f_k), k + EPS, grams)

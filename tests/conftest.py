@@ -107,6 +107,17 @@ def planted_instance(seed: int) -> tuple[MetricSpace, np.ndarray, tuple[int, ...
     return from_matrix(dist, tol_tri=1e-9), core, tuple(range(n_core, n))
 
 
+def atlas_graphs(max_nodes: int, connected: bool):
+    """The graphs of networkx's atlas with 1..max_nodes nodes; with `connected`,
+    only the connected ones with at least 2 nodes."""
+    nx = pytest.importorskip("networkx")
+    from networkx.generators.atlas import graph_atlas_g
+    for g_nx in graph_atlas_g():
+        n = g_nx.number_of_nodes()
+        if 1 <= n <= max_nodes and (not connected or (n >= 2 and nx.is_connected(g_nx))):
+            yield Graph(n=n, edges=tuple((int(u), int(v)) for u, v in g_nx.edges()))
+
+
 # -- common fixtures -------------------------------------------------------------
 
 @pytest.fixture

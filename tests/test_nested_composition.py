@@ -401,6 +401,8 @@ class TestBatchedEstimate:
         tr = sample_transcript(inputs, rng)
         with pytest.raises(IndexOutOfRange, match=f"index {bad} "):
             pair_distance(inputs, tr, *pair)
+        with pytest.raises(IndexOutOfRange, match=f"index {bad} "):
+            table_case(inputs, tr, *pair)
 
     def test_split_bound_rejects_points_of_s(self):
         rng = np.random.default_rng(61)

@@ -23,7 +23,7 @@ from metric_outliers.errors import BudgetExceeded
 from metric_outliers.hardness_gadgets import l1_gadget, lp_gadget
 from metric_outliers.oracle import OracleBudget
 
-from conftest import integer_metric
+from conftest import atlas_graphs, integer_metric
 
 # graphs with a known optimal l2 distortion c2: even cycles (regular polygon,
 # Linial-Magen), hypercubes (sqrt(d), Enflo) and stars (sqrt(2 - 2/m))
@@ -40,15 +40,6 @@ KNOWN_C2 = (
 
 def cycle(n: int) -> Graph:
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
-
-
-def atlas_graphs(max_nodes: int, connected: bool):
-    nx = pytest.importorskip("networkx")
-    from networkx.generators.atlas import graph_atlas_g
-    for g_nx in graph_atlas_g():
-        n = g_nx.number_of_nodes()
-        if 1 <= n <= max_nodes and (not connected or (n >= 2 and nx.is_connected(g_nx))):
-            yield Graph(n=n, edges=tuple((int(u), int(v)) for u, v in g_nx.edges()))
 
 
 def enumerated_outliers(m):

@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from pathlib import Path
@@ -22,9 +23,11 @@ from metric_outliers import (
     search_min_outliers,
     verify_outlier_embedding,
 )
+from metric_outliers.cli import dispatch
 from metric_outliers.errors import GammaNotAboveOne, MissingZetaK
 from metric_outliers.hardness_gadgets import lp_gadget
 from metric_outliers.lp_geometry import gram_of_points, pairwise_distances, points_from_gram
+from metric_outliers.metric_core import write_metric_text
 from metric_outliers import outlier_sdp
 from metric_outliers.outlier_sdp import (
     EPS,
@@ -35,6 +38,7 @@ from metric_outliers.outlier_sdp import (
     _distortion,
     _first_witness,
     _initial_gram,
+    _llr_bound,
     _lp_polish,
     _ratios,
     distortion_feasible,
@@ -43,21 +47,19 @@ from metric_outliers.outlier_sdp import (
     weak_g,
 )
 
-from conftest import integer_metric
+from conftest import atlas_graphs, integer_metric
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's instance generators)
 
 
-def benchmark_instances():
-    """(label, metric, gamma): the solve-planted instances with n <= 33 and the
-    oracle-exact lp gadgets at seed 11, each at gamma = 1.5 and 1.1, except
-    integer-n5 and integer-n7 at 1.1."""
+def benchmark_corpus():
+    """(label, metric): the 9 solve-planted instances and the 6 oracle-exact lp
+    gadgets at seed 11."""
     cases = []
     for i, (n_core, k) in enumerate(workloads.PLANTED_SHAPES):
-        if n_core + k <= 33:
-            dist = workloads.planted_metric(np.random.default_rng([i]), n_core, k)
-            cases.append((f"planted-n{n_core + k}", from_matrix(dist, tol_tri=1e-9)))
+        dist = workloads.planted_metric(np.random.default_rng([i]), n_core, k)
+        cases.append((f"planted-n{n_core + k}", from_matrix(dist, tol_tri=1e-9)))
     for j, n in enumerate(workloads.INTEGER_SIZES):
         dist = workloads.integer_metric(np.random.default_rng([100 + j]), n)
         cases.append((f"integer-n{n}", from_matrix(dist, tol_tri=0.0)))
@@ -65,8 +67,14 @@ def benchmark_instances():
     for i, (n, cover) in enumerate(workloads.GADGET_SOURCES):
         edges = workloads.random_graph_with_cover(rng, n, cover)
         cases.append((f"gadget{i}-n{n}", from_graph(lp_gadget(Graph(n, tuple(edges))).graph)))
-    return [(label, m, gamma) for label, m in cases for gamma in (1.5, 1.1)
-            if (label, gamma) not in (("integer-n5", 1.1), ("integer-n7", 1.1))]
+    return cases
+
+
+def benchmark_instances():
+    """(label, metric, gamma): the benchmark corpus with n <= 33, each at
+    gamma = 1.5 and 1.1, except integer-n5 and integer-n7 at 1.1."""
+    return [(label, m, gamma) for label, m in benchmark_corpus() for gamma in (1.5, 1.1)
+            if m.n <= 33 and (label, gamma) not in (("integer-n5", 1.1), ("integer-n7", 1.1))]
 
 
 class TestFOfK:
@@ -159,6 +167,74 @@ class TestSolve:
         assert measured <= 2.0 and measured == pytest.approx(bound, rel=1e-9)
 
 
+class _Iterated(Exception):
+    pass
+
+
+class TestIterationZeroCertificate:
+    """distortion_feasible refuses c before its first iteration when the
+    weights -v_x v_y of the centered Gram's bottom eigenvector v bound the
+    distortion above c."""
+
+    def test_claw_is_refused_without_iterating(self, monkeypatch, claw_metric):
+        calls = []
+        project = outlier_sdp._psd_project
+
+        def counted(g):
+            calls.append(1)
+            return project(g)
+
+        monkeypatch.setattr(outlier_sdp, "_psd_project", counted)
+        verdict, g, bound = distortion_feasible(claw_metric, 1.1)
+        assert verdict == "infeasible" and g is None
+        assert bound == pytest.approx(math.sqrt(4.0 / 3.0), abs=1e-12)
+        assert calls == []
+
+    def test_bound_at_most_upper_distortion_on_the_atlas(self, monkeypatch):
+        # at c = 1 every bound above 1 is returned; a run that would iterate
+        # raises instead, so each verdict seen is the one of iteration 0
+        def iterated(g):
+            raise _Iterated
+
+        monkeypatch.setattr(outlier_sdp, "_psd_project", iterated)
+        graphs = [g for g in atlas_graphs(7, connected=True) if g.n >= 3]
+        assert len(graphs) == 994
+        certified = 0
+        for graph in graphs:
+            m = from_graph(graph)
+            try:
+                verdict, _, bound = distortion_feasible(m, 1.0)
+            except _Iterated:
+                continue
+            if verdict == "infeasible":
+                certified += 1
+                assert bound <= upper_distortion(m), graph.edges
+        assert certified >= 900
+
+
+class TestLlrBound:
+    def test_scale_invariant(self):
+        rng = np.random.default_rng(8)
+        m = integer_metric(rng, 7)
+        work = _Work(SdpInstance(m, 1.0, 0.0))
+        w = rng.normal(size=len(work.d2))
+        bound = _llr_bound(work, w)
+        for scale in (1e-14, 1e-3, 1e6):
+            assert _llr_bound(work, scale * w) == pytest.approx(bound, rel=1e-12, abs=0.0)
+        assert _llr_bound(work, np.zeros_like(w)) == 1.0
+
+    @pytest.mark.parametrize("seed", [36, 22])
+    def test_isometric_metric_is_not_refused(self, seed):
+        # 17 points on a line (seed 36) and 31 in the plane (seed 22): at c = 1
+        # the dual weights fall to ~1e-14, where a lift of absolute size one
+        # let eigh's rounding refuse c = 1 with bounds 1.0039 and 1.0008
+        rng = np.random.default_rng(seed)
+        n, dim = int(rng.integers(4, 40)), int(rng.integers(1, 6))
+        x = rng.normal(size=(n, dim)) * 10 ** rng.uniform(-3, 3)
+        m = from_matrix(pairwise_distances(PointSet(points=x, p=2.0)), tol_tri=1e-9)
+        assert distortion_feasible(m, 1.0)[0] != "infeasible"
+
+
 class TestRounding:
     def test_cutoff_formula(self, line_metric):
         res = round_solution(line_witness(line_metric), gamma=math.sqrt(2.0))
@@ -220,6 +296,12 @@ class TestSearch:
         assert res.metadata["k"] == 0
         assert res.outliers == ()
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_points(self, n):
+        # the empty metric used to raise ZeroDivisionError centering its Gram
+        res = search_min_outliers(from_matrix(np.zeros((n, n))), 1.0, 1.5)
+        assert res.outliers == () and res.metadata["k"] == 0
+
     def test_claw_stops_at_k1(self, claw_metric):
         res = search_min_outliers(claw_metric, 1.0, 1.5)
         assert res.metadata["k"] == 1
@@ -266,6 +348,42 @@ class TestSearch:
     def test_gamma_validation(self, claw_metric):
         with pytest.raises(GammaNotAboveOne):
             search_min_outliers(claw_metric, 1.0, 1.0)
+
+
+# K of `outliers solve --c 1 --mode weak` at gamma = 1.5 and at gamma = 1.1.
+# Every run accepts k = 1 after a certificate at c0.
+GOLDEN_K = {
+    "planted-n10": ([], []),
+    "planted-n14": ([], []),
+    "planted-n19": ([], []),
+    "planted-n33": ([], []),
+    "planted-n64": ([], [3, 41, 60, 62, 63]),
+    "planted-n128": ([], [120, 121, 123, 124, 125, 126, 127]),
+    "integer-n5": ([], [1, 2, 4]),
+    "integer-n6": ([], [4]),
+    "integer-n7": ([], [0, 4, 6]),
+    "gadget0-n6": ([], [1, 3, 5, 7, 9, 11]),
+    "gadget1-n6": ([], [1, 3, 5, 7, 9, 11]),
+    "gadget2-n7": ([], [1, 3, 5, 7, 9, 11, 13]),
+    "gadget3-n7": ([], [1, 3, 5, 7, 9, 11, 13]),
+    "gadget4-n8": ([], [1, 3, 5, 7, 9, 11, 13]),
+    "gadget5-n8": ([], [1, 3, 5, 7, 9, 13, 15]),
+}
+
+
+def test_outliers_solve_golden(capsys, tmp_path):
+    corpus = benchmark_corpus()
+    assert [label for label, _ in corpus] == list(GOLDEN_K)
+    for label, m in corpus:
+        path = str(tmp_path / f"{label}.txt")
+        write_metric_text(path, m)
+        for gamma, want in zip(("1.5", "1.1"), GOLDEN_K[label]):
+            argv = ["outliers", "solve", "--metric", path, "--c", "1", "--gamma", gamma,
+                    "--mode", "weak"]
+            assert dispatch(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            got = (payload["K"], payload["k"], payload["solver"]["k0"])
+            assert got == (want, 1, "infeasible"), (label, gamma)
 
 
 class TestK0Skip:
