@@ -22,6 +22,13 @@ a cluster block by (gamma(center), members), and each distinct block is
 written once at weight (count/m)^(1/p). An empty cluster's block is one row
 repeated on every point, adds nothing to any distance, and is not written.
 compose_once keeps the literal one-draw layout, empty clusters included.
+
+The strong composition (compose_strong) builds each cluster block from an
+embedding of that cluster plus its anchor instead of alpha_X. By default a
+cluster that passes the Schoenberg test at p = 2 is factored from its
+centered Gram, an isometry (an empty cluster, the anchor alone, is one zero
+column); the others, and every cluster at p != 2, get a seeded Bourgain
+embedding.
 """
 from __future__ import annotations
 
@@ -43,10 +50,11 @@ from .errors import (
     InvalidCase,
     KappaOutOfRange,
     NotExpanding,
+    NotPSD,
     SizeMismatch,
 )
-from .lp_geometry import PointSet
-from .metric_core import MetricSpace, distortion_stats, restrict
+from .lp_geometry import PointSet, centered_gram, points_from_gram
+from .metric_core import MetricSpace, distortion_stats, normalize_expanding, restrict
 
 EXPANDING_TOL = 1e-9
 BLOCK = 512  # Monte Carlo trials per batch: a batch's arrays hold BLOCK x (k + dims) numbers
@@ -270,11 +278,10 @@ class ComposedEmbedding:
 # A block is (points, rows): column block points[rows], so point v reads row
 # rows[v] of points.
 
-def _prime_rows(n: int, s: tuple[int, ...], gamma: dict[int, int],
+def _prime_rows(n: int, s: tuple[int, ...], s_row: dict[int, int], gamma: dict[int, int],
                 tr: CompositionTranscript) -> np.ndarray:
-    """Row of alpha_s (rows follow sorted S) that each point reads in alpha':
-    its own on S, the row of gamma(center) on a cluster."""
-    s_row = {orig: row for row, orig in enumerate(s)}
+    """Row of alpha_s (rows follow sorted S, s_row maps S to them) that each
+    point reads in alpha': its own on S, the row of gamma(center) on a cluster."""
     rows = np.empty(n, dtype=int)
     rows[list(s)] = np.arange(len(s))
     for center, members in tr.clusters:
@@ -295,31 +302,24 @@ def _write_blocks(n: int, blocks: Sequence[tuple[np.ndarray, np.ndarray, float]]
     out = np.empty((n, sum(points.shape[1] for points, _, _ in blocks)))
     col = 0
     for points, rows, weight in blocks:
-        np.multiply(points[rows], weight, out=out[:, col:col + points.shape[1]])
+        view = out[:, col:col + points.shape[1]]
+        np.take(points, rows, axis=0, out=view)
+        if weight != 1.0:
+            view *= weight
         col += points.shape[1]
     return out
-
-
-def _draw_blocks(inputs: CompositionInputs, tr: CompositionTranscript, with_empty: bool):
-    """One draw's blocks in layout order as (key, points, rows), where the key
-    determines the block; empty clusters only if with_empty."""
-    n = inputs.m.n
-    prime = _prime_rows(n, inputs.s, inputs.gamma, tr)
-    yield prime.tobytes(), inputs.alpha_s.points, prime
-    for center, members in tr.clusters:
-        if members or with_empty:
-            anchor = inputs.gamma[center]
-            rows = _cluster_rows(n, members, members, anchor)
-            yield (anchor, members), inputs.alpha_x.points, rows
 
 
 def compose_once(inputs: CompositionInputs, transcript: CompositionTranscript) -> ComposedEmbedding:
     """Materialize one draw: alpha(v) = alpha'(v) | alpha_1(v) | ... | alpha_t(v),
     with a block for every cluster, empty ones included."""
     _check_transcript(inputs.m, inputs.gamma, transcript)
-    blocks = [(points, rows, 1.0) for _, points, rows in _draw_blocks(inputs, transcript, True)]
+    n, gamma = inputs.m.n, inputs.gamma
+    blocks = [(inputs.alpha_s.points, _prime_rows(n, inputs.s, inputs.s_row, gamma, transcript), 1.0)]
+    blocks += [(inputs.alpha_x.points, _cluster_rows(n, members, members, gamma[center]), 1.0)
+               for center, members in transcript.clusters]
     return ComposedEmbedding(
-        embedding=PointSet(points=_write_blocks(inputs.m.n, blocks), p=inputs.p),
+        embedding=PointSet(points=_write_blocks(n, blocks), p=inputs.p),
         transcripts=(transcript,),
     )
 
@@ -335,19 +335,28 @@ def compose_deterministic(inputs: CompositionInputs, m_samples: int,
     inside S therefore keep exactly their alpha_S distance, and no pair falls
     below the per-draw 3^(1/p - 1) floor, for every p. For p=1 the result's
     distance on every pair equals the arithmetic mean of the per-draw
-    distances. Blocks appear in order of first occurrence.
+    distances. Blocks appear in order of first occurrence, and a cluster
+    block's rows are built only then.
     """
     if m_samples < 1:
         raise ValueError("m_samples must be >= 1")
     transcripts = tuple(sample_transcript(inputs, rng) for _ in range(m_samples))
-    counted: dict = {}
+    n, gamma = inputs.m.n, inputs.gamma
+    counted: dict = {}  # key -> [points, rows, count]; the key determines the block
     for tr in transcripts:
-        for key, points, rows in _draw_blocks(inputs, tr, False):
-            counted.setdefault(key, [points, rows, 0])[2] += 1
+        prime = _prime_rows(n, inputs.s, inputs.s_row, gamma, tr)
+        counted.setdefault(prime.tobytes(), [inputs.alpha_s.points, prime, 0])[2] += 1
+        for center, members in tr.clusters:
+            if not members:
+                continue
+            key = (gamma[center], members)
+            if key not in counted:
+                counted[key] = [inputs.alpha_x.points, _cluster_rows(n, members, members, key[0]), 0]
+            counted[key][2] += 1
     blocks = [(points, rows, (count / m_samples) ** (1.0 / inputs.p))
               for points, rows, count in counted.values()]
     return ComposedEmbedding(
-        embedding=PointSet(points=_write_blocks(inputs.m.n, blocks), p=inputs.p),
+        embedding=PointSet(points=_write_blocks(n, blocks), p=inputs.p),
         transcripts=transcripts,
     )
 
@@ -584,8 +593,13 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
     expanding embedding of that cluster plus its center's anchor.
 
     The callback receives (submetric, original indices, cluster index) and
-    must return an expanding embedding of the submetric; the default runs the
-    Bourgain embedding on the subset with a seed derived from rng.
+    must return an expanding embedding of the submetric. The default draws a
+    seed from rng for every cluster, so rng's stream does not depend on the
+    path a cluster takes. At p = 2 it factors the cluster's centered Gram
+    (points_from_gram), an isometry, rescaled to be expanding; an empty
+    cluster is its anchor alone, one zero row in one column. A cluster whose
+    centered Gram fails that factor's PSD test, and every cluster at p != 2,
+    gets the Bourgain embedding with the drawn seed.
     """
     s_sorted, _ = _check_subset(m, s, p, alpha_s, tau)
     gamma = nearest_anchors(m, s_sorted)
@@ -597,10 +611,18 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
     if cluster_embedder is None:
         def cluster_embedder(sub: MetricSpace, indices: tuple[int, ...], i: int) -> PointSet:
             seed = int(rng.integers(0, 2 ** 63 - 1))
+            if p == 2.0:
+                try:  # one eigendecomposition is both the Schoenberg test and the factor
+                    emb = points_from_gram(centered_gram(sub))
+                except NotPSD:
+                    pass
+                else:
+                    return normalize_expanding(sub, emb)[0] if sub.n >= 2 else emb
             emb, _ = bourgain_embed(sub, BourgainParams(seed=seed, p=p))
             return emb
 
-    blocks = [(alpha_s.points, _prime_rows(m.n, s_sorted, gamma, transcript), 1.0)]
+    s_row = {orig: row for row, orig in enumerate(s_sorted)}
+    blocks = [(alpha_s.points, _prime_rows(m.n, s_sorted, s_row, gamma, transcript), 1.0)]
     for i, (center, members) in enumerate(transcript.clusters):
         subset = tuple(sorted(set(members) | {gamma[center]}))
         sub, kept = restrict(m, set(range(m.n)) - set(subset))

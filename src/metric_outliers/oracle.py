@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BudgetExceeded, SolverFailure
 from .lp_geometry import centered_gram, is_l2_isometric, schoenberg_test
 from .metric_core import Graph, MetricSpace, from_graph
-from .outlier_sdp import distortion_feasible, upper_distortion
+from .outlier_sdp import _centered_start, _feasible, _least_distortion
 
 
 BLOCK = 256  # candidate sets per batch: each batch's temporaries stay within a few MB
@@ -160,11 +160,14 @@ def distortion_bracket(m: MetricSpace, tol: float = 1e-3) -> tuple[float, float]
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if m.n < 2 or is_l2_isometric(m):
         return 1.0, 1.0
-    hi = upper_distortion(m)
+    # hi is upper_distortion(m) and each run distortion_feasible(m, mid), all
+    # from one eigendecomposition of the centered Gram
+    start = _centered_start(m)
+    hi = _least_distortion(m, start[:1])
     lo = lower = 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        verdict, _, bound = distortion_feasible(m, mid)
+        verdict, _, bound = _feasible(m, mid, *start)
         if verdict == "feasible":
             hi = min(hi, bound)
         elif verdict == "infeasible":

@@ -74,7 +74,12 @@ def bicriteria_bound(k: int, c: float, gamma: float, g_value: float, zeta: float
     """Cap on the rounded outlier set size: 2 (g^2 zeta^2 / c^2 + gamma^2)
     / (gamma^2 - 1) * k."""
     _check_gamma(gamma)
-    return 2.0 * ((g_value * zeta) ** 2 / c ** 2 + gamma ** 2) / (gamma ** 2 - 1.0) * k
+    return _cap(k, c, gamma, (g_value * zeta) ** 2)
+
+
+def _cap(k: int, c: float, gamma: float, f_k: float) -> float:
+    """2 (f_k / c^2 + gamma^2) / (gamma^2 - 1) * k, the cap with f(k) = f_k."""
+    return 2.0 * (f_k / c ** 2 + gamma ** 2) / (gamma ** 2 - 1.0) * k
 
 
 def _check_gamma(gamma: float) -> None:
@@ -412,7 +417,7 @@ def round_solution(sol: SdpSolution, gamma: float,
         sub_metric, _ = restrict(m, set(outliers))
         achieved = float(distortion_stats(sub_metric, embedding).distortion)
     if k is not None:
-        certified = (2.0 * f_k / c ** 2 + 2.0 * gamma ** 2) / (gamma ** 2 - 1.0) * k
+        certified = _cap(k, c, gamma, f_k)
     else:
         certified = sol.objective / delta_cut
     return OutlierResult(

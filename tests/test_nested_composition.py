@@ -37,7 +37,7 @@ from metric_outliers.errors import (
     NotExpanding,
     SizeMismatch,
 )
-from metric_outliers.lp_geometry import pairwise_distances
+from metric_outliers.lp_geometry import is_l2_isometric, pairwise_distances
 from metric_outliers.nested_composition import (
     CompositionTranscript,
     _check_transcript,
@@ -52,6 +52,7 @@ from conftest import (
     composition_instance,
     composition_instance_with_s,
     integer_metric,
+    point_metric,
 )
 
 
@@ -524,6 +525,17 @@ class TestDeterministicComposition:
             rng.bit_generator.state = state
             assert det.transcripts == tuple(sample_transcript(inputs, rng) for _ in range(32))
 
+    def test_blocks_match_pinned_digest(self):
+        # the bytes of both compositions at p = 1, 1.5 and 2, empty clusters
+        # included; a change to how blocks are counted, ordered or written moves this
+        h = hashlib.sha256()
+        for inputs, rng in self.counted_cases():
+            det = compose_deterministic(inputs, 32, rng)
+            h.update(det.embedding.points.tobytes())
+            for tr in det.transcripts[:4]:
+                h.update(compose_once(inputs, tr).embedding.points.tobytes())
+        assert h.hexdigest() == "c4d99ac2d1ad9a77c20089ed4f5d872c5348894845e44752fc5db827095d26e4"
+
 
 class TestBoundCalculator:
     def test_case_c_example(self):
@@ -622,6 +634,107 @@ class TestComposeStrong:
                     r = full[x, y] / m.dist[x, y]
                     worst_seen[(x, y)] = max(worst_seen.get((x, y), 0.0), r)
         assert max(worst_seen.values()) <= 382.0 * h * zeta_max
+
+    @staticmethod
+    def bourgain_for_every_cluster(rng, p, blocks=None):
+        """The Bourgain callback, seeded from rng as the default embedder does;
+        each cluster's embedding is appended to blocks."""
+        def embed(sub, indices, i):
+            emb, _ = bourgain_embed(sub, BourgainParams(seed=int(rng.integers(0, 2 ** 63 - 1)), p=p))
+            if blocks is not None:
+                blocks.append(emb.points)
+            return emb
+        return embed
+
+    @staticmethod
+    def cluster_subsets(inputs, tr):
+        """(members, cluster plus anchor) per cluster, and the submetric of the latter."""
+        for center, members in tr.clusters:
+            subset = sorted(set(members) | {inputs.gamma[center]})
+            sub, _ = restrict(inputs.m, set(range(inputs.m.n)) - set(subset))
+            yield members, subset, sub
+
+    def test_default_factors_euclidean_clusters_isometrically(self):
+        # each cluster plus its anchor gets one column per point, and its block
+        # keeps every distance; an empty cluster's block is one zero column
+        saw_empty = False
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            m = point_metric(rng, 14)
+            inputs = composition_instance(rng, m, k=8, p=2.0, seed=seed)
+            for _ in range(5):
+                tr = sample_transcript(inputs, rng)
+                out = compose_strong(m, inputs.s, 2.0, inputs.alpha_s, rng, transcript=tr).embedding
+                col = inputs.alpha_s.dims
+                for members, subset, sub in self.cluster_subsets(inputs, tr):
+                    block = out.points[subset, col:col + len(subset)]
+                    col += len(subset)
+                    if not members:
+                        saw_empty = True
+                        assert block.shape == (1, 1) and block[0, 0] == 0.0
+                        continue
+                    img = pairwise_distances(PointSet(points=block, p=2.0))
+                    iu = np.triu_indices(len(subset), k=1)
+                    np.testing.assert_allclose(img[iu], sub.dist[iu], rtol=1e-9)
+                assert col == out.dims
+        assert saw_empty
+
+    @pytest.mark.parametrize("seed", [2, 159])
+    def test_non_euclidean_cluster_gets_the_bourgain_block(self, seed):
+        # seed 159 draws clusters that embed, fail, are empty and embed, in that
+        # order; a cluster that fails Schoenberg gets the block the Bourgain
+        # callback gives it with a twin rng, so the other clusters' exact
+        # blocks do not move its seed
+        rng = np.random.default_rng(seed)
+        m = integer_metric(rng, 12)
+        inputs = composition_instance(rng, m, k=7, p=2.0, seed=5)
+        tr = sample_transcript(inputs, rng)
+        twin = copy.deepcopy(rng)
+        out = compose_strong(m, inputs.s, 2.0, inputs.alpha_s, rng, transcript=tr).embedding
+        blocks = []
+        compose_strong(m, inputs.s, 2.0, inputs.alpha_s, twin, transcript=tr,
+                       cluster_embedder=self.bourgain_for_every_cluster(twin, 2.0, blocks))
+        col, paths = inputs.alpha_s.dims, ""
+        for (members, subset, sub), bourgain in zip(self.cluster_subsets(inputs, tr), blocks):
+            if is_l2_isometric(sub):
+                col += len(subset)
+                paths += "x"
+                continue
+            width = bourgain.shape[1]
+            np.testing.assert_array_equal(out.points[subset, col:col + width], bourgain)
+            col += width
+            paths += "B"
+        assert col == out.dims
+        assert "B" in paths and "x" in paths
+
+    def test_default_leaves_rng_where_bourgain_would(self):
+        # the seed is drawn on both paths, so the stream after the call is the same
+        for seed, metric in ((159, integer_metric), (3, point_metric)):
+            rng = np.random.default_rng(seed)
+            m = metric(rng, 12)
+            inputs = composition_instance(rng, m, k=7, p=2.0, seed=5)
+            twin = copy.deepcopy(rng)
+            compose_strong(m, inputs.s, 2.0, inputs.alpha_s, rng)
+            compose_strong(m, inputs.s, 2.0, inputs.alpha_s, twin,
+                           cluster_embedder=self.bourgain_for_every_cluster(twin, 2.0))
+            assert rng.random() == twin.random()
+
+    def test_p1_output_is_the_bourgain_composition(self):
+        # away from p = 2 every cluster takes the Bourgain path, byte for byte;
+        # the digest pins the bytes of the seeded Bourgain default
+        h = hashlib.sha256()
+        for seed, n, k, emb_seed in ((71, 10, 4, 3), (17, 8, 4, 2)):
+            rng = np.random.default_rng(seed)
+            inputs = composition_instance(rng, integer_metric(rng, n), k=k, p=1.0, seed=emb_seed)
+            for _ in range(4):
+                twin = copy.deepcopy(rng)
+                out = compose_strong(inputs.m, inputs.s, 1.0, inputs.alpha_s, rng)
+                ref = compose_strong(inputs.m, inputs.s, 1.0, inputs.alpha_s, twin,
+                                     cluster_embedder=self.bourgain_for_every_cluster(twin, 1.0))
+                assert out.embedding.points.tobytes() == ref.embedding.points.tobytes()
+                h.update(out.embedding.points.tobytes())
+            h.update(np.float64(rng.random()).tobytes())
+        assert h.hexdigest() == "d3eec2f08d4c91a404740cb07b49ce8ecb49d77f4e615866ec94716207de2f6a"
 
     def test_inconsistent_transcript_rejected(self, claw_metric):
         # outlier 3 is in pi but in no cluster; this once returned a 1-column embedding

@@ -22,6 +22,7 @@ from metric_outliers import oracle
 from metric_outliers.errors import BudgetExceeded
 from metric_outliers.hardness_gadgets import l1_gadget, lp_gadget
 from metric_outliers.oracle import OracleBudget
+from metric_outliers.outlier_sdp import distortion_feasible, upper_distortion
 
 from conftest import atlas_graphs, integer_metric
 
@@ -166,23 +167,46 @@ class TestDistortionBracket:
     def test_witnesses_bracket_known_c2(self, monkeypatch, graph, c2):
         m = from_graph(graph)
         accepted, certified = [], []
-        original = oracle.distortion_feasible
+        original = oracle._feasible  # distortion_feasible from a shared start
 
-        def recording(m_, c):
-            verdict, g, bound = original(m_, c)
+        def recording(m_, c, *start):
+            verdict, g, bound = original(m_, c, *start)
             if verdict == "feasible":
                 accepted.append(g)
             elif verdict == "infeasible":
                 certified.append(bound)
             return verdict, g, bound
 
-        monkeypatch.setattr(oracle, "distortion_feasible", recording)
+        monkeypatch.setattr(oracle, "_feasible", recording)
         lower, upper = distortion_bracket(m, tol=1e-3)
         assert upper - lower <= 1e-3
         assert lower <= c2 + 1e-9 and all(b <= c2 + 1e-9 for b in certified)
         for g in accepted:
             assert distortion_stats(m, points_from_gram(g)).distortion >= c2 - 1e-9
         assert optimal_distortion_l2(m, tol=1e-3) == upper
+
+    @pytest.mark.parametrize("graph", [entry[1] for entry in KNOWN_C2],
+                             ids=[entry[0] for entry in KNOWN_C2])
+    def test_one_centered_start_per_bracket(self, monkeypatch, graph):
+        # the bisection written with the public functions, each of which
+        # factors the centered Gram again, gives the same bracket bit for bit
+        m = from_graph(graph)
+        hi, lo, lower = upper_distortion(m), 1.0, 1.0
+        while hi - lo > 1e-3:
+            mid = (lo + hi) / 2.0
+            verdict, _, bound = distortion_feasible(m, mid)
+            if verdict == "feasible":
+                hi = min(hi, bound)
+            elif verdict == "infeasible":
+                lower = max(lower, min(bound, hi))
+                lo = max(lo, lower)
+            else:
+                lo = mid
+        starts = []
+        original = oracle._centered_start
+        monkeypatch.setattr(oracle, "_centered_start", lambda m_: starts.append(1) or original(m_))
+        assert distortion_bracket(m, tol=1e-3) == (lower, hi)
+        assert len(starts) == 1
 
 
 class TestHypercube:

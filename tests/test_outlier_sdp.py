@@ -476,6 +476,13 @@ class TestBicriteriaBound:
         with pytest.raises(GammaNotAboveOne):
             bicriteria_bound(1, 1.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("gamma", [1.5, 1.1])
+    def test_search_reports_the_cap(self, claw_metric, gamma):
+        # round_solution's certified bound is the cap at the accepted k, bit for bit
+        res = search_min_outliers(claw_metric, 1.0, gamma)
+        md = res.metadata
+        assert res.certified_bound == bicriteria_bound(md["k"], 1.0, gamma, md["g_value"], md["zeta"])
+
 
 class TestSearchQuality:
     def test_embeddable_at_target_keeps_everyone(self, claw_metric):
