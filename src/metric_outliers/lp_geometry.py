@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DimMismatch, InvalidP, NotPSD, SizeMismatch
 
@@ -63,16 +62,22 @@ def lp_distance(a, b, p: float) -> float:
     return float(np.linalg.norm(a - b, ord=p))
 
 
-def pairwise_distances(ps: PointSet) -> np.ndarray:
-    """All-pairs lp distance matrix of a point set."""
+def condensed_distances(ps: PointSet) -> np.ndarray:
+    """lp distances of the pairs i < j of a point set, row-major: the upper
+    triangle of pairwise_distances, in the order of np.triu_indices(n, 1)."""
+    # imported here: commands that measure no embedding never load scipy
+    from scipy.spatial.distance import pdist
     if ps.p == 2.0:
-        d = cdist(ps.points, ps.points, metric="euclidean")
-    elif ps.p == 1.0:
-        d = cdist(ps.points, ps.points, metric="cityblock")
-    else:
-        d = cdist(ps.points, ps.points, metric="minkowski", p=ps.p)
-    # cdist is numerically symmetric but enforce exactly for downstream checks
-    return (d + d.T) / 2.0
+        return pdist(ps.points, metric="euclidean")
+    if ps.p == 1.0:
+        return pdist(ps.points, metric="cityblock")
+    return pdist(ps.points, metric="minkowski", p=ps.p)
+
+
+def pairwise_distances(ps: PointSet) -> np.ndarray:
+    """All-pairs lp distance matrix of a point set, exactly symmetric."""
+    from scipy.spatial.distance import squareform  # imported here, as in condensed_distances
+    return squareform(condensed_distances(ps)) if ps.n else np.zeros((0, 0))
 
 
 def check_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:

@@ -22,7 +22,7 @@ from .errors import (
     TriangleViolation,
     ZeroSourceDistance,
 )
-from .lp_geometry import PointSet, pairwise_distances
+from .lp_geometry import PointSet, condensed_distances
 
 DEFAULT_TRIANGLE_TOL = 1e-9  # absolute, for unit-scale inputs
 
@@ -91,6 +91,14 @@ def from_matrix(matrix, tol_tri: float = DEFAULT_TRIANGLE_TOL,
     Raises ValueError for a tol_tri that is not finite or below 0, then
     AsymmetricMatrix, NonzeroDiagonal, NonpositiveOffDiagonal, or
     TriangleViolation(i, j, k) naming the first offending triple.
+
+    The stored matrix is exactly symmetric, so triples (i, j, k) and (k, j, i)
+    have the same slack d[i][k] - (d[i][j] + d[j][k]) bit for bit, and i == k
+    has slack -2 d[i][j] <= 0. One pass over the endpoint pairs k > i
+    therefore decides the triangle inequality; rounding is monotone, so
+    d[k][i] - min_j (d[k][j] + d[j][i]) is the pair's largest slack exactly.
+    Only a matrix that fails is scanned again, over j, then (i, k) row-major,
+    to name the first offending triple.
     """
     if not 0.0 <= tol_tri < math.inf:
         raise ValueError(f"tol_tri must be finite and >= 0, got {tol_tri}")
@@ -113,16 +121,27 @@ def from_matrix(matrix, tol_tri: float = DEFAULT_TRIANGLE_TOL,
         i, j = np.unravel_index(int(np.argmin(off)), d.shape)
         raise NonpositiveOffDiagonal(f"d[{i}][{j}]={d[i, j]:g} must be positive")
     # triangle inequality over all triples (i, j, k): d[i,k] <= d[i,j] + d[j,k]
-    for j in range(n):
+    buf = np.empty((n, n))
+    for i in range(n - 1):
+        via = buf[: n - 1 - i]  # via[k - i - 1, j] = d[k,j] + d[j,i], for k > i
+        np.add(d[i + 1:], d[i], out=via)
+        if (d[i, i + 1:] - via.min(axis=1)).max() > tol_tri:
+            _raise_first_violation(d, tol_tri)
+    lab = tuple(labels) if labels is not None else None
+    if lab is not None and len(lab) != n:
+        raise SizeMismatch(f"{len(lab)} labels for {n} points")
+    return MetricSpace(n=n, dist=d, labels=lab)
+
+
+def _raise_first_violation(d: np.ndarray, tol_tri: float) -> None:
+    """The ordered scan: the first j, then the first (i, k) row-major, whose
+    slack exceeds tol_tri."""
+    for j in range(d.shape[0]):
         slack = d - (d[:, j][:, None] + d[j, :][None, :])
         worst = float(slack.max(initial=0.0))
         if worst > tol_tri:
             i, k = np.unravel_index(int(np.argmax(slack)), slack.shape)
             raise TriangleViolation(int(i), int(j), int(k), worst)
-    lab = tuple(labels) if labels is not None else None
-    if lab is not None and len(lab) != n:
-        raise SizeMismatch(f"{len(lab)} labels for {n} points")
-    return MetricSpace(n=n, dist=d, labels=lab)
 
 
 def from_graph(g: Graph) -> MetricSpace:
@@ -152,10 +171,14 @@ def restrict(m: MetricSpace, outliers: Iterable[int]) -> tuple[MetricSpace, tupl
             raise IndexOutOfRange(f"outlier index {i} out of range for n={m.n}")
         out.add(int(i))
     kept = tuple(i for i in range(m.n) if i not in out)
+    return _submetric(m, kept), kept
+
+
+def _submetric(m: MetricSpace, kept: tuple[int, ...]) -> MetricSpace:
+    """The metric on the points kept, in that order; the indices are not checked."""
     idx = np.asarray(kept, dtype=int)
-    sub = m.dist[np.ix_(idx, idx)]
     labels = tuple(m.labels[i] for i in kept) if m.labels else None
-    return MetricSpace(n=len(kept), dist=sub, labels=labels), kept
+    return MetricSpace(n=len(kept), dist=m.dist[np.ix_(idx, idx)], labels=labels)
 
 
 def _pair_ratios(m: MetricSpace, e: PointSet) -> np.ndarray:
@@ -163,12 +186,10 @@ def _pair_ratios(m: MetricSpace, e: PointSet) -> np.ndarray:
         raise SizeMismatch(f"embedding has {e.n} points, metric has {m.n}")
     if m.n < 2:
         raise SizeMismatch("distortion needs at least two points")
-    emb = pairwise_distances(e)
-    iu = np.triu_indices(m.n, k=1)
-    src = m.dist[iu]
+    src = m.dist[np.triu_indices(m.n, k=1)]
     if (src <= 0).any():
         raise ZeroSourceDistance("source metric has a zero distance between distinct points")
-    return emb[iu] / src
+    return condensed_distances(e) / src
 
 
 def distortion_stats(m: MetricSpace, e: PointSet) -> DistortionStats:
@@ -196,10 +217,8 @@ def verify_outlier_embedding(m: MetricSpace, outliers: Iterable[int], e: PointSe
         raise SizeMismatch(f"embedding has {e.n} points, {sub.n} survivors expected")
     if sub.n < 2:
         return True
-    emb = pairwise_distances(e)
-    iu = np.triu_indices(sub.n, k=1)
-    src = sub.dist[iu]
-    img = emb[iu]
+    src = sub.dist[np.triu_indices(sub.n, k=1)]
+    img = condensed_distances(e)
     ok_low = img >= src * (1.0 - tol)
     ok_high = img <= c * src * (1.0 + tol)
     return bool(np.all(ok_low & ok_high))
@@ -231,7 +250,7 @@ def read_metric_text(path: str, tol_tri: float = DEFAULT_TRIANGLE_TOL) -> Metric
     vals = tokens[1:]
     if len(vals) != n * n:
         raise SizeMismatch(f"expected {n * n} entries after n={n}, got {len(vals)}")
-    mat = np.asarray([float(v) for v in vals], dtype=float).reshape(n, n)
+    mat = np.fromiter(map(float, vals), float, count=n * n).reshape(n, n)
     return from_matrix(mat, tol_tri=tol_tri)
 
 

@@ -54,7 +54,7 @@ from .errors import (
     SizeMismatch,
 )
 from .lp_geometry import PointSet, centered_gram, points_from_gram
-from .metric_core import MetricSpace, distortion_stats, normalize_expanding, restrict
+from .metric_core import MetricSpace, _submetric, distortion_stats, normalize_expanding
 
 EXPANDING_TOL = 1e-9
 BLOCK = 512  # Monte Carlo trials per batch: a batch's arrays hold BLOCK x (k + dims) numbers
@@ -147,8 +147,7 @@ def _check_subset(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet,
 def _require_expanding(m: MetricSpace, subset: tuple[int, ...], emb: PointSet, name: str) -> float:
     if len(subset) < 2:
         return 1.0
-    sub, _ = restrict(m, set(range(m.n)) - set(subset))
-    stats = distortion_stats(sub, emb)
+    stats = distortion_stats(_submetric(m, subset), emb)
     if stats.min_ratio < 1.0 - EXPANDING_TOL:
         raise NotExpanding(f"{name} contracts some pair (min ratio {stats.min_ratio:.12g})")
     return max(stats.max_ratio, 1.0)
@@ -625,8 +624,8 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
     blocks = [(alpha_s.points, _prime_rows(m.n, s_sorted, s_row, gamma, transcript), 1.0)]
     for i, (center, members) in enumerate(transcript.clusters):
         subset = tuple(sorted(set(members) | {gamma[center]}))
-        sub, kept = restrict(m, set(range(m.n)) - set(subset))
-        emb = cluster_embedder(sub, kept, i)
+        sub = _submetric(m, subset)
+        emb = cluster_embedder(sub, subset, i)
         if emb.n != sub.n:
             raise CallbackNotExpanding(f"cluster {i}: embedder returned {emb.n} rows for {sub.n} points")
         if sub.n >= 2:
@@ -634,7 +633,7 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
             if stats.min_ratio < 1.0 - EXPANDING_TOL:
                 raise CallbackNotExpanding(
                     f"cluster {i}: embedding contracts (min ratio {stats.min_ratio:.12g})")
-        row_of = {orig: r for r, orig in enumerate(kept)}
+        row_of = {orig: r for r, orig in enumerate(subset)}
         rows = _cluster_rows(m.n, members, [row_of[v] for v in members], row_of[gamma[center]])
         blocks.append((emb.points, rows, 1.0))
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import Exhausted, GammaNotAboveOne, MissingZetaK
 from .lp_geometry import PointSet, centered_gram, points_from_gram
@@ -214,6 +213,7 @@ def _lp_polish(work: _Work, g: np.ndarray) -> Optional[np.ndarray]:
     a_ub[np.arange(len(rows)), work.xs[rows]] = -1.0
     a_ub[np.arange(len(rows)), work.ys[rows]] = -1.0
     f = work.f
+    from scipy.optimize import linprog  # imported here: only this LP needs scipy.optimize
     res = linprog(c=np.ones(n), A_ub=a_ub, b_ub=-f * need[rows], bounds=[(0.0, f)] * n,
                   method="highs")
     if not res.success:

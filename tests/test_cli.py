@@ -64,6 +64,23 @@ def test_metric_validate_rejects_a_bad_tolerance(capsys, tmp_path, tol):
     assert payload["error"] == "InvalidArgument" and "tol_tri" in payload["message"]
 
 
+def test_metric_validate_non_numeric_token(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2\n0 1\nx 0\n")
+    payload = error_of(capsys, ["metric", "validate", "--metric", str(bad)])
+    assert payload["error"] == "InvalidArgument" and "'x'" in payload["message"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported by the calls that need it, not on import
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import sys, metric_outliers.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_metric_validate_ok(capsys, claw_file):
     code, out, _ = run(capsys, ["metric", "validate", "--metric", claw_file])
     assert code == 0

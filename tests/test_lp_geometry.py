@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from metric_outliers import (
     PointSet,
@@ -12,9 +13,11 @@ from metric_outliers import (
     lp_distance,
     pairwise_distances,
     points_from_gram,
+    verify_outlier_embedding,
 )
 from metric_outliers.errors import DimMismatch, InvalidP, NotPSD
 from metric_outliers.lp_geometry import (
+    condensed_distances,
     embedding_from_json,
     embedding_to_json,
     gram_of_points,
@@ -59,6 +62,47 @@ class TestLpDistance:
         bc = lp_distance(b, c, p)
         ac = lp_distance(a, c, p)
         assert ac <= ab + bc + 1e-9 * max(1.0, ab + bc)
+
+
+def _cdist_reference(ps):
+    """The all-pairs matrix as cdist gives it, symmetrized."""
+    if ps.p == 2.0:
+        d = cdist(ps.points, ps.points, metric="euclidean")
+    elif ps.p == 1.0:
+        d = cdist(ps.points, ps.points, metric="cityblock")
+    else:
+        d = cdist(ps.points, ps.points, metric="minkowski", p=ps.p)
+    return (d + d.T) / 2.0
+
+
+class TestDistanceKernel:
+    """Every distance measurement equals the cdist reference bit for bit."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 31])
+    def test_matrix_and_condensed(self, n, p):
+        ps = PointSet(points=np.random.default_rng(n).normal(size=(n, 3)), p=p)
+        ref = _cdist_reference(ps)
+        np.testing.assert_array_equal(pairwise_distances(ps), ref)
+        np.testing.assert_array_equal(condensed_distances(ps), ref[np.triu_indices(n, 1)])
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_distortion_and_verification(self, p):
+        rng = np.random.default_rng(7)
+        m = point_metric(rng, 24)
+        for _ in range(3):
+            e = PointSet(points=rng.normal(size=(24, 4)), p=p)
+            iu = np.triu_indices(24, 1)
+            ratios = _cdist_reference(e)[iu] / m.dist[iu]
+            stats = distortion_stats(m, e)
+            assert (stats.max_ratio, stats.min_ratio) == (ratios.max(), ratios.min())
+            e = PointSet(points=e.points / ratios.min(), p=p)
+            img, src = _cdist_reference(e)[iu], m.dist[iu]
+            top = (img / src).max()
+            for c in (top, np.nextafter(top, 0.0), 0.99 * top):
+                for tol in (0.0, 1e-9):
+                    want = bool(np.all((img >= src * (1.0 - tol)) & (img <= c * src * (1.0 + tol))))
+                    assert verify_outlier_embedding(m, (), e, c, tol=tol) == want
 
 
 class TestCenteredGram:

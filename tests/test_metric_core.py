@@ -74,6 +74,87 @@ class TestFromMatrix:
             from_matrix([[0, 1, 2], [1, 0, 1]])
 
 
+def _ordered_scan(d, tol_tri):
+    """Reference triangle check: every j, then (i, k) row-major; the first
+    offending (i, j, k) and its slack, or None."""
+    d = np.asarray(d, dtype=float)
+    for j in range(d.shape[0]):
+        slack = d - (d[:, j][:, None] + d[j, :][None, :])
+        worst = float(slack.max(initial=0.0))
+        if worst > tol_tri:
+            i, k = np.unravel_index(int(np.argmax(slack)), slack.shape)
+            return (int(i), j, int(k)), worst
+    return None
+
+
+def _tight_triple(d):
+    """Some (i, j, k) of distinct points with d[i,k] == d[i,j] + d[j,k], else (0, 1, 2)."""
+    n = d.shape[0]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if len({i, j, k}) == 3 and d[i, k] == d[i, j] + d[j, k]:
+                    return i, j, k
+    return 0, 1, 2
+
+
+class TestTriangleCheck:
+    """from_matrix's half pass against the ordered scan over all triples."""
+
+    def assert_matches_scan(self, d, tol_tri):
+        want = _ordered_scan(d, tol_tri)
+        if want is None:
+            np.testing.assert_array_equal(from_matrix(d, tol_tri=tol_tri).dist, d)
+            return
+        with pytest.raises(TriangleViolation) as exc:
+            from_matrix(d, tol_tri=tol_tri)
+        assert (exc.value.triple, exc.value.slack) == want
+
+    def perturbed(self, d, i, k, value):
+        d = d.copy()
+        d[i, k] = d[k, i] = value
+        return d
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny(self, n):
+        d = np.ones((n, n)) - np.eye(n)
+        self.assert_matches_scan(d, 0.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_euclidean(self, seed):
+        rng = np.random.default_rng(seed)
+        d = point_metric(rng, int(rng.integers(3, 40)), dims=int(rng.integers(1, 4))).dist
+        self.assert_matches_scan(d, 1e-9)
+        n = d.shape[0]
+        for i, j, k in ((0, 1, 2), (n - 2, 0, n - 1)):  # the first and the last pair k > i
+            bound = d[i, j] + d[j, k] + 1e-9
+            for value in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, np.inf), 1.3 * bound):
+                self.assert_matches_scan(self.perturbed(d, i, k, value), 1e-9)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_tight_triples_at_zero_tolerance(self, seed):
+        rng = np.random.default_rng(seed)
+        d = integer_metric(rng, int(rng.integers(3, 30)), hi=4).dist
+        i, j, k = _tight_triple(d)
+        self.assert_matches_scan(d, 0.0)
+        bound = d[i, j] + d[j, k]
+        for value in (np.nextafter(bound, 0.0), np.nextafter(bound, np.inf), bound + 1.0):
+            for tol_tri in (0.0, 1e-9):
+                self.assert_matches_scan(self.perturbed(d, i, k, value), tol_tri)
+
+    def test_tolerance_plus_and_minus_one_ulp(self):
+        # slack exactly at tol passes, one ulp of tol above fails: tol at an
+        # exactly representable slack, so the arithmetic is exact
+        d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        d = self.perturbed(d, 0, 2, 2.25)
+        for tol_tri in (0.25, np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0)):
+            self.assert_matches_scan(d, tol_tri)
+        with pytest.raises(TriangleViolation) as exc:
+            from_matrix(d, tol_tri=np.nextafter(0.25, 0.0))
+        assert exc.value.triple == (0, 1, 2) and exc.value.slack == 0.25
+        from_matrix(d, tol_tri=0.25)
+
+
 class TestFromGraph:
     def test_path_distance(self):
         m = from_graph(Graph(n=3, edges=((0, 1), (1, 2))))
@@ -212,6 +293,18 @@ class TestTextFormats:
         text = metric_to_text(line_metric)
         assert text.splitlines()[0] == "3"
         assert len(text.splitlines()) == 4
+
+    def test_metric_rows_may_split_across_lines(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("3\n0 1\n2 1 0 1\n2\n1 0\n")
+        back = read_metric_text(str(path))
+        np.testing.assert_array_equal(back.dist, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+    def test_metric_non_numeric_token(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2\n0 1\nx 0\n")
+        with pytest.raises(ValueError, match="'x'"):
+            read_metric_text(str(path))
 
     def test_graph_roundtrip(self, tmp_path, claw_graph):
         path = tmp_path / "g.txt"
