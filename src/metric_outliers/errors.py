@@ -91,10 +91,6 @@ class NotExpanding(DomainError):
 
 # -- outlier SDP --------------------------------------------------------------
 
-class MissingZetaK(DomainError):
-    pass
-
-
 class GammaNotAboveOne(DomainError):
     pass
 

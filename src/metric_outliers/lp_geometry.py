@@ -19,6 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation only, avoids a circular impor
     from .metric_core import MetricSpace
 
 SYMMETRY_TOL = 1e-12  # relative symmetry tolerance for matrices handed around here
+SCHOENBERG_TOL = 1e-8  # relative eigenvalue tolerance of the Schoenberg test
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,13 @@ def pairwise_distances(ps: PointSet) -> np.ndarray:
     return squareform(condensed_distances(ps)) if ps.n else np.zeros((0, 0))
 
 
-def check_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def check_symmetric(a: np.ndarray) -> np.ndarray:
     """Validate symmetry within a relative tolerance and return the symmetrized matrix."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    if np.abs(a - a.T).max(initial=0.0) > tol * scale:
+    if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOL * scale:
         raise DimMismatch("matrix is not symmetric within tolerance")
     return (a + a.T) / 2.0
 
@@ -122,11 +123,11 @@ def centered_gram(m: "MetricSpace") -> np.ndarray:
     return _center(np.asarray(m.dist, dtype=float) ** 2)
 
 
-def schoenberg_test(d2: np.ndarray, tol_eig: float = 1e-8, lam_ref: float = 0.0) -> np.ndarray:
+def schoenberg_test(d2: np.ndarray, lam_ref: float = 0.0) -> np.ndarray:
     """Schoenberg criterion on a stack (r, k, k) of squared-distance matrices.
 
     Row i passes iff the smallest eigenvalue of its centered Gram matrix is
-    >= -tol_eig * max(lam_max, lam_ref, 1e-30), lam_max its largest
+    >= -SCHOENBERG_TOL * max(lam_max, lam_ref, 1e-30), lam_max its largest
     eigenvalue. lam_ref = 0 is the plain test; a larger lam_ref measures the
     tolerance against a bound on lam_max known from a larger set.
     """
@@ -134,20 +135,20 @@ def schoenberg_test(d2: np.ndarray, tol_eig: float = 1e-8, lam_ref: float = 0.0)
         return np.ones(d2.shape[0], dtype=bool)
     vals = np.linalg.eigvalsh(_center(d2))
     scale = np.maximum(np.maximum(vals[:, -1], lam_ref), 1e-30)
-    return vals[:, 0] >= -tol_eig * scale
+    return vals[:, 0] >= -SCHOENBERG_TOL * scale
 
 
-def is_l2_isometric(m: "MetricSpace", tol_eig: float = 1e-8) -> bool:
+def is_l2_isometric(m: "MetricSpace") -> bool:
     """Schoenberg criterion: true iff the centered Gram matrix is PSD.
 
-    The decision is exact in theory; tol_eig only absorbs floating-point
-    error, relative to the largest eigenvalue. The one-row case of
-    schoenberg_test.
+    The decision is exact in theory; SCHOENBERG_TOL only absorbs
+    floating-point error, relative to the largest eigenvalue. The one-row
+    case of schoenberg_test.
     """
-    return bool(schoenberg_test(np.asarray(m.dist, dtype=float)[None] ** 2, tol_eig)[0])
+    return bool(schoenberg_test(np.asarray(m.dist, dtype=float)[None] ** 2)[0])
 
 
-def points_from_gram(g: np.ndarray, tol_eig: float = 1e-8) -> PointSet:
+def points_from_gram(g: np.ndarray, tol_eig: float = SCHOENBERG_TOL) -> PointSet:
     """Factor a PSD matrix G into points whose pairwise inner products match G.
 
     Eigenvalues in [-tol_eig * lam_max, 0) are clamped to zero; anything below

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -33,10 +33,6 @@ class MetricSpace:
 
     n: int
     dist: np.ndarray
-    labels: Optional[tuple[str, ...]] = None
-
-    def label(self, i: int) -> str:
-        return self.labels[i] if self.labels else str(i)
 
 
 @dataclass(frozen=True)
@@ -47,6 +43,8 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise SizeMismatch(f"a graph needs n >= 0 nodes, got n={self.n}")
         seen = set()
         norm = []
         for u, v in self.edges:
@@ -84,8 +82,7 @@ class DistortionStats:
             object.__setattr__(self, "distortion", self.max_ratio / self.min_ratio)
 
 
-def from_matrix(matrix, tol_tri: float = DEFAULT_TRIANGLE_TOL,
-                labels: Optional[Sequence[str]] = None) -> MetricSpace:
+def from_matrix(matrix, tol_tri: float = DEFAULT_TRIANGLE_TOL) -> MetricSpace:
     """Validate a square distance matrix into a MetricSpace.
 
     Raises ValueError for a tol_tri that is not finite or below 0, then
@@ -127,10 +124,7 @@ def from_matrix(matrix, tol_tri: float = DEFAULT_TRIANGLE_TOL,
         np.add(d[i + 1:], d[i], out=via)
         if (d[i, i + 1:] - via.min(axis=1)).max() > tol_tri:
             _raise_first_violation(d, tol_tri)
-    lab = tuple(labels) if labels is not None else None
-    if lab is not None and len(lab) != n:
-        raise SizeMismatch(f"{len(lab)} labels for {n} points")
-    return MetricSpace(n=n, dist=d, labels=lab)
+    return MetricSpace(n=n, dist=d)
 
 
 def _raise_first_violation(d: np.ndarray, tol_tri: float) -> None:
@@ -177,8 +171,7 @@ def restrict(m: MetricSpace, outliers: Iterable[int]) -> tuple[MetricSpace, tupl
 def _submetric(m: MetricSpace, kept: tuple[int, ...]) -> MetricSpace:
     """The metric on the points kept, in that order; the indices are not checked."""
     idx = np.asarray(kept, dtype=int)
-    labels = tuple(m.labels[i] for i in kept) if m.labels else None
-    return MetricSpace(n=len(kept), dist=m.dist[np.ix_(idx, idx)], labels=labels)
+    return MetricSpace(n=len(kept), dist=m.dist[np.ix_(idx, idx)])
 
 
 def _pair_ratios(m: MetricSpace, e: PointSet) -> np.ndarray:

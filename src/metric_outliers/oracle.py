@@ -95,8 +95,7 @@ def min_vertex_cover(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[i
     raise SolverFailure("unreachable: the full vertex set covers all edges")
 
 
-def _cores(m: MetricSpace, d2: np.ndarray, tol_eig: float,
-           deadline: Optional[float]) -> np.ndarray:
+def _cores(m: MetricSpace, d2: np.ndarray, deadline: Optional[float]) -> np.ndarray:
     """Incidence rows of the first MAX_CORES 4-point sets that fail the
     Schoenberg test with the tolerance measured against lam_max of all of m."""
     lam_ref = float(np.linalg.eigvalsh(centered_gram(m))[-1]) if m.n else 0.0
@@ -106,12 +105,12 @@ def _cores(m: MetricSpace, d2: np.ndarray, tol_eig: float,
             break
         _check_deadline(deadline)
         sub = d2[quads[:, :, None], quads[:, None, :]]
-        found = np.concatenate([found, quads[~schoenberg_test(sub, tol_eig, lam_ref)]])
+        found = np.concatenate([found, quads[~schoenberg_test(sub, lam_ref)]])
     return _incidence(found[:MAX_CORES], m.n)
 
 
-def min_outlier_isometric_l2(m: MetricSpace, budget: OracleBudget = DEFAULT_BUDGET,
-                             tol_eig: float = 1e-8) -> tuple[int, tuple[int, ...]]:
+def min_outlier_isometric_l2(m: MetricSpace, budget: OracleBudget = DEFAULT_BUDGET
+                             ) -> tuple[int, tuple[int, ...]]:
     """Smallest K such that the metric minus K embeds isometrically into l2.
 
     Returns the lexicographically first K of minimum size: candidate sets
@@ -136,11 +135,11 @@ def min_outlier_isometric_l2(m: MetricSpace, budget: OracleBudget = DEFAULT_BUDG
     limit = m.n - 1 if budget.max_subset_size is None else min(budget.max_subset_size, m.n - 1)
     deadline = budget.deadline()
     d2 = np.asarray(m.dist, dtype=float) ** 2
-    cores = _cores(m, d2, tol_eig, deadline)
+    cores = _cores(m, d2, deadline)
     for size in range(0, limit + 1):
         for block in _hitting_sets(m.n, size, cores, deadline):
             kept = np.nonzero(~_incidence(block, m.n))[1].reshape(len(block), m.n - size)
-            passed = schoenberg_test(d2[kept[:, :, None], kept[:, None, :]], tol_eig)
+            passed = schoenberg_test(d2[kept[:, :, None], kept[:, None, :]])
             if passed.any():
                 return size, tuple(int(v) for v in block[np.argmax(passed)])
     raise BudgetExceeded(f"no outlier set of size <= {limit} found within budget")
@@ -221,6 +220,8 @@ def hypercube_embeddable(g: Graph, scale: int, budget: OracleBudget = DEFAULT_BU
         raise ValueError("scale must be a positive integer")
     if g.n > budget.max_nodes:
         raise BudgetExceeded(f"{g.n} nodes exceeds max_nodes={budget.max_nodes}")
+    if g.n == 0:  # no node to root the search at; the empty codeword set is a witness
+        return True, np.zeros((0, 0), dtype=int)
     metric = from_graph(g)
     dist = np.rint(metric.dist).astype(int)
     root, complete_cap = _column_cap(dist, scale)

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import Exhausted, GammaNotAboveOne, MissingZetaK
+from .errors import Exhausted, GammaNotAboveOne
 from .lp_geometry import PointSet, centered_gram, points_from_gram
 from .metric_core import MetricSpace, distortion_stats, restrict
 from .nested_composition import harmonic_number
@@ -47,38 +47,41 @@ def weak_g(k: int) -> float:
     return float(190 * harmonic_number(k) + 1)
 
 
-def f_of_k(k: int, zeta: float, g_mode: str = "weak_factor",
-           zeta_k: Optional[float] = None) -> float:
-    """Pair-constraint relaxation coefficient f(k).
-
-    weak_factor: (g(k) * zeta)^2 with zeta the outlier-free distortion.
-    strong_subset: (382 * H_{k+1} * zeta_k)^2 with zeta_k the worst subset
-    distortion at size k+1.
-    Either distortion must be finite and >= 1, so f(k) >= 1.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+def _g(k: int, g_mode: str) -> float:
+    """g(k) of f(k) = (g(k) * zeta)^2: weak_g(k) in weak_factor mode, 382 * H_{k+1}
+    in strong_subset mode."""
     if g_mode == "weak_factor":
-        _check_distortion("zeta", zeta)
-        return _square("zeta", zeta, weak_g(k) * zeta)
+        return weak_g(k)
     if g_mode == "strong_subset":
-        if zeta_k is None:
-            raise MissingZetaK("strong_subset mode requires zeta_k")
-        _check_distortion("zeta_k", zeta_k)
-        return _square("zeta_k", zeta_k, 382.0 * float(harmonic_number(k + 1)) * zeta_k)
+        return 382.0 * float(harmonic_number(k + 1))
     raise ValueError(f"unknown g_mode {g_mode!r}")
 
 
+def f_of_k(k: int, zeta: float, g_mode: str = "weak_factor") -> float:
+    """Pair-constraint relaxation coefficient f(k) = (g(k) * zeta)^2.
+
+    zeta is the outlier-free distortion, finite and >= 1, so f(k) >= 1. In
+    strong_subset mode it stands in for the paper's worst distortion of a
+    (k+1)-point subset, which it bounds from above.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    g = _g(k, g_mode)
+    _check_distortion("zeta", zeta)
+    return _square("zeta", zeta, g * zeta)
+
+
 def bicriteria_bound(k: int, c: float, gamma: float, g_value: float, zeta: float) -> float:
-    """Cap on the rounded outlier set size: 2 (g^2 zeta^2 / c^2 + gamma^2)
-    / (gamma^2 - 1) * k."""
+    """Cap on the rounded outlier set size of a solution whose delta sums to
+    at most k: 2 (g^2 zeta^2 / c^2 + gamma^2) / (gamma^2 - 1) * k."""
     _check_gamma(gamma)
     return _cap(k, c, gamma, (g_value * zeta) ** 2)
 
 
-def _cap(k: int, c: float, gamma: float, f_k: float) -> float:
-    """2 (f_k / c^2 + gamma^2) / (gamma^2 - 1) * k, the cap with f(k) = f_k."""
-    return 2.0 * (f_k / c ** 2 + gamma ** 2) / (gamma ** 2 - 1.0) * k
+def _cap(weight: float, c: float, gamma: float, f_k: float) -> float:
+    """2 (f_k / c^2 + gamma^2) / (gamma^2 - 1) * weight, the cap with f(k) = f_k
+    on outlier weights delta that sum to weight."""
+    return 2.0 * (f_k / c ** 2 + gamma ** 2) / (gamma ** 2 - 1.0) * weight
 
 
 def _check_gamma(gamma: float) -> None:
@@ -237,9 +240,14 @@ def _distortion(ratio: np.ndarray) -> float:
 
 
 def _centered_start(m: MetricSpace) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The rescaled centered Gram of _initial_gram, and the bottom eigenvector v
-    of the centered Gram B it is clamped from when v^T B v < 0 (else None):
-    both from one eigendecomposition of B."""
+    """The PSD-clamped centered Gram, rescaled so no pair contracts, and the
+    bottom eigenvector v of the centered Gram B it is clamped from when
+    v^T B v < 0 (else None): both from one eigendecomposition of B.
+
+    The Gram seeds the feasibility core and is a candidate witness of its own.
+    Starting expanding puts any violations on the upper constraints, which
+    the delta weights can absorb.
+    """
     if m.n < 2:
         return np.zeros((m.n, m.n)), None
     b, vals, vecs = _clamp(centered_gram(m))
@@ -249,21 +257,11 @@ def _centered_start(m: MetricSpace) -> tuple[np.ndarray, Optional[np.ndarray]]:
     return gram, (vecs[:, 0] if vals[0] < 0.0 else None)
 
 
-def _initial_gram(m: MetricSpace) -> np.ndarray:
-    """PSD-clamped centered Gram, rescaled so no pair contracts.
-
-    It seeds the feasibility core and is a candidate witness of its own.
-    Starting expanding puts any violations on the upper constraints, which
-    the delta weights can absorb.
-    """
-    return _centered_start(m)[0]
-
-
 def upper_distortion(m: MetricSpace, grams: Sequence[np.ndarray] = ()) -> float:
     """The least measured l2 distortion of the embeddings in hand: `grams`, the
     rescaled centered Gram and the distance rows x -> d(x, .) (at most sqrt(n/2)).
     Nothing is drawn at random; relabeling moves the value only by rounding."""
-    return _least_distortion(m, (*grams, _initial_gram(m)))
+    return _least_distortion(m, (*grams, _centered_start(m)[0]))
 
 
 def _least_distortion(m: MetricSpace, grams: Sequence[np.ndarray]) -> float:
@@ -382,8 +380,7 @@ def _feasible(m: MetricSpace, c: float, g: np.ndarray, bottom: Optional[np.ndarr
 # rounding and the k-search loop
 # ---------------------------------------------------------------------------
 
-def round_solution(sol: SdpSolution, gamma: float,
-                   k: Optional[int] = None) -> OutlierResult:
+def round_solution(sol: SdpSolution, gamma: float) -> OutlierResult:
     """Round a solution in one pass, with c and f_k from sol.instance.
 
     Points with delta >= Delta = c^2 (gamma^2 - 1) / (2 f_k + 2 c^2 gamma^2)
@@ -393,6 +390,10 @@ def round_solution(sol: SdpSolution, gamma: float,
     kept so far, so the survivors' guarantees are checked rather than
     inherited; metadata["reclaimed"] counts them. The final survivors are
     factored once from their Gram rows and scaled by 1/sqrt(1 - 2 Delta).
+
+    certified_bound is the cap at sol's own sum(delta): every cut point has
+    delta >= Delta, so |K| <= |cut| <= sum(delta) / Delta, which is
+    _cap(sum(delta), c, gamma, f_k).
     """
     _check_gamma(gamma)
     m, c, f_k = sol.instance.m, sol.instance.c, sol.instance.f_k
@@ -416,22 +417,16 @@ def round_solution(sol: SdpSolution, gamma: float,
     if len(survivors) >= 2:
         sub_metric, _ = restrict(m, set(outliers))
         achieved = float(distortion_stats(sub_metric, embedding).distortion)
-    if k is not None:
-        certified = _cap(k, c, gamma, f_k)
-    else:
-        certified = sol.objective / delta_cut
     return OutlierResult(
         outliers=tuple(sorted(outliers)),
         embedding=embedding,
         gamma=gamma,
         achieved_distortion=achieved,
-        certified_bound=float(certified),
+        certified_bound=float(_cap(sol.objective, c, gamma, f_k)),
         metadata={
             "delta_cut": delta_cut,
             "reclaimed": int(cut.sum()) - len(outliers),
-            "k": k,
             "f_k": f_k,
-            "c": c,
             "objective": sol.objective,
             "max_violation": sol.max_violation,
             "delta": [float(v) for v in sol.delta],
@@ -441,8 +436,7 @@ def round_solution(sol: SdpSolution, gamma: float,
 
 def search_min_outliers(m: MetricSpace, c: float, gamma: float,
                         mode: str = "weak_factor",
-                        zeta: Optional[float] = None,
-                        zeta_k: Optional[float] = None) -> OutlierResult:
+                        zeta: Optional[float] = None) -> OutlierResult:
     """Try k = 0, 1, 2, ... until a checked witness shows the SDP with f(k)
     admits value <= k + EPS; round it with round_solution.
 
@@ -463,23 +457,21 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
     without trying the witnesses at k = 0.
     metadata["k0"] is the c0 run's verdict: "feasible", "infeasible"
     (certified) or "undecided". zeta defaults to upper_distortion over the
-    gamma*c witness ("measured" in metadata["zeta_source"]); in strong_subset
-    mode zeta_k defaults to zeta.
+    gamma*c witness.
     """
     _check_gamma(gamma)
     _check_distortion("target distortion", c)
     _check_scale(m, "gamma * c", gamma * c)
+    _g(0, mode)  # a bad mode or supplied zeta is refused before any feasibility run
+    if zeta is not None:
+        _check_distortion("zeta", zeta)
     # one eigendecomposition of B serves both runs, zeta and the witness list
     start = _centered_start(m)
     high = _feasible(m, gamma * c, *start)
-    zeta_source = "supplied"
     if zeta is None:
         witnesses = [high[1]] if high[0] == "feasible" else []
         zeta = _least_distortion(m, witnesses + [start[0]])
-        zeta_source = "measured"
-    if mode == "strong_subset" and zeta_k is None:
-        zeta_k = zeta
-    f0 = f_of_k(0, zeta, mode, zeta_k=zeta_k)
+    f0 = f_of_k(0, zeta, mode)
     c0 = math.sqrt((c ** 2 + EPS * f0 + EPS_FEAS) / (1.0 - EPS - EPS_FEAS))
     runs = [_feasible(m, c0, *start), high]
     # the first witness, not the least delta sum: reclaim can only keep points
@@ -489,17 +481,15 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
     grams = [g for verdict, g, _ in runs if verdict == "feasible"]
     grams += [start[0], np.zeros((m.n, m.n))]
     for k in range(1 if runs[0][0] == "infeasible" else 0, m.n + 1):
-        f_k = f_of_k(k, zeta, mode, zeta_k=zeta_k)
+        f_k = f_of_k(k, zeta, mode)
         sol = _first_witness(SdpInstance(m, c, f_k), k + EPS, grams)
         if sol is not None:
-            result = round_solution(sol, gamma, k=k)
+            result = round_solution(sol, gamma)
             result.metadata.update({
+                "k": k,
                 "mode": mode,
-                "g_value": weak_g(k) if mode == "weak_factor"
-                           else 382.0 * float(harmonic_number(k + 1)),
+                "g_value": _g(k, mode),
                 "zeta": zeta,
-                "zeta_k": zeta_k,
-                "zeta_source": zeta_source,
                 "k0": runs[0][0],
             })
             return result

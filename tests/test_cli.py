@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metric_outliers import BourgainParams, Graph, bourgain_embed, from_graph
+from metric_outliers import BourgainParams, Graph, bourgain_embed, from_graph, outlier_sdp
 from metric_outliers.cli import BOUND_MAX_K, dispatch
 from metric_outliers.lp_geometry import write_embedding
 from metric_outliers.metric_core import write_graph_text, write_metric_text
@@ -252,6 +252,24 @@ def test_oracle_hypercube_marks_a_capped_refutation(capsys, tmp_path):
         assert code == 0 and (payload["embeddable"], payload["complete"]) == (False, True)
 
 
+@pytest.mark.parametrize("argv", [["oracle", "vc"], ["gadget", "lp"], ["metric", "from-graph"]],
+                         ids=["oracle-vc", "gadget-lp", "metric-from-graph"])
+def test_negative_node_count_exits_1(capsys, tmp_path, argv):
+    path = tmp_path / "g.txt"
+    path.write_text("-1 0\n")
+    payload = error_of(capsys, argv + ["--graph", str(path)])
+    assert payload == {"error": "SizeMismatch", "message": "a graph needs n >= 0 nodes, got n=-1"}
+
+
+def test_oracle_hypercube_on_the_empty_graph(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("0 0\n")
+    code, out, _ = run(capsys, ["oracle", "hypercube", "--graph", str(path)])
+    payload = json.loads(out)
+    assert code == 0 and (payload["embeddable"], payload["complete"]) == (True, True)
+    assert payload["witness"] == []
+
+
 def test_oracle_distortion_is_an_upper_bound(capsys, claw_file):
     code, out, _ = run(capsys, ["oracle", "distortion", "--metric", claw_file])
     assert code == 0 and json.loads(out)["optimal_distortion"] >= 1.0
@@ -329,13 +347,25 @@ def test_invalid_argument_exits_1(capsys, claw_file):
 @pytest.mark.parametrize("flags,given", [
     (["--c", "nan"], "nan"), (["--c", "inf"], "inf"),
     (["--gamma", "nan"], "nan"), (["--gamma", "inf"], "inf"),
-    (["--zeta", "nan"], "nan"), (["--zeta", "inf"], "inf"),
+    (["--zeta", "nan"], "nan"), (["--zeta", "inf"], "inf"), (["--zeta", "0"], "0"),
     (["--mode", "strong", "--zeta", "0"], "0"),
-], ids=["c-nan", "c-inf", "gamma-nan", "gamma-inf", "zeta-nan", "zeta-inf", "strong-zeta-0"])
-def test_bad_search_parameter_is_named(capsys, claw_file, flags, given):
+    (["--mode", "strong", "--zeta", "nan"], "nan"),
+    (["--mode", "strong", "--zeta", "1e200"], "1e+200"),
+], ids=["c-nan", "c-inf", "gamma-nan", "gamma-inf", "zeta-nan", "zeta-inf", "zeta-0",
+        "strong-zeta-0", "strong-zeta-nan", "strong-zeta-1e200"])
+def test_bad_search_parameter_is_named(capsys, monkeypatch, claw_file, flags, given):
+    # each parameter is refused before the first feasibility run starts
+    def feasibility_run(*args):
+        raise AssertionError("a feasibility run started")
+
+    monkeypatch.setattr(outlier_sdp, "_feasible", feasibility_run)
     payload = error_of(capsys, ["outliers", "solve", "--metric", claw_file,
                                 "--c", "1.0", "--gamma", "1.5"] + flags)
-    assert f"got {given}" in payload["message"]
+    message = payload["message"]
+    assert f"got {given}" in message
+    if "--zeta" in flags:  # named as the flag the user gave
+        assert "zeta must be" in message or "zeta is too large" in message
+        assert "zeta_k" not in message
 
 
 @pytest.mark.parametrize("flag", ["--c", "--gamma", "--zeta"])

@@ -24,7 +24,7 @@ from metric_outliers import (
     verify_outlier_embedding,
 )
 from metric_outliers.cli import dispatch
-from metric_outliers.errors import GammaNotAboveOne, MissingZetaK
+from metric_outliers.errors import GammaNotAboveOne
 from metric_outliers.hardness_gadgets import lp_gadget
 from metric_outliers.lp_geometry import gram_of_points, pairwise_distances, points_from_gram
 from metric_outliers.metric_core import write_metric_text
@@ -36,8 +36,8 @@ from metric_outliers.outlier_sdp import (
     SdpSolution,
     _Work,
     _distortion,
+    _centered_start,
     _first_witness,
-    _initial_gram,
     _llr_bound,
     _lp_polish,
     _ratios,
@@ -50,6 +50,7 @@ from metric_outliers.outlier_sdp import (
 from conftest import atlas_graphs, integer_metric
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checks  # noqa: E402  (the benchmark's independent output checks)
 import workloads  # noqa: E402  (the benchmark's instance generators)
 
 
@@ -82,21 +83,17 @@ class TestFOfK:
         assert f_of_k(0, 1.7) == pytest.approx(1.7 ** 2)
 
     def test_strong_k1_unit(self):
-        assert f_of_k(1, 1.0, "strong_subset", zeta_k=1.0) == pytest.approx(328329.0)
+        assert f_of_k(1, 1.0, "strong_subset") == pytest.approx(328329.0)
 
     def test_weak_k1(self):
         assert f_of_k(1, 2.0) == pytest.approx(145924.0)
         assert weak_g(1) == pytest.approx(191.0)
 
-    def test_strong_requires_zeta_k(self):
-        with pytest.raises(MissingZetaK):
-            f_of_k(1, 2.0, "strong_subset")
-
-    @pytest.mark.parametrize("zeta_k", [-1.0, 0.0, 0.5, math.nan])
-    def test_strong_rejects_zeta_k_below_one(self, zeta_k):
-        # zeta_k = -1 used to give f = 328329 and zeta_k = 0 gave f = 0
-        with pytest.raises(ValueError, match=f"got {zeta_k}"):
-            f_of_k(1, 2.0, "strong_subset", zeta_k=zeta_k)
+    @pytest.mark.parametrize("zeta", [-1.0, 0.0, 0.5, math.nan])
+    def test_strong_rejects_zeta_k_below_one(self, zeta):
+        # zeta = -1 would give f = 328329 and zeta = 0 would give f = 0
+        with pytest.raises(ValueError, match=f"zeta must be finite and >= 1, got {zeta}"):
+            f_of_k(1, zeta, "strong_subset")
 
 
 class TestInstance:
@@ -123,7 +120,7 @@ class TestInstance:
 
 def line_witness(line_metric):
     """The line's own Gram matrix at level 0: every delta is 0."""
-    sol = _first_witness(SdpInstance(line_metric, 1.0, 4.0), 0.0, [_initial_gram(line_metric)])
+    sol = _first_witness(SdpInstance(line_metric, 1.0, 4.0), 0.0, [_centered_start(line_metric)[0]])
     assert sol is not None and sol.objective == 0.0
     return sol
 
@@ -135,7 +132,7 @@ class TestSolve:
         rng = np.random.default_rng(5)
         for _ in range(3):
             m = integer_metric(rng, 6)
-            g = _initial_gram(m)
+            g = _centered_start(m)[0]
 
             def polished(c, f):
                 return _lp_polish(_Work(SdpInstance(m, c, f)), g).sum()
@@ -261,7 +258,7 @@ class TestRounding:
         inst = SdpInstance(claw_metric, 1.0, f_k)
         sol = SdpSolution(instance=inst, gram=gram, delta=delta,
                           objective=1.0, max_violation=0.0)
-        res = round_solution(sol, gamma=1.5, k=1)
+        res = round_solution(sol, gamma=1.5)
         assert res.outliers == (3,)
         assert res.achieved_distortion <= 1.5 * (1 + 1e-9)
         assert verify_outlier_embedding(claw_metric, res.outliers, res.embedding, 1.5, tol=1e-6)
@@ -281,7 +278,7 @@ class TestRounding:
         f_k = f_of_k(1, max(stats.distortion, 1.0))
         n = claw_metric.n
         sol = _first_witness(SdpInstance(claw_metric, 1.0, f_k), 1.0,
-                             [_initial_gram(claw_metric), np.zeros((n, n))])
+                             [_centered_start(claw_metric)[0], np.zeros((n, n))])
         res = round_solution(sol, gamma=1.25)
         assert len(res.outliers) <= sol.objective / res.metadata["delta_cut"] + 1e-9
 
@@ -352,7 +349,7 @@ class TestSearch:
 
 # K of `outliers solve --c 1 --mode weak` at gamma = 1.5 and at gamma = 1.1.
 # Every run accepts k = 1 after a certificate at c0.
-GOLDEN_K = {
+GOLDEN_K_WEAK = {
     "planted-n10": ([], []),
     "planted-n14": ([], []),
     "planted-n19": ([], []),
@@ -370,20 +367,46 @@ GOLDEN_K = {
     "gadget5-n8": ([], [1, 3, 5, 7, 9, 13, 15]),
 }
 
+# The same with --mode strong. f(0) = (382 zeta)^2 makes the c0 run feasible, so
+# every run accepts k = 0, and a sum(delta) <= EPS still cuts points.
+GOLDEN_K_STRONG = {
+    "planted-n10": ([], []),
+    "planted-n14": ([], [0]),
+    "planted-n19": ([], []),
+    "planted-n33": ([], [30, 32]),
+    "planted-n64": ([], [3, 41, 60, 62, 63]),
+    "planted-n128": ([126], [120, 121, 123, 124, 125, 126, 127]),
+    "integer-n5": ([4], [1, 2, 4]),
+    "integer-n6": ([], [4]),
+    "integer-n7": ([3, 4, 6], [0, 4, 6]),
+    "gadget0-n6": ([], [1, 3, 5, 7, 9, 11]),
+    "gadget1-n6": ([], [1, 3, 5, 7, 9, 11]),
+    "gadget2-n7": ([13], [1, 3, 5, 7, 9, 11, 13]),
+    "gadget3-n7": ([], [1, 3, 5, 7, 9, 11, 13]),
+    "gadget4-n8": ([], [1, 3, 5, 7, 9, 11, 13]),
+    "gadget5-n8": ([1, 5], [1, 3, 5, 7, 9, 13, 15]),
+}
+
 
 def test_outliers_solve_golden(capsys, tmp_path):
+    # each output also passes the benchmark's own check: K in range, the
+    # survivors' embedding within [d, gamma*c*d], and |K| <= certified_bound
     corpus = benchmark_corpus()
-    assert [label for label, _ in corpus] == list(GOLDEN_K)
+    golden = {"weak": (GOLDEN_K_WEAK, 1, "infeasible"), "strong": (GOLDEN_K_STRONG, 0, "feasible")}
+    assert all([label for label, _ in corpus] == list(g[0]) for g in golden.values())
     for label, m in corpus:
         path = str(tmp_path / f"{label}.txt")
         write_metric_text(path, m)
-        for gamma, want in zip(("1.5", "1.1"), GOLDEN_K[label]):
-            argv = ["outliers", "solve", "--metric", path, "--c", "1", "--gamma", gamma,
-                    "--mode", "weak"]
-            assert dispatch(argv) == 0
-            payload = json.loads(capsys.readouterr().out)
-            got = (payload["K"], payload["k"], payload["solver"]["k0"])
-            assert got == (want, 1, "infeasible"), (label, gamma)
+        for mode, (golden_k, k, k0) in golden.items():
+            for gamma, want in zip(("1.5", "1.1"), golden_k[label]):
+                argv = ["outliers", "solve", "--metric", path, "--c", "1", "--gamma", gamma,
+                        "--mode", mode]
+                assert dispatch(argv) == 0
+                payload = json.loads(capsys.readouterr().out)
+                got = (payload["K"], payload["k"], payload["solver"]["k0"])
+                assert got == (want, k, k0), (label, mode, gamma)
+                assert checks.check_outlier_solution(m.dist, payload, float(gamma)) == [], \
+                    (label, mode, gamma)
 
 
 class TestK0Skip:
@@ -413,7 +436,7 @@ class TestK0Skip:
             assert polished_f and min(polished_f) >= f_of_k(1, zeta), (label, gamma)
             verdict, high, _ = distortion_feasible(m, gamma)
             grams = [high] if verdict == "feasible" else []
-            grams += [_initial_gram(m), np.zeros((m.n, m.n))]
+            grams += [_centered_start(m)[0], np.zeros((m.n, m.n))]
             assert _first_witness(SdpInstance(m, 1.0, f_of_k(0, zeta)), EPS, grams) is None, \
                 (label, gamma)
         # every instance here needs distortion above c0
@@ -426,7 +449,7 @@ class TestK0Skip:
         accepted = 0
         for _ in range(60):
             m = integer_metric(rng, int(rng.integers(4, 9)))
-            g = (_initial_gram(m), m.dist @ m.dist)[int(rng.integers(2))]
+            g = (_centered_start(m)[0], m.dist @ m.dist)[int(rng.integers(2))]
             ratio = _ratios(m, g)
             g = g / ratio.min() * rng.uniform(1.0 - 2.0 * EPS, 1.0)
             f = float(rng.uniform(1.0, 4.0))
@@ -478,10 +501,14 @@ class TestBicriteriaBound:
 
     @pytest.mark.parametrize("gamma", [1.5, 1.1])
     def test_search_reports_the_cap(self, claw_metric, gamma):
-        # round_solution's certified bound is the cap at the accepted k, bit for bit
+        # round_solution's certified bound is the cap at the witness's own
+        # sum(delta), bit for bit, not at the accepted k
         res = search_min_outliers(claw_metric, 1.0, gamma)
         md = res.metadata
-        assert res.certified_bound == bicriteria_bound(md["k"], 1.0, gamma, md["g_value"], md["zeta"])
+        assert res.certified_bound == bicriteria_bound(md["objective"], 1.0, gamma,
+                                                       md["g_value"], md["zeta"])
+        assert len(res.outliers) <= res.certified_bound < bicriteria_bound(
+            md["k"], 1.0, gamma, md["g_value"], md["zeta"])
 
 
 class TestSearchQuality:
