@@ -132,7 +132,10 @@ def min_outlier_isometric_l2(m: MetricSpace, budget: OracleBudget = DEFAULT_BUDG
     """
     if m.n > budget.max_nodes:
         raise BudgetExceeded(f"{m.n} nodes exceeds max_nodes={budget.max_nodes}")
-    limit = m.n - 1 if budget.max_subset_size is None else min(budget.max_subset_size, m.n - 1)
+    # removing all but one point always embeds; the 0-point metric embeds as it is
+    limit = max(m.n - 1, 0)
+    if budget.max_subset_size is not None:
+        limit = min(budget.max_subset_size, limit)
     deadline = budget.deadline()
     d2 = np.asarray(m.dist, dtype=float) ** 2
     cores = _cores(m, d2, deadline)
@@ -203,6 +206,8 @@ def _column_cap(dist: np.ndarray, scale: int) -> tuple[int, int]:
 def hypercube_column_bound(g: Graph, scale: int) -> int:
     """The column count up to which hypercube_embeddable's search is complete:
     a refutation with max_columns below it holds only within max_columns."""
+    if g.n == 0:  # the empty codeword set needs no column
+        return 0
     return _column_cap(np.rint(from_graph(g).dist).astype(int), scale)[1]
 
 

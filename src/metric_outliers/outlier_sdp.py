@@ -16,8 +16,9 @@ weights): a primal-dual run whose verdicts come with checked witnesses, a
 Gram matrix of distortion <= c or a Linial-London-Rabinovich certificate
 above c. A certificate can come at iteration 0, before any iteration runs,
 from the bottom eigenvector of the centered Gram B = -1/2 J D^2 J; the
-eigendecomposition of B that gives it also gives the run's starting Gram,
-and the k-search computes it once for all its runs.
+eigendecomposition of B that gives it also gives the run's starting Gram.
+That certificate does not depend on c, so the k-search and the distortion
+bisection compute it, and the starting Gram, once for all their runs.
 """
 from __future__ import annotations
 
@@ -203,7 +204,8 @@ def _lp_polish(work: _Work, g: np.ndarray) -> Optional[np.ndarray]:
 
     The LP is solved for f * delta (f >= 1, see f_of_k): HiGHS's tolerances
     are absolute, and an error e in delta moves the upper constraint by
-    e * f * d^2.
+    e * f * d^2. Its constraint matrix is held sparse, as HiGHS takes it:
+    each row has two nonzeros, so it needs O(pairs) memory, not O(pairs * n).
     """
     r = work.pair_r(g)
     need = np.maximum(np.maximum(1.0 - r / work.d2, (r / work.d2 - work.c2) / work.f), 0.0)
@@ -212,12 +214,14 @@ def _lp_polish(work: _Work, g: np.ndarray) -> Optional[np.ndarray]:
     if not mask.any():
         return np.zeros(n)
     rows = np.flatnonzero(mask)
-    a_ub = np.zeros((len(rows), n))
-    a_ub[np.arange(len(rows)), work.xs[rows]] = -1.0
-    a_ub[np.arange(len(rows)), work.ys[rows]] = -1.0
     f = work.f
-    from scipy.optimize import linprog  # imported here: only this LP needs scipy.optimize
-    res = linprog(c=np.ones(n), A_ub=a_ub, b_ub=-f * need[rows], bounds=[(0.0, f)] * n,
+    # imported here: only this LP needs scipy, and `import metric_outliers.cli` loads none
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_array
+    cols = np.stack((work.xs[rows], work.ys[rows]), axis=1).ravel()
+    a_ub = csr_array((np.full(2 * len(rows), -1.0), cols, np.arange(0, 2 * len(rows) + 1, 2)),
+                     shape=(len(rows), n))
+    res = linprog(c=np.ones(n), A_ub=a_ub, b_ub=-f * need[rows], bounds=(0.0, f),
                   method="highs")
     if not res.success:
         return None
@@ -239,10 +243,12 @@ def _distortion(ratio: np.ndarray) -> float:
     return math.sqrt(ratio.max() / rmin) if rmin > 0.0 else math.inf
 
 
-def _centered_start(m: MetricSpace) -> tuple[np.ndarray, Optional[np.ndarray]]:
+def _centered_start(m: MetricSpace) -> tuple[np.ndarray, Optional[float]]:
     """The PSD-clamped centered Gram, rescaled so no pair contracts, and the
-    bottom eigenvector v of the centered Gram B it is clamped from when
-    v^T B v < 0 (else None): both from one eigendecomposition of B.
+    iteration-0 LLR bound of distortion_feasible: that of the weights
+    w_xy = -v_x v_y from the bottom eigenvector v of the centered Gram B the
+    Gram is clamped from, when v^T B v < 0 (else None). Both come from one
+    eigendecomposition of B, and neither depends on c.
 
     The Gram seeds the feasibility core and is a candidate witness of its own.
     Starting expanding puts any violations on the upper constraints, which
@@ -254,7 +260,11 @@ def _centered_start(m: MetricSpace) -> tuple[np.ndarray, Optional[np.ndarray]]:
     rmin = float(_ratios(m, b).min(initial=1.0))
     # at rmin <= 1e-6 clamping collapsed a pair, which scaling cannot fix
     gram = b / rmin if 1e-6 < rmin < 1.0 else b
-    return gram, (vecs[:, 0] if vals[0] < 0.0 else None)
+    if vals[0] >= 0.0:
+        return gram, None
+    work = _Work(SdpInstance(m, 1.0, 0.0))
+    bottom = vecs[:, 0]
+    return gram, _llr_bound(work, -bottom[work.xs] * bottom[work.ys])
 
 
 def upper_distortion(m: MetricSpace, grams: Sequence[np.ndarray] = ()) -> float:
@@ -343,9 +353,9 @@ def distortion_feasible(m: MetricSpace, c: float
     return _feasible(m, c, *_centered_start(m))
 
 
-def _feasible(m: MetricSpace, c: float, g: np.ndarray, bottom: Optional[np.ndarray]
+def _feasible(m: MetricSpace, c: float, g: np.ndarray, start_bound: Optional[float]
               ) -> tuple[str, Optional[np.ndarray], Optional[float]]:
-    """distortion_feasible from the start (g, bottom) of _centered_start(m)."""
+    """distortion_feasible from the start (g, start_bound) of _centered_start(m)."""
     n = m.n
     if n < 2:
         return "feasible", np.zeros((n, n)), 1.0
@@ -365,8 +375,8 @@ def _feasible(m: MetricSpace, c: float, g: np.ndarray, bottom: Optional[np.ndarr
         dist = _distortion(ratio)
         if dist <= c:
             return "feasible", g / ratio.min(), dist
-        if it == 0 and bottom is not None:
-            bound = _llr_bound(work, -bottom[work.xs] * bottom[work.ys])
+        if it == 0 and start_bound is not None:
+            bound = start_bound
         elif it > 0 and it % 50 == 0:
             bound = _llr_bound(work, u / 2.0)
         else:

@@ -121,6 +121,12 @@ class TestMinOutlier:
         m = from_graph(lp_gadget(k3).graph)
         assert min_outlier_isometric_l2(m)[0] == min_vertex_cover(k3)[0]
 
+    def test_empty_metric_needs_none(self):
+        # there is no outlier set of size n - 1 = -1 to try; the empty set is the answer
+        assert min_outlier_isometric_l2(from_matrix(np.zeros((0, 0)))) == (0, ())
+        assert min_outlier_isometric_l2(from_matrix(np.zeros((0, 0))),
+                                        OracleBudget(max_subset_size=0)) == (0, ())
+
     def test_exhaustive_small_graphs(self):
         nx = pytest.importorskip("networkx")
         from networkx.generators.atlas import graph_atlas_g
@@ -241,6 +247,12 @@ class TestHypercube:
         assert hypercube_embeddable(g, 1)[0] is False
         ok, _ = hypercube_embeddable(g, 2, OracleBudget(max_columns=18))
         assert ok is False
+
+    def test_empty_graph_needs_no_column(self):
+        empty = Graph(n=0, edges=())
+        assert oracle.hypercube_column_bound(empty, 1) == 0
+        ok, witness = hypercube_embeddable(empty, 1)
+        assert ok and witness.shape == (0, 0)
 
     def test_witness_reverifies(self, single_edge):
         ok, witness = hypercube_embeddable(single_edge, 1)

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ from metric_outliers.outlier_sdp import (
     weak_g,
 )
 
-from conftest import atlas_graphs, integer_metric
+from conftest import atlas_graphs, integer_metric, planted_instance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402  (the benchmark's independent output checks)
@@ -153,6 +154,60 @@ class TestSolve:
         assert delta is not None
         assert work.residual(g, delta) <= EPS_FEAS
 
+    @staticmethod
+    def _dense_polish(work, g):
+        """_lp_polish's LP with a dense (rows x n) matrix and one bound per
+        variable: the reference the sparse form must match."""
+        from scipy.optimize import linprog
+        r = work.pair_r(g)
+        need = np.maximum(np.maximum(1.0 - r / work.d2, (r / work.d2 - work.c2) / work.f), 0.0)
+        rows = np.flatnonzero(need > 0)
+        if len(rows) == 0:
+            return np.zeros(work.n)
+        a_ub = np.zeros((len(rows), work.n))
+        a_ub[np.arange(len(rows)), work.xs[rows]] = -1.0
+        a_ub[np.arange(len(rows)), work.ys[rows]] = -1.0
+        f = work.f
+        res = linprog(c=np.ones(work.n), A_ub=a_ub, b_ub=-f * need[rows],
+                      bounds=[(0.0, f)] * work.n, method="highs")
+        assert res.success
+        out = np.clip(res.x / f, 0.0, 1.0)
+        out[out == 0.0] = 0.0
+        return out
+
+    def test_sparse_lp_is_the_dense_lp(self, line_metric):
+        planted = planted_instance(3)[0]
+        verdict, witness, _ = distortion_feasible(planted, 1.5)
+        assert verdict == "feasible"
+        integer = integer_metric(np.random.default_rng(7), 7)
+        cases = [
+            (planted, witness),  # the gamma * c witness of a planted instance
+            (planted, _centered_start(planted)[0]),
+            (integer, integer.dist @ integer.dist),
+            (line_metric, _centered_start(line_metric)[0]),  # no pair needs relaxation
+        ]
+        for m, g in cases:
+            work = _Work(SdpInstance(m, 1.0, f_of_k(1, 1.2)))
+            delta = _lp_polish(work, g)
+            assert delta.tobytes() == self._dense_polish(work, g).tobytes()
+        assert not delta.any()  # the line's own Gram needs no weight
+
+    def test_lp_polish_memory_is_linear_in_the_pairs(self):
+        # the dense 8127 x 128 constraint matrix alone would take 8.3 MB
+        m = from_matrix(workloads.planted_metric(np.random.default_rng([5]), 120, 8),
+                        tol_tri=1e-9)
+        work = _Work(SdpInstance(m, 1.0, f_of_k(1, 1.2)))
+        g = _centered_start(m)[0]
+        _lp_polish(work, g)  # scipy's modules load outside the traced call
+        tracemalloc.start()
+        try:
+            delta = _lp_polish(work, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert delta is not None and delta.sum() > 0.0
+        assert peak < 4e6
+
     def test_distortion_feasibility_direction(self, claw_metric):
         # the claw's optimal l2 distortion is sqrt(4/3)
         verdict, g, bound = distortion_feasible(claw_metric, 1.0)
@@ -185,6 +240,18 @@ class TestIterationZeroCertificate:
         verdict, g, bound = distortion_feasible(claw_metric, 1.1)
         assert verdict == "infeasible" and g is None
         assert bound == pytest.approx(math.sqrt(4.0 / 3.0), abs=1e-12)
+        assert calls == []
+
+    def test_certificate_is_computed_once_per_start(self, monkeypatch, claw_metric):
+        # the bound does not depend on c: runs from one start factor nothing
+        # before they refuse c at iteration 0
+        start = _centered_start(claw_metric)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        for c in (1.0, 1.05, 1.1):
+            verdict, _, bound = outlier_sdp._feasible(claw_metric, c, *start)
+            assert verdict == "infeasible" and bound == start[1]
         assert calls == []
 
     def test_bound_at_most_upper_distortion_on_the_atlas(self, monkeypatch):
