@@ -54,7 +54,13 @@ from .errors import (
     SizeMismatch,
 )
 from .lp_geometry import PointSet, centered_gram, points_from_gram
-from .metric_core import MetricSpace, _submetric, distortion_stats, normalize_expanding
+from .metric_core import (
+    DistortionStats,
+    MetricSpace,
+    _submetric,
+    distortion_stats,
+    normalize_expanding,
+)
 
 EXPANDING_TOL = 1e-9
 BLOCK = 512  # Monte Carlo trials per batch: a batch's arrays hold BLOCK x (k + dims) numbers
@@ -607,8 +613,10 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
         transcript = _draw(m, gamma, tau, rng)
     _check_transcript(m, gamma, transcript)
 
+    # a cluster's embedding, and its stats when normalize_expanding measured it already
     if cluster_embedder is None:
-        def cluster_embedder(sub: MetricSpace, indices: tuple[int, ...], i: int) -> PointSet:
+        def embed(sub: MetricSpace, indices: tuple[int, ...], i: int
+                  ) -> tuple[PointSet, Optional[DistortionStats]]:
             seed = int(rng.integers(0, 2 ** 63 - 1))
             if p == 2.0:
                 try:  # one eigendecomposition is both the Schoenberg test and the factor
@@ -616,19 +624,22 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
                 except NotPSD:
                     pass
                 else:
-                    return normalize_expanding(sub, emb)[0] if sub.n >= 2 else emb
-            emb, _ = bourgain_embed(sub, BourgainParams(seed=seed, p=p))
-            return emb
+                    return normalize_expanding(sub, emb) if sub.n >= 2 else (emb, None)
+            return bourgain_embed(sub, BourgainParams(seed=seed, p=p))
+    else:
+        def embed(sub: MetricSpace, indices: tuple[int, ...], i: int
+                  ) -> tuple[PointSet, Optional[DistortionStats]]:
+            return cluster_embedder(sub, indices, i), None  # measured below
 
     s_row = {orig: row for row, orig in enumerate(s_sorted)}
     blocks = [(alpha_s.points, _prime_rows(m.n, s_sorted, s_row, gamma, transcript), 1.0)]
     for i, (center, members) in enumerate(transcript.clusters):
         subset = tuple(sorted(set(members) | {gamma[center]}))
         sub = _submetric(m, subset)
-        emb = cluster_embedder(sub, subset, i)
+        emb, stats = embed(sub, subset, i)
         if emb.n != sub.n:
             raise CallbackNotExpanding(f"cluster {i}: embedder returned {emb.n} rows for {sub.n} points")
-        if sub.n >= 2:
+        if sub.n >= 2 and stats is None:
             stats = distortion_stats(sub, emb)
             if stats.min_ratio < 1.0 - EXPANDING_TOL:
                 raise CallbackNotExpanding(

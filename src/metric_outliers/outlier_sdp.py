@@ -6,10 +6,11 @@ for every pair (x,y) with squared distance d2:
     (1 - dx - dy) * d2  <=  G_xx + G_yy - 2 G_xy  <=  (c^2 + (dx + dy) * f) * d2
 
 minimizing sum(delta). Nothing here iterates on (G, delta): for a fixed G
-the least delta is a small LP, so the k-search tries a short list of witness
-Gram matrices, polishes each by that LP and accepts the first whose delta
-meets the level and passes the residual check. Every accepted point is
-feasible and checked; its objective is an upper bound on the SDP value.
+the least delta is a fractional vertex cover, solved exactly as a max-weight
+assignment, so the k-search tries a short list of witness Gram matrices,
+polishes each by that cover and accepts the first whose delta meets the level
+and passes the residual check. Every accepted point is feasible and checked;
+its objective is an upper bound on the SDP value.
 
 The witnesses come from plain feasibility at a distortion c (no outlier
 weights): a primal-dual run whose verdicts come with checked witnesses, a
@@ -199,35 +200,56 @@ def _psd_project(g: np.ndarray) -> np.ndarray:
 
 
 def _lp_polish(work: _Work, g: np.ndarray) -> Optional[np.ndarray]:
-    """Minimal-weight delta for a fixed Gram matrix: a tiny LP over the pair
-    constraints delta_x + delta_y >= needed relaxation.
+    """Minimal-weight delta for a fixed Gram matrix: the _min_cover of the pair
+    needs, or None when no delta in [0, 1]^n meets them.
 
-    The LP is solved for f * delta (f >= 1, see f_of_k): HiGHS's tolerances
-    are absolute, and an error e in delta moves the upper constraint by
-    e * f * d^2. Its constraint matrix is held sparse, as HiGHS takes it:
-    each row has two nonzeros, so it needs O(pairs) memory, not O(pairs * n).
+    need_xy = max(1 - r/d^2, (r/d^2 - c^2) / f, 0) is the least delta_x + delta_y
+    that meets both constraints of the pair. A pair whose violation at
+    delta = 0 is at most EPS_FEAS needs nothing: the residual check accepts it
+    as it is.
     """
-    r = work.pair_r(g)
-    need = np.maximum(np.maximum(1.0 - r / work.d2, (r / work.d2 - work.c2) / work.f), 0.0)
-    mask = need > 0
-    n = work.n
-    if not mask.any():
+    ratio = work.pair_r(g) / work.d2
+    need = np.maximum(np.maximum(1.0 - ratio, (ratio - work.c2) / work.f), 0.0)
+    need[np.maximum(1.0 - ratio, ratio - work.c2) <= EPS_FEAS] = 0.0
+    return _min_cover(work.n, work.xs, work.ys, need)
+
+
+def _min_cover(n: int, xs: np.ndarray, ys: np.ndarray, need: np.ndarray
+               ) -> Optional[np.ndarray]:
+    """The least-sum delta in [0, 1]^n with delta_x + delta_y >= need on every
+    pair (xs, ys), a fractional vertex cover; None when some need is above 2.
+
+    Every such delta has delta_x >= l_x = max(0, max_y need_xy - 1). After the
+    shift delta = l + d', lowering any d'_x above 1 - l_x to it uncovers no pair,
+    so an optimum of the shifted LP without the upper bound meets it. That LP,
+    with edge weights W = max(need - l_x - l_y, 0) and W_xx = 0, is half the
+    dual of a max-weight assignment on W (Egervary): for any permutation s,
+    2 sum(d') >= sum_i W[i, s(i)], and equality holds at d' = (u + v) / 2 for a
+    dual (u, v) of an optimal s, u_i = W[i, s(i)] - v_s(i); u_x + v_x >= W_xx
+    keeps d' >= 0. The dual taken is the one with the least v >= 0, found by
+    max-plus sweeps; it is the same for every optimal assignment, so delta
+    depends on the needs only, not on the solver's choice or the labels.
+    """
+    if not need.any():
         return np.zeros(n)
-    rows = np.flatnonzero(mask)
-    f = work.f
-    # imported here: only this LP needs scipy, and `import metric_outliers.cli` loads none
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_array
-    cols = np.stack((work.xs[rows], work.ys[rows]), axis=1).ravel()
-    a_ub = csr_array((np.full(2 * len(rows), -1.0), cols, np.arange(0, 2 * len(rows) + 1, 2)),
-                     shape=(len(rows), n))
-    res = linprog(c=np.ones(n), A_ub=a_ub, b_ub=-f * need[rows], bounds=(0.0, f),
-                  method="highs")
-    if not res.success:
+    if need.max() > 2.0:
         return None
-    out = np.clip(res.x / f, 0.0, 1.0)
-    out[out == 0.0] = 0.0  # normalize any -0.0 from the LP
-    return out
+    w = np.zeros((n, n))
+    w[xs, ys] = w[ys, xs] = need
+    low = np.maximum(w.max(axis=1) - 1.0, 0.0)
+    w = np.maximum(w - low[:, None] - low[None, :], 0.0)
+    # imported here: `import metric_outliers.cli` loads no scipy
+    from scipy.optimize import linear_sum_assignment
+    sigma = linear_sum_assignment(w, maximize=True)[1]
+    matched = w[np.arange(n), sigma]
+    gain = w - matched[:, None]  # gain[i, j]: moving row i from column sigma(i) to j
+    v = np.zeros(n)
+    for _ in range(n + 1):  # an optimal sigma leaves no positive cycle to climb
+        nxt = np.maximum((v[sigma][:, None] + gain).max(axis=0), 0.0)
+        if np.array_equal(nxt, v):
+            break
+        v = nxt
+    return np.clip(low + (matched - v[sigma] + v) / 2.0, 0.0, 1.0)
 
 
 def _ratios(m: MetricSpace, g: np.ndarray) -> np.ndarray:
