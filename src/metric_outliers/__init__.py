@@ -50,7 +50,6 @@ from .oracle import (
 )
 from .outlier_sdp import (
     OutlierResult,
-    SdpInstance,
     SdpSolution,
     bicriteria_bound,
     f_of_k,

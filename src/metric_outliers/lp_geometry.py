@@ -118,6 +118,16 @@ def _center(d2: np.ndarray) -> np.ndarray:
     return (b + np.swapaxes(b, -1, -2)) / 2.0
 
 
+def squared_distances(m: "MetricSpace") -> np.ndarray:
+    """The matrix of d(x, y)^2, or a ValueError naming the first distance whose square overflows."""
+    with np.errstate(over="ignore"):
+        d2 = np.asarray(m.dist, dtype=float) ** 2
+    if np.isinf(d2).any():
+        x, y = np.argwhere(np.isinf(d2))[0]
+        raise ValueError(f"distance d({x}, {y}) is too large: its square overflows, got {m.dist[x, y]}")
+    return d2
+
+
 def centered_gram(m: "MetricSpace") -> np.ndarray:
     """Double-centered squared-distance matrix B = -1/2 * J * D^2 * J."""
     return _center(np.asarray(m.dist, dtype=float) ** 2)
@@ -145,7 +155,7 @@ def is_l2_isometric(m: "MetricSpace") -> bool:
     floating-point error, relative to the largest eigenvalue. The one-row
     case of schoenberg_test.
     """
-    return bool(schoenberg_test(np.asarray(m.dist, dtype=float)[None] ** 2)[0])
+    return bool(schoenberg_test(squared_distances(m)[None])[0])
 
 
 def points_from_gram(g: np.ndarray, tol_eig: float = SCHOENBERG_TOL) -> PointSet:

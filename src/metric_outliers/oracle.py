@@ -17,9 +17,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import BudgetExceeded, SolverFailure
-from .lp_geometry import centered_gram, is_l2_isometric, schoenberg_test
+from .lp_geometry import centered_gram, is_l2_isometric, schoenberg_test, squared_distances
 from .metric_core import Graph, MetricSpace, from_graph
-from .outlier_sdp import _centered_start, _feasible, _least_distortion
+from .outlier_sdp import _PairTable, _feasible, _least_distortion
 
 
 BLOCK = 256  # candidate sets per batch: each batch's temporaries stay within a few MB
@@ -137,7 +137,7 @@ def min_outlier_isometric_l2(m: MetricSpace, budget: OracleBudget = DEFAULT_BUDG
     if budget.max_subset_size is not None:
         limit = min(budget.max_subset_size, limit)
     deadline = budget.deadline()
-    d2 = np.asarray(m.dist, dtype=float) ** 2
+    d2 = squared_distances(m)
     cores = _cores(m, d2, deadline)
     for size in range(0, limit + 1):
         for block in _hitting_sets(m.n, size, cores, deadline):
@@ -163,13 +163,13 @@ def distortion_bracket(m: MetricSpace, tol: float = 1e-3) -> tuple[float, float]
     if m.n < 2 or is_l2_isometric(m):
         return 1.0, 1.0
     # hi is upper_distortion(m) and each run distortion_feasible(m, mid), all
-    # from one eigendecomposition of the centered Gram
-    start = _centered_start(m)
-    hi = _least_distortion(m, start[:1])
+    # from one pair table and its one eigendecomposition of the centered Gram
+    table = _PairTable(m)
+    hi = _least_distortion(table, [])
     lo = lower = 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        verdict, _, bound = _feasible(m, mid, *start)
+        verdict, _, bound = _feasible(table, mid)
         if verdict == "feasible":
             hi = min(hi, bound)
         elif verdict == "infeasible":

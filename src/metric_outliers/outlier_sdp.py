@@ -18,8 +18,9 @@ Gram matrix of distortion <= c or a Linial-London-Rabinovich certificate
 above c. A certificate can come at iteration 0, before any iteration runs,
 from the bottom eigenvector of the centered Gram B = -1/2 J D^2 J; the
 eigendecomposition of B that gives it also gives the run's starting Gram.
-That certificate does not depend on c, so the k-search and the distortion
-bisection compute it, and the starting Gram, once for all their runs.
+Neither depends on c, so each entry point builds one _PairTable for all its
+runs, witnesses and measurements; c^2 and f(k) are plain arguments. A given
+zeta's c0 scale is checked, like every parameter, before any feasibility run.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import Exhausted, GammaNotAboveOne
-from .lp_geometry import PointSet, centered_gram, points_from_gram
+from .lp_geometry import PointSet, centered_gram, points_from_gram, squared_distances
 from .metric_core import MetricSpace, distortion_stats, restrict
 from .nested_composition import harmonic_number
 
@@ -99,46 +100,42 @@ def _check_distortion(name: str, value: float) -> None:
 
 
 def _square(name: str, value: float, x: float) -> float:
-    """x ** 2, or a ValueError naming the parameter whose size makes it overflow."""
-    try:
-        square = x ** 2
-    except OverflowError:
-        square = math.inf
-    if square == math.inf:
+    """x * x, or a ValueError naming the parameter whose size makes it overflow."""
+    if x * x == math.inf:
         raise ValueError(f"{name} is too large: a square overflows, got {value}")
-    return square
+    return x * x
 
 
-def _check_scale(m: MetricSpace, name: str, c: float) -> None:
-    """The upper bound c^2 d^2 of every pair constraint must be a finite float."""
-    if m.n >= 2:
-        _square(name, c, c * float(m.dist.max()))
+def _check_scale(m: MetricSpace, name: str, value: float, c: float) -> None:
+    """`value` (named `name`) is a distortion >= 1, and c^2 d^2 is finite on every pair."""
+    _check_distortion(name, value)
+    _square(name, value, c * float(m.dist.max(initial=0.0)))
+
+
+def _c0(c: float, zeta: float, mode: str) -> float:
+    """The distortion bound of every witness k = 0 can accept (search_min_outliers)."""
+    return math.sqrt((c ** 2 + EPS * f_of_k(0, zeta, mode) + EPS_FEAS) / (1.0 - EPS - EPS_FEAS))
 
 
 # ---------------------------------------------------------------------------
-# instances and solutions
+# solutions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SdpInstance:
-    m: MetricSpace
-    c: float
-    f_k: float
-
-    def __post_init__(self):
-        _check_distortion("target distortion", self.c)
-        _check_scale(self.m, "target distortion", self.c)
-        if not 0.0 <= self.f_k < math.inf:
-            raise ValueError(f"f_k must be finite and >= 0, got {self.f_k}")
-
 
 @dataclass(frozen=True)
 class SdpSolution:
-    instance: SdpInstance
+    """A checked (G, delta) of the SDP on m at distortion c with f(k) = f_k."""
+    m: MetricSpace
+    c: float
+    f_k: float
     gram: np.ndarray
     delta: np.ndarray
     objective: float
     max_violation: float
+
+    def __post_init__(self):
+        _check_distortion("target distortion", self.c)
+        if not 0.0 <= self.f_k < math.inf:
+            raise ValueError(f"f_k must be finite and >= 0, got {self.f_k}")
 
 
 @dataclass(frozen=True)
@@ -155,18 +152,17 @@ class OutlierResult:
 # feasibility core
 # ---------------------------------------------------------------------------
 
-class _Work:
-    """Precomputed index arrays for one instance."""
+class _PairTable:
+    """The pairs x < y of one metric, their squared distances d2 (an overflowing
+    one is refused before any eigendecomposition) and the centered start of its
+    feasibility runs: the Gram `start` and its iteration-0 bound `start_bound`."""
 
-    def __init__(self, inst: SdpInstance):
-        n = inst.m.n
-        self.n = n
-        xs, ys = np.triu_indices(n, k=1)
-        self.xs, self.ys = xs, ys
-        self.d2 = inst.m.dist[xs, ys] ** 2
-        self.c2 = inst.c ** 2
-        self.f = inst.f_k
-        self.ends = np.concatenate((xs, ys))
+    def __init__(self, m: MetricSpace):
+        self.m, self.n = m, m.n
+        self.xs, self.ys = np.triu_indices(m.n, k=1)
+        self.d2 = squared_distances(m)[self.xs, self.ys]
+        self.ends = np.concatenate((self.xs, self.ys))
+        self.start, self.start_bound = _centered_start(self)
 
     def laplacian(self, w: np.ndarray) -> np.ndarray:
         """sum over pairs of w (e_x - e_y)(e_x - e_y)^T."""
@@ -178,12 +174,12 @@ class _Work:
         diag = np.diag(g)
         return diag[self.xs] + diag[self.ys] - 2.0 * g[self.xs, self.ys]
 
-    def residual(self, g: np.ndarray, delta: np.ndarray) -> float:
-        """Largest pair-constraint violation relative to d^2 (0 when none)."""
+    def residual(self, g: np.ndarray, delta: np.ndarray, c2: float, f: float) -> float:
+        """Largest pair-constraint violation relative to d^2 (0 when none), c^2 = c2."""
         r = self.pair_r(g)
         sdel = delta[self.xs] + delta[self.ys]
         low_gap = (1.0 - sdel) * self.d2 - r
-        up_gap = r - (self.c2 + sdel * self.f) * self.d2
+        up_gap = r - (c2 + sdel * f) * self.d2
         rel = np.maximum(low_gap, up_gap) / self.d2
         return float(max(rel.max(initial=0.0), 0.0))
 
@@ -199,19 +195,19 @@ def _psd_project(g: np.ndarray) -> np.ndarray:
     return _clamp(g)[0]
 
 
-def _lp_polish(work: _Work, g: np.ndarray) -> Optional[np.ndarray]:
-    """Minimal-weight delta for a fixed Gram matrix: the _min_cover of the pair
-    needs, or None when no delta in [0, 1]^n meets them.
+def _lp_polish(table: _PairTable, g: np.ndarray, c2: float, f: float) -> Optional[np.ndarray]:
+    """Minimal-weight delta for a fixed Gram matrix at c^2 = c2: the _min_cover
+    of the pair needs, or None when no delta in [0, 1]^n meets them.
 
     need_xy = max(1 - r/d^2, (r/d^2 - c^2) / f, 0) is the least delta_x + delta_y
     that meets both constraints of the pair. A pair whose violation at
     delta = 0 is at most EPS_FEAS needs nothing: the residual check accepts it
     as it is.
     """
-    ratio = work.pair_r(g) / work.d2
-    need = np.maximum(np.maximum(1.0 - ratio, (ratio - work.c2) / work.f), 0.0)
-    need[np.maximum(1.0 - ratio, ratio - work.c2) <= EPS_FEAS] = 0.0
-    return _min_cover(work.n, work.xs, work.ys, need)
+    ratio = table.pair_r(g) / table.d2
+    need = np.maximum(np.maximum(1.0 - ratio, (ratio - c2) / f), 0.0)
+    need[np.maximum(1.0 - ratio, ratio - c2) <= EPS_FEAS] = 0.0
+    return _min_cover(table.n, table.xs, table.ys, need)
 
 
 def _min_cover(n: int, xs: np.ndarray, ys: np.ndarray, need: np.ndarray
@@ -252,20 +248,13 @@ def _min_cover(n: int, xs: np.ndarray, ys: np.ndarray, need: np.ndarray
     return np.clip(low + (matched - v[sigma] + v) / 2.0, 0.0, 1.0)
 
 
-def _ratios(m: MetricSpace, g: np.ndarray) -> np.ndarray:
-    """r(G) / d^2 over the pairs x < y, r(G) = G_xx + G_yy - 2 G_xy."""
-    xs, ys = np.triu_indices(m.n, k=1)
-    diag = np.diag(g)
-    return (diag[xs] + diag[ys] - 2.0 * g[xs, ys]) / m.dist[xs, ys] ** 2
-
-
 def _distortion(ratio: np.ndarray) -> float:
     """Distortion sqrt(max / min) of the embedding with pair ratios r / d^2."""
     rmin = ratio.min()
     return math.sqrt(ratio.max() / rmin) if rmin > 0.0 else math.inf
 
 
-def _centered_start(m: MetricSpace) -> tuple[np.ndarray, Optional[float]]:
+def _centered_start(table: _PairTable) -> tuple[np.ndarray, Optional[float]]:
     """The PSD-clamped centered Gram, rescaled so no pair contracts, and the
     iteration-0 LLR bound of distortion_feasible: that of the weights
     w_xy = -v_x v_y from the bottom eigenvector v of the centered Gram B the
@@ -276,52 +265,51 @@ def _centered_start(m: MetricSpace) -> tuple[np.ndarray, Optional[float]]:
     Starting expanding puts any violations on the upper constraints, which
     the delta weights can absorb.
     """
-    if m.n < 2:
-        return np.zeros((m.n, m.n)), None
-    b, vals, vecs = _clamp(centered_gram(m))
-    rmin = float(_ratios(m, b).min(initial=1.0))
+    if table.n < 2:
+        return np.zeros((table.n, table.n)), None
+    b, vals, vecs = _clamp(centered_gram(table.m))
+    rmin = float((table.pair_r(b) / table.d2).min(initial=1.0))
     # at rmin <= 1e-6 clamping collapsed a pair, which scaling cannot fix
     gram = b / rmin if 1e-6 < rmin < 1.0 else b
     if vals[0] >= 0.0:
         return gram, None
-    work = _Work(SdpInstance(m, 1.0, 0.0))
     bottom = vecs[:, 0]
-    return gram, _llr_bound(work, -bottom[work.xs] * bottom[work.ys])
+    return gram, _llr_bound(table, -bottom[table.xs] * bottom[table.ys])
 
 
 def upper_distortion(m: MetricSpace, grams: Sequence[np.ndarray] = ()) -> float:
     """The least measured l2 distortion of the embeddings in hand: `grams`, the
     rescaled centered Gram and the distance rows x -> d(x, .) (at most sqrt(n/2)).
     Nothing is drawn at random; relabeling moves the value only by rounding."""
-    return _least_distortion(m, (*grams, _centered_start(m)[0]))
+    return _least_distortion(_PairTable(m), grams)
 
 
-def _least_distortion(m: MetricSpace, grams: Sequence[np.ndarray]) -> float:
-    """The least distortion of `grams` and the distance rows."""
-    if m.n < 2:
+def _least_distortion(table: _PairTable, grams: Sequence[np.ndarray]) -> float:
+    """The least distortion of `grams`, the table's start and the distance rows."""
+    if table.n < 2:
         return 1.0
-    rows = m.dist @ m.dist  # the Gram matrix of the distance rows
-    return min(_distortion(_ratios(m, g)) for g in (*grams, rows))
+    rows = table.m.dist @ table.m.dist  # the Gram matrix of the distance rows
+    return min(_distortion(table.pair_r(g) / table.d2) for g in (*grams, table.start, rows))
 
 
-def _first_witness(inst: SdpInstance, level: float,
+def _first_witness(table: _PairTable, c: float, f_k: float, level: float,
                    grams: Sequence[np.ndarray]) -> Optional[SdpSolution]:
-    """The first Gram matrix in `grams` whose LP-polished delta sums to at
-    most `level` and meets every pair constraint within EPS_FEAS, with that
-    delta; None when no Gram in the list does."""
-    work = _Work(inst)
+    """The first Gram matrix in `grams` whose LP-polished delta at distortion c
+    and f(k) = f_k sums to at most `level` and meets every pair constraint
+    within EPS_FEAS, with that delta; None when no Gram in the list does."""
+    c2 = c ** 2
     for g in grams:
-        delta = _lp_polish(work, g)
+        delta = _lp_polish(table, g, c2, f_k)
         if delta is None or delta.sum() > level:
             continue
-        res = work.residual(g, delta)
+        res = table.residual(g, delta, c2, f_k)
         if res <= EPS_FEAS:
-            return SdpSolution(instance=inst, gram=g, delta=delta,
+            return SdpSolution(m=table.m, c=c, f_k=f_k, gram=g, delta=delta,
                                objective=float(delta.sum()), max_violation=res)
     return None
 
 
-def _llr_bound(work: _Work, w: np.ndarray) -> float:
+def _llr_bound(table: _PairTable, w: np.ndarray) -> float:
     """Lower bound on the l2 distortion from pair weights w (Linial, London &
     Rabinovich 1995); 1.0 when w is all zero.
 
@@ -338,15 +326,15 @@ def _llr_bound(work: _Work, w: np.ndarray) -> float:
     if scale == 0.0:
         return 1.0
     w = w / scale
-    lap = work.laplacian(w)
+    lap = table.laplacian(w)
     # lifting the eigenvalue 0 of 1 by any alpha leaves lam_min <= the smallest
     # eigenvalue on 1-perp, all soundness needs; alpha >= trace / (n - 1) >= that
     # eigenvalue makes lam_min equal to it
     alpha = abs(float(np.trace(lap))) + 1.0
-    lam_min = np.linalg.eigh(lap + alpha / work.n)[0][0]
-    w = w - lam_min / work.n
-    pos = float(w[w > 0.0] @ work.d2[w > 0.0])
-    neg = float(-w[w < 0.0] @ work.d2[w < 0.0])
+    lam_min = np.linalg.eigh(lap + alpha / table.n)[0][0]
+    w = w - lam_min / table.n
+    pos = float(w[w > 0.0] @ table.d2[w > 0.0])
+    neg = float(-w[w < 0.0] @ table.d2[w < 0.0])
     return math.sqrt(neg / pos) if pos > 0.0 else 1.0
 
 
@@ -372,35 +360,36 @@ def distortion_feasible(m: MetricSpace, c: float
     Laplacian v v^T (v is orthogonal to 1), which is PSD, and sum w d^2 =
     v^T B v < 0, so they bound the distortion above 1 with no iteration run.
     """
-    return _feasible(m, c, *_centered_start(m))
+    table = _PairTable(m)  # an overflowing distance is named before c
+    _check_scale(m, "target distortion", c, c)
+    return _feasible(table, c)
 
 
-def _feasible(m: MetricSpace, c: float, g: np.ndarray, start_bound: Optional[float]
-              ) -> tuple[str, Optional[np.ndarray], Optional[float]]:
-    """distortion_feasible from the start (g, start_bound) of _centered_start(m)."""
-    n = m.n
+def _feasible(table: _PairTable, c: float) -> tuple[str, Optional[np.ndarray], Optional[float]]:
+    """distortion_feasible on the table's metric and start, with c unchecked."""
+    n = table.n
     if n < 2:
         return "feasible", np.zeros((n, n)), 1.0
-    work = _Work(SdpInstance(m, c, 0.0))
-    lo, hi = work.d2 / 2.0, work.c2 * work.d2 / 2.0
+    lo, hi = table.d2 / 2.0, c ** 2 * table.d2 / 2.0
     step = 0.99 / math.sqrt(n / 2.0)
-    r = r_bar = work.pair_r(g)  # r(G), and r of the extrapolated 2 G_next - G
+    g = table.start
+    r = r_bar = table.pair_r(g)  # r(G), and r of the extrapolated 2 G_next - G
     u = np.zeros_like(r)
     for it in range(FEAS_ITERS + 1):
         if it > 0:
             v = u + step * r_bar / 2.0
             u = v - step * np.clip(v / step, lo, hi)
-            g = _psd_project(g - step * work.laplacian(u / 2.0))
-            r_next = work.pair_r(g)
+            g = _psd_project(g - step * table.laplacian(u / 2.0))
+            r_next = table.pair_r(g)
             r, r_bar = r_next, 2.0 * r_next - r
-        ratio = r / work.d2
+        ratio = r / table.d2
         dist = _distortion(ratio)
         if dist <= c:
             return "feasible", g / ratio.min(), dist
-        if it == 0 and start_bound is not None:
-            bound = start_bound
+        if it == 0 and table.start_bound is not None:
+            bound = table.start_bound
         elif it > 0 and it % 50 == 0:
-            bound = _llr_bound(work, u / 2.0)
+            bound = _llr_bound(table, u / 2.0)
         else:
             continue
         if bound > c:
@@ -413,7 +402,7 @@ def _feasible(m: MetricSpace, c: float, g: np.ndarray, start_bound: Optional[flo
 # ---------------------------------------------------------------------------
 
 def round_solution(sol: SdpSolution, gamma: float) -> OutlierResult:
-    """Round a solution in one pass, with c and f_k from sol.instance.
+    """Round a solution in one pass, with m, c and f_k from sol.
 
     Points with delta >= Delta = c^2 (gamma^2 - 1) / (2 f_k + 2 c^2 gamma^2)
     are cut. The cut points are then retried in increasing (delta, index)
@@ -428,7 +417,7 @@ def round_solution(sol: SdpSolution, gamma: float) -> OutlierResult:
     _cap(sum(delta), c, gamma, f_k).
     """
     _check_gamma(gamma)
-    m, c, f_k = sol.instance.m, sol.instance.c, sol.instance.f_k
+    m, c, f_k = sol.m, sol.c, sol.f_k
     delta_cut = c ** 2 * (gamma ** 2 - 1.0) / (2.0 * f_k + 2.0 * c ** 2 * gamma ** 2)
     scale = 1.0 / math.sqrt(1.0 - 2.0 * delta_cut)
     cut = sol.delta >= delta_cut
@@ -489,32 +478,33 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
     without trying the witnesses at k = 0.
     metadata["k0"] is the c0 run's verdict: "feasible", "infeasible"
     (certified) or "undecided". zeta defaults to upper_distortion over the
-    gamma*c witness.
+    gamma*c witness. Parameters, (gamma c d)^2 and, for a given zeta, (c0 d)^2
+    on the largest d are checked before any feasibility run; c0 from a computed
+    zeta, before the c0 run.
     """
     _check_gamma(gamma)
     _check_distortion("target distortion", c)
-    _check_scale(m, "gamma * c", gamma * c)
-    _g(0, mode)  # a bad mode or supplied zeta is refused before any feasibility run
-    if zeta is not None:
-        _check_distortion("zeta", zeta)
-    # one eigendecomposition of B serves both runs, zeta and the witness list
-    start = _centered_start(m)
-    high = _feasible(m, gamma * c, *start)
+    _g(0, mode)  # a bad mode is refused before any feasibility run
+    # one table, with one eigendecomposition of B, serves every run, zeta and witness
+    table = _PairTable(m)  # an overflowing distance is named before the scales
+    _check_scale(m, "gamma * c", gamma * c, gamma * c)
+    if zeta is not None:  # a given zeta is refused before any feasibility run
+        _check_scale(m, "zeta", zeta, _c0(c, zeta, mode))
+    high = _feasible(table, gamma * c)
     if zeta is None:
         witnesses = [high[1]] if high[0] == "feasible" else []
-        zeta = _least_distortion(m, witnesses + [start[0]])
-    f0 = f_of_k(0, zeta, mode)
-    c0 = math.sqrt((c ** 2 + EPS * f0 + EPS_FEAS) / (1.0 - EPS - EPS_FEAS))
-    runs = [_feasible(m, c0, *start), high]
+        zeta = _least_distortion(table, witnesses)
+    c0 = _c0(c, zeta, mode)
+    _check_scale(m, "c0", c0, c0)  # only a computed zeta can fail here
+    runs = [_feasible(table, c0), high]
     # the first witness, not the least delta sum: reclaim can only keep points
     # the accepted Gram embeds within [d, gamma*c*d], and the feasibility
     # witnesses embed the most (least-sum left planted-n128 of the benchmark
     # corpus with K = [126])
     grams = [g for verdict, g, _ in runs if verdict == "feasible"]
-    grams += [start[0], np.zeros((m.n, m.n))]
+    grams += [table.start, np.zeros((m.n, m.n))]
     for k in range(1 if runs[0][0] == "infeasible" else 0, m.n + 1):
-        f_k = f_of_k(k, zeta, mode)
-        sol = _first_witness(SdpInstance(m, c, f_k), k + EPS, grams)
+        sol = _first_witness(table, c, f_of_k(k, zeta, mode), k + EPS, grams)
         if sol is not None:
             result = round_solution(sol, gamma)
             result.metadata.update({

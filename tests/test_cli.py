@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metric_outliers import BourgainParams, Graph, bourgain_embed, from_graph, outlier_sdp
+from metric_outliers import (BourgainParams, Graph, bourgain_embed, from_graph, from_matrix,
+                             outlier_sdp)
 from metric_outliers.cli import BOUND_MAX_K, dispatch
 from metric_outliers.lp_geometry import write_embedding
 from metric_outliers.metric_core import write_graph_text, write_metric_text
@@ -344,22 +345,29 @@ def test_invalid_argument_exits_1(capsys, claw_file):
     assert "got 0.5" in payload["message"]  # the --c given, not gamma * c
 
 
-@pytest.mark.parametrize("flags,given", [
-    (["--c", "nan"], "nan"), (["--c", "inf"], "inf"),
-    (["--gamma", "nan"], "nan"), (["--gamma", "inf"], "inf"),
-    (["--zeta", "nan"], "nan"), (["--zeta", "inf"], "inf"), (["--zeta", "0"], "0"),
-    (["--mode", "strong", "--zeta", "0"], "0"),
-    (["--mode", "strong", "--zeta", "nan"], "nan"),
-    (["--mode", "strong", "--zeta", "1e200"], "1e+200"),
+@pytest.mark.parametrize("flags,given,scale", [
+    (["--c", "nan"], "nan", 1.0), (["--c", "inf"], "inf", 1.0),
+    (["--gamma", "nan"], "nan", 1.0), (["--gamma", "inf"], "inf", 1.0),
+    (["--zeta", "nan"], "nan", 1.0), (["--zeta", "inf"], "inf", 1.0),
+    (["--zeta", "0"], "0", 1.0),
+    (["--mode", "strong", "--zeta", "0"], "0", 1.0),
+    (["--mode", "strong", "--zeta", "nan"], "nan", 1.0),
+    (["--mode", "strong", "--zeta", "1e200"], "1e+200", 1.0),
+    # zeta^2 is finite, but c0 ~ 2.2e148 makes (c0 d)^2 overflow at d = 2e10
+    (["--zeta", "1e150"], "1e+150", 1e10),
 ], ids=["c-nan", "c-inf", "gamma-nan", "gamma-inf", "zeta-nan", "zeta-inf", "zeta-0",
-        "strong-zeta-0", "strong-zeta-nan", "strong-zeta-1e200"])
-def test_bad_search_parameter_is_named(capsys, monkeypatch, claw_file, flags, given):
-    # each parameter is refused before the first feasibility run starts
+        "strong-zeta-0", "strong-zeta-nan", "strong-zeta-1e200", "zeta-1e150-c0-scale"])
+def test_bad_search_parameter_is_named(capsys, monkeypatch, tmp_path, claw_metric, flags, given,
+                                       scale):
+    # each parameter is refused before the first feasibility run starts, on
+    # the claw with its distances multiplied by scale
     def feasibility_run(*args):
         raise AssertionError("a feasibility run started")
 
     monkeypatch.setattr(outlier_sdp, "_feasible", feasibility_run)
-    payload = error_of(capsys, ["outliers", "solve", "--metric", claw_file,
+    path = str(tmp_path / "claw.txt")
+    write_metric_text(path, from_matrix(claw_metric.dist * scale))
+    payload = error_of(capsys, ["outliers", "solve", "--metric", path,
                                 "--c", "1.0", "--gamma", "1.5"] + flags)
     message = payload["message"]
     assert f"got {given}" in message
@@ -377,17 +385,27 @@ def test_huge_search_parameter_is_named(capsys, claw_file, flag):
     assert "got 1e+200" in payload["message"]
 
 
-def test_overflowing_distance_bound_is_the_only_stderr(capsys, claw_file):
-    # c^2 is finite, but (gamma c)^2 d^2 on the claw's distance-2 pairs is not;
-    # no feasibility run may start and warn before the error is reported
+@pytest.mark.parametrize("argv,scale,message", [
+    # c^2 is finite, but (gamma c)^2 d^2 on the claw's distance-2 pairs is not
+    (["outliers", "solve", "--c", "1e154", "--gamma", "1.5"], 1.0,
+     "gamma * c is too large: a square overflows, got 1.5e+154"),
+    # at 1e160 the claw's distances are finite, but their squares are not
+    (["oracle", "distortion"], 1e160,
+     "distance d(0, 1) is too large: its square overflows, got 1e+160"),
+    (["oracle", "outliers"], 1e160,
+     "distance d(0, 1) is too large: its square overflows, got 1e+160"),
+], ids=["outliers-solve", "oracle-distortion", "oracle-outliers"])
+def test_overflowing_distance_bound_is_the_only_stderr(capsys, tmp_path, claw_metric, argv, scale,
+                                                       message):
+    # nothing may start and warn before the error is reported
+    path = str(tmp_path / "claw.txt")
+    write_metric_text(path, from_matrix(claw_metric.dist * scale))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run(capsys, ["outliers", "solve", "--metric", claw_file,
-                                      "--c", "1e154", "--gamma", "1.5"])
+        code, out, err = run(capsys, argv + ["--metric", path])
     assert [str(w.message) for w in caught] == []
     assert code == 1 and out == ""
-    assert err == json.dumps({"error": "InvalidArgument",
-                              "message": "gamma * c is too large: a square overflows, got 1.5e+154"},
+    assert err == json.dumps({"error": "InvalidArgument", "message": message},
                              sort_keys=True) + "\n"
 
 

@@ -18,7 +18,7 @@ from metric_outliers import (
     points_from_gram,
     restrict,
 )
-from metric_outliers import oracle
+from metric_outliers import oracle, outlier_sdp
 from metric_outliers.errors import BudgetExceeded
 from metric_outliers.hardness_gadgets import l1_gadget, lp_gadget
 from metric_outliers.oracle import OracleBudget
@@ -173,10 +173,10 @@ class TestDistortionBracket:
     def test_witnesses_bracket_known_c2(self, monkeypatch, graph, c2):
         m = from_graph(graph)
         accepted, certified = [], []
-        original = oracle._feasible  # distortion_feasible from a shared start
+        original = oracle._feasible  # distortion_feasible from a shared pair table
 
-        def recording(m_, c, *start):
-            verdict, g, bound = original(m_, c, *start)
+        def recording(table, c):
+            verdict, g, bound = original(table, c)
             if verdict == "feasible":
                 accepted.append(g)
             elif verdict == "infeasible":
@@ -208,11 +208,13 @@ class TestDistortionBracket:
                 lo = max(lo, lower)
             else:
                 lo = mid
-        starts = []
-        original = oracle._centered_start
-        monkeypatch.setattr(oracle, "_centered_start", lambda m_: starts.append(1) or original(m_))
+        # the bracket builds one pair table, and with it one centered start
+        tables = []
+        init = outlier_sdp._PairTable.__init__
+        monkeypatch.setattr(outlier_sdp._PairTable, "__init__",
+                            lambda table, m_: tables.append(1) or init(table, m_))
         assert distortion_bracket(m, tol=1e-3) == (lower, hi)
-        assert len(starts) == 1
+        assert len(tables) == 1
 
 
 class TestHypercube:

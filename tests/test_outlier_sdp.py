@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from metric_outliers import (
     f_of_k,
     from_graph,
     from_matrix,
+    min_outlier_isometric_l2,
     restrict,
     search_min_outliers,
     verify_outlier_embedding,
@@ -35,16 +38,13 @@ from metric_outliers import outlier_sdp
 from metric_outliers.outlier_sdp import (
     EPS,
     EPS_FEAS,
-    SdpInstance,
     SdpSolution,
-    _Work,
+    _PairTable,
     _distortion,
-    _centered_start,
     _first_witness,
     _llr_bound,
     _lp_polish,
     _min_cover,
-    _ratios,
     distortion_feasible,
     round_solution,
     upper_distortion,
@@ -100,11 +100,25 @@ class TestFOfK:
             f_of_k(1, zeta, "strong_subset")
 
 
+def solution(m, c, f_k):
+    """An SdpSolution on m at c and f_k with G = 0 and delta = 0."""
+    return SdpSolution(m=m, c=c, f_k=f_k, gram=np.zeros((m.n, m.n)), delta=np.zeros(m.n),
+                       objective=0.0, max_violation=0.0)
+
+
 class TestInstance:
+    """The SDP instance (m, c, f_k) that an SdpSolution carries."""
+
     @pytest.mark.parametrize("f_k", [-1.0, math.inf, math.nan])
     def test_rejects_bad_f_k(self, line_metric, f_k):
+        # round_solution is public, so a solution built by hand is checked too
         with pytest.raises(ValueError, match=f"got {f_k}"):
-            SdpInstance(line_metric, 1.0, f_k)
+            solution(line_metric, 1.0, f_k)
+
+    @pytest.mark.parametrize("c", [0.5, math.inf, math.nan, 1e200])
+    def test_rejects_bad_c(self, line_metric, c):
+        with pytest.raises(ValueError, match=f"target distortion .*got {re.escape(str(c))}$"):
+            solution(line_metric, c, 1.0)
 
     def test_constraint_reduction_under_delta(self, line_metric):
         # delta = 0 pinches to d^2 <= R <= c^2 d^2; delta_y = 1 voids the
@@ -155,7 +169,8 @@ def pair_needs(draw):
 
 def line_witness(line_metric):
     """The line's own Gram matrix at level 0: every delta is 0."""
-    sol = _first_witness(SdpInstance(line_metric, 1.0, 4.0), 0.0, [_centered_start(line_metric)[0]])
+    table = _PairTable(line_metric)
+    sol = _first_witness(table, 1.0, 4.0, 0.0, [table.start])
     assert sol is not None and sol.objective == 0.0
     return sol
 
@@ -166,11 +181,10 @@ class TestSolve:
         # as c or f grows
         rng = np.random.default_rng(5)
         for _ in range(3):
-            m = integer_metric(rng, 6)
-            g = _centered_start(m)[0]
+            table = _PairTable(integer_metric(rng, 6))
 
             def polished(c, f):
-                return _lp_polish(_Work(SdpInstance(m, c, f)), g).sum()
+                return _lp_polish(table, table.start, c ** 2, f).sum()
             obj = [polished(c, 8.0) for c in (1.0, 1.3, 1.8)]
             objf = [polished(1.0, f) for f in (4.0, 16.0, 64.0)]
             for seq in (obj, objf):
@@ -183,10 +197,10 @@ class TestSolve:
         verdict, g, _ = distortion_feasible(m, 1.5)
         assert verdict == "feasible"
         _, stats = bourgain_embed(m, BourgainParams(seed=0, p=2.0))
-        work = _Work(SdpInstance(m, 1.0, f_of_k(1, max(stats.distortion, 1.0))))
-        delta = _lp_polish(work, g)
+        table, f = _PairTable(m), f_of_k(1, max(stats.distortion, 1.0))
+        delta = _lp_polish(table, g, 1.0, f)
         assert delta is not None
-        assert work.residual(g, delta) <= EPS_FEAS
+        assert table.residual(g, delta, 1.0, f) <= EPS_FEAS
 
     def test_lp_polish_matches_highs_on_the_corpus(self, monkeypatch):
         # every polish of the 60 corpus solves (weak and strong, gamma 1.5 and
@@ -195,9 +209,9 @@ class TestSolve:
         calls = []
         polish = outlier_sdp._lp_polish
 
-        def recorded(work, g):
-            calls.append((work, g, polish(work, g)))
-            return calls[-1][2]
+        def recorded(table, g, c2, f):
+            calls.append((table, g, c2, f, polish(table, g, c2, f)))
+            return calls[-1][-1]
 
         monkeypatch.setattr(outlier_sdp, "_lp_polish", recorded)
         for _, m in benchmark_corpus():
@@ -205,13 +219,13 @@ class TestSolve:
                 for gamma in (1.5, 1.1):
                     search_min_outliers(m, 1.0, gamma, mode=mode)
         assert len(calls) >= 60
-        for work, g, delta in calls:
-            ratio = work.pair_r(g) / work.d2
-            need = np.maximum(np.maximum(1.0 - ratio, (ratio - work.c2) / work.f), 0.0)
-            ref = highs_cover(work.n, work.xs, work.ys, need, work.f)
+        for table, g, c2, f, delta in calls:
+            ratio = table.pair_r(g) / table.d2
+            need = np.maximum(np.maximum(1.0 - ratio, (ratio - c2) / f), 0.0)
+            ref = highs_cover(table.n, table.xs, table.ys, need, f)
             assert delta is not None and ref is not None
             assert delta.sum() == pytest.approx(ref.sum(), rel=1e-12, abs=0.0)
-            assert work.residual(g, delta) <= EPS_FEAS
+            assert table.residual(g, delta, c2, f) <= EPS_FEAS
 
     @given(pair_needs())
     @settings(max_examples=300, deadline=None)
@@ -231,12 +245,11 @@ class TestSolve:
         # dense 8127 x 128 pair constraint matrix alone would take 8.3 MB
         m = from_matrix(workloads.planted_metric(np.random.default_rng([5]), 120, 8),
                         tol_tri=1e-9)
-        work = _Work(SdpInstance(m, 1.0, f_of_k(1, 1.2)))
-        g = _centered_start(m)[0]
-        _lp_polish(work, g)  # scipy's modules load outside the traced call
+        table, f = _PairTable(m), f_of_k(1, 1.2)
+        _lp_polish(table, table.start, 1.0, f)  # scipy's modules load outside the traced call
         tracemalloc.start()
         try:
-            delta = _lp_polish(work, g)
+            delta = _lp_polish(table, table.start, 1.0, f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -256,6 +269,50 @@ class TestSolve:
 
 class _Iterated(Exception):
     pass
+
+
+class TestPairTable:
+    """Each entry point builds one pair table for all its runs, witnesses and
+    measurements."""
+
+    @pytest.mark.parametrize("label", ["claw", "planted-n19"])
+    def test_one_table_per_entry_point_call(self, monkeypatch, claw_metric, label):
+        m = claw_metric if label == "claw" else dict(benchmark_corpus())[label]
+        built = []
+        init = _PairTable.__init__
+        monkeypatch.setattr(_PairTable, "__init__",
+                            lambda table, m_: built.append(1) or init(table, m_))
+        calls = {
+            "search_min_outliers": lambda: search_min_outliers(m, 1.0, 1.5),
+            "search_min_outliers strong": lambda: search_min_outliers(
+                m, 1.0, 1.1, mode="strong_subset"),
+            "distortion_feasible": lambda: distortion_feasible(m, 1.2),
+            "upper_distortion": lambda: upper_distortion(m),
+            "distortion_bracket": lambda: distortion_bracket(m),
+        }
+        for name, call in calls.items():
+            built.clear()
+            call()
+            assert len(built) == 1, name
+
+    def test_overflowing_distance_is_refused_before_any_eigendecomposition(
+            self, monkeypatch, claw_metric):
+        # d = 2e160 passes metric validation, but d^2 overflows a float
+        m = from_matrix(claw_metric.dist * 1e160)
+
+        def factored(*args, **kwargs):
+            raise AssertionError("an eigendecomposition started")
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, factored)
+        message = re.escape("distance d(0, 1) is too large: its square overflows, got 1e+160")
+        calls = (lambda: distortion_feasible(m, 1.5), lambda: upper_distortion(m),
+                 lambda: distortion_bracket(m), lambda: min_outlier_isometric_l2(m))
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=message):
+                    call()
 
 
 class TestIterationZeroCertificate:
@@ -280,13 +337,13 @@ class TestIterationZeroCertificate:
     def test_certificate_is_computed_once_per_start(self, monkeypatch, claw_metric):
         # the bound does not depend on c: runs from one start factor nothing
         # before they refuse c at iteration 0
-        start = _centered_start(claw_metric)
+        table = _PairTable(claw_metric)
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
         for c in (1.0, 1.05, 1.1):
-            verdict, _, bound = outlier_sdp._feasible(claw_metric, c, *start)
-            assert verdict == "infeasible" and bound == start[1]
+            verdict, _, bound = outlier_sdp._feasible(table, c)
+            assert verdict == "infeasible" and bound == table.start_bound
         assert calls == []
 
     def test_bound_at_most_upper_distortion_on_the_atlas(self, monkeypatch):
@@ -315,12 +372,12 @@ class TestLlrBound:
     def test_scale_invariant(self):
         rng = np.random.default_rng(8)
         m = integer_metric(rng, 7)
-        work = _Work(SdpInstance(m, 1.0, 0.0))
-        w = rng.normal(size=len(work.d2))
-        bound = _llr_bound(work, w)
+        table = _PairTable(m)
+        w = rng.normal(size=len(table.d2))
+        bound = _llr_bound(table, w)
         for scale in (1e-14, 1e-3, 1e6):
-            assert _llr_bound(work, scale * w) == pytest.approx(bound, rel=1e-12, abs=0.0)
-        assert _llr_bound(work, np.zeros_like(w)) == 1.0
+            assert _llr_bound(table, scale * w) == pytest.approx(bound, rel=1e-12, abs=0.0)
+        assert _llr_bound(table, np.zeros_like(w)) == 1.0
 
     @pytest.mark.parametrize("seed", [36, 22])
     def test_isometric_metric_is_not_refused(self, seed):
@@ -357,8 +414,7 @@ class TestRounding:
         delta = np.array([0.0, 0.0, 0.0, 1.0])
         zeta = max(stats.distortion, 1.0)
         f_k = f_of_k(1, zeta)
-        inst = SdpInstance(claw_metric, 1.0, f_k)
-        sol = SdpSolution(instance=inst, gram=gram, delta=delta,
+        sol = SdpSolution(m=claw_metric, c=1.0, f_k=f_k, gram=gram, delta=delta,
                           objective=1.0, max_violation=0.0)
         res = round_solution(sol, gamma=1.5)
         assert res.outliers == (3,)
@@ -378,9 +434,8 @@ class TestRounding:
     def test_outlier_count_versus_markov(self, claw_metric):
         _, stats = bourgain_embed(claw_metric, BourgainParams(seed=0, p=2.0))
         f_k = f_of_k(1, max(stats.distortion, 1.0))
-        n = claw_metric.n
-        sol = _first_witness(SdpInstance(claw_metric, 1.0, f_k), 1.0,
-                             [_centered_start(claw_metric)[0], np.zeros((n, n))])
+        table, n = _PairTable(claw_metric), claw_metric.n
+        sol = _first_witness(table, 1.0, f_k, 1.0, [table.start, np.zeros((n, n))])
         res = round_solution(sol, gamma=1.25)
         assert len(res.outliers) <= sol.objective / res.metadata["delta_cut"] + 1e-9
 
@@ -527,9 +582,9 @@ class TestK0Skip:
         polished_f = []
         polish = outlier_sdp._lp_polish
 
-        def counted(work, g):
-            polished_f.append(work.f)
-            return polish(work, g)
+        def counted(table, g, c2, f):
+            polished_f.append(f)
+            return polish(table, g, c2, f)
 
         monkeypatch.setattr(outlier_sdp, "_lp_polish", counted)
         cases = benchmark_instances() + [("claw", claw_metric, gamma) for gamma in (1.5, 1.1)]
@@ -543,9 +598,10 @@ class TestK0Skip:
             zeta = res.metadata["zeta"]
             assert polished_f and min(polished_f) >= f_of_k(1, zeta), (label, gamma)
             verdict, high, _ = distortion_feasible(m, gamma)
+            table = _PairTable(m)
             grams = [high] if verdict == "feasible" else []
-            grams += [_centered_start(m)[0], np.zeros((m.n, m.n))]
-            assert _first_witness(SdpInstance(m, 1.0, f_of_k(0, zeta)), EPS, grams) is None, \
+            grams += [table.start, np.zeros((m.n, m.n))]
+            assert _first_witness(table, 1.0, f_of_k(0, zeta), EPS, grams) is None, \
                 (label, gamma)
         # every instance here needs distortion above c0
         assert certified == len(cases)
@@ -557,16 +613,17 @@ class TestK0Skip:
         accepted = 0
         for _ in range(60):
             m = integer_metric(rng, int(rng.integers(4, 9)))
-            g = (_centered_start(m)[0], m.dist @ m.dist)[int(rng.integers(2))]
-            ratio = _ratios(m, g)
+            table = _PairTable(m)
+            g = (table.start, m.dist @ m.dist)[int(rng.integers(2))]
+            ratio = table.pair_r(g) / table.d2
             g = g / ratio.min() * rng.uniform(1.0 - 2.0 * EPS, 1.0)
             f = float(rng.uniform(1.0, 4.0))
             c = math.sqrt(max(1.0, _distortion(ratio) ** 2 - rng.uniform(0.0, 2.0) * EPS * f))
-            if _first_witness(SdpInstance(m, c, f), EPS, [g]) is None:
+            if _first_witness(table, c, f, EPS, [g]) is None:
                 continue
             accepted += 1
             c0 = math.sqrt((c ** 2 + EPS * f + EPS_FEAS) / (1.0 - EPS - EPS_FEAS))
-            assert _distortion(_ratios(m, g)) <= c0
+            assert _distortion(table.pair_r(g) / table.d2) <= c0
         assert accepted >= 10
 
 
