@@ -143,9 +143,14 @@ def schoenberg_test(d2: np.ndarray, lam_ref: float = 0.0) -> np.ndarray:
     """
     if d2.shape[-1] == 0:
         return np.ones(d2.shape[0], dtype=bool)
-    vals = np.linalg.eigvalsh(_center(d2))
-    scale = np.maximum(np.maximum(vals[:, -1], lam_ref), 1e-30)
-    return vals[:, 0] >= -SCHOENBERG_TOL * scale
+    return schoenberg_rule(np.linalg.eigvalsh(_center(d2)), lam_ref)
+
+
+def schoenberg_rule(vals: np.ndarray, lam_ref: float = 0.0) -> np.ndarray:
+    """schoenberg_test's decision from the ascending eigenvalues (..., k) of
+    centered Gram matrices, for callers that have factored them already."""
+    scale = np.maximum(np.maximum(vals[..., -1], lam_ref), 1e-30)
+    return vals[..., 0] >= -SCHOENBERG_TOL * scale
 
 
 def is_l2_isometric(m: "MetricSpace") -> bool:

@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import BudgetExceeded, SolverFailure
-from .lp_geometry import centered_gram, is_l2_isometric, schoenberg_test, squared_distances
+from .lp_geometry import centered_gram, schoenberg_test, squared_distances
 from .metric_core import Graph, MetricSpace, from_graph
 from .outlier_sdp import _PairTable, _feasible, _least_distortion
 
@@ -157,19 +157,27 @@ def distortion_bracket(m: MetricSpace, tol: float = 1e-3) -> tuple[float, float]
     found, 1.0 if there is none. An undecided run moves the search past its
     c but not the certified lower end, so upper - lower <= tol holds unless a
     run was undecided. tol must be finite and positive.
+
+    The first run starts from the rescaled centered Gram with dual u = 0, as
+    distortion_feasible does; each later one goes on from the primal-dual
+    pair (G, u) where the previous run stopped, at a nearby c. The start
+    changes how soon a run ends, not whether its verdict holds: a Gram is
+    accepted on its measured distortion, and an LLR bound holds for any
+    weights.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    if m.n < 2 or is_l2_isometric(m):
-        return 1.0, 1.0
-    # hi is upper_distortion(m) and each run distortion_feasible(m, mid), all
-    # from one pair table and its one eigendecomposition of the centered Gram
+    # one pair table, with one eigendecomposition of the centered Gram, gives
+    # the Schoenberg test, hi = upper_distortion(m) and every run's start
     table = _PairTable(m)
+    if table.isometric:
+        return 1.0, 1.0
     hi = _least_distortion(table, [])
     lo = lower = 1.0
+    pair = table.cold()
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        verdict, _, bound = _feasible(table, mid)
+        verdict, _, bound = _feasible(table, mid, pair)
         if verdict == "feasible":
             hi = min(hi, bound)
         elif verdict == "infeasible":

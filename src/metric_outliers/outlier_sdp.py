@@ -31,13 +31,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import Exhausted, GammaNotAboveOne
-from .lp_geometry import PointSet, centered_gram, points_from_gram, squared_distances
+from .lp_geometry import (PointSet, centered_gram, points_from_gram, schoenberg_rule,
+                          squared_distances)
 from .metric_core import MetricSpace, distortion_stats, restrict
 from .nested_composition import harmonic_number
 
 EPS_FEAS = 1e-6   # largest accepted pair-constraint violation, relative to d^2
 EPS = 5e-4        # slack on the level: k accepts sum(delta) <= k + EPS
 FEAS_ITERS = 4166  # iterations of one feasibility run before it is undecided
+LLR_EVERY = 10    # iterations between two LLR checks of a feasibility run's dual
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +154,30 @@ class OutlierResult:
 # feasibility core
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _Iterate:
+    """A primal-dual pair (G, u) of the feasibility iteration."""
+    g: np.ndarray
+    u: np.ndarray
+
+
 class _PairTable:
     """The pairs x < y of one metric, their squared distances d2 (an overflowing
     one is refused before any eigendecomposition) and the centered start of its
-    feasibility runs: the Gram `start` and its iteration-0 bound `start_bound`."""
+    feasibility runs: the Gram `start` and its iteration-0 bound `start_bound`.
+    `isometric` is the metric's Schoenberg test, decided from the eigenvalues
+    the start came from."""
 
     def __init__(self, m: MetricSpace):
         self.m, self.n = m, m.n
         self.xs, self.ys = np.triu_indices(m.n, k=1)
         self.d2 = squared_distances(m)[self.xs, self.ys]
         self.ends = np.concatenate((self.xs, self.ys))
-        self.start, self.start_bound = _centered_start(self)
+        self.start, self.start_bound, self.isometric = _centered_start(self)
+
+    def cold(self) -> _Iterate:
+        """The pair a cold feasibility run starts from: `start` with dual u = 0."""
+        return _Iterate(self.start, np.zeros_like(self.d2))
 
     def laplacian(self, w: np.ndarray) -> np.ndarray:
         """sum over pairs of w (e_x - e_y)(e_x - e_y)^T."""
@@ -254,27 +269,29 @@ def _distortion(ratio: np.ndarray) -> float:
     return math.sqrt(ratio.max() / rmin) if rmin > 0.0 else math.inf
 
 
-def _centered_start(table: _PairTable) -> tuple[np.ndarray, Optional[float]]:
-    """The PSD-clamped centered Gram, rescaled so no pair contracts, and the
-    iteration-0 LLR bound of distortion_feasible: that of the weights
-    w_xy = -v_x v_y from the bottom eigenvector v of the centered Gram B the
-    Gram is clamped from, when v^T B v < 0 (else None). Both come from one
-    eigendecomposition of B, and neither depends on c.
+def _centered_start(table: _PairTable) -> tuple[np.ndarray, Optional[float], bool]:
+    """The PSD-clamped centered Gram, rescaled so no pair contracts, the
+    iteration-0 LLR bound of distortion_feasible and the Schoenberg test. The
+    bound is that of the weights w_xy = -v_x v_y from the bottom eigenvector v
+    of the centered Gram B the Gram is clamped from, when v^T B v < 0 (else
+    None). All three come from one eigendecomposition of B, and none depends
+    on c.
 
     The Gram seeds the feasibility core and is a candidate witness of its own.
     Starting expanding puts any violations on the upper constraints, which
     the delta weights can absorb.
     """
     if table.n < 2:
-        return np.zeros((table.n, table.n)), None
+        return np.zeros((table.n, table.n)), None, True
     b, vals, vecs = _clamp(centered_gram(table.m))
+    isometric = bool(schoenberg_rule(vals))
     rmin = float((table.pair_r(b) / table.d2).min(initial=1.0))
     # at rmin <= 1e-6 clamping collapsed a pair, which scaling cannot fix
     gram = b / rmin if 1e-6 < rmin < 1.0 else b
     if vals[0] >= 0.0:
-        return gram, None
+        return gram, None, isometric
     bottom = vecs[:, 0]
-    return gram, _llr_bound(table, -bottom[table.xs] * bottom[table.ys])
+    return gram, _llr_bound(table, -bottom[table.xs] * bottom[table.ys]), isometric
 
 
 def upper_distortion(m: MetricSpace, grams: Sequence[np.ndarray] = ()) -> float:
@@ -288,7 +305,10 @@ def _least_distortion(table: _PairTable, grams: Sequence[np.ndarray]) -> float:
     """The least distortion of `grams`, the table's start and the distance rows."""
     if table.n < 2:
         return 1.0
-    rows = table.m.dist @ table.m.dist  # the Gram matrix of the distance rows
+    # the Gram matrix of the distance rows, whose entries reach n d^2, from rows
+    # scaled by a power of two to at most 1: exact, and the distortion is a ratio
+    rows = np.ldexp(table.m.dist, -math.frexp(float(table.m.dist.max()))[1])
+    rows = rows @ rows
     return min(_distortion(table.pair_r(g) / table.d2) for g in (*grams, table.start, rows))
 
 
@@ -331,7 +351,7 @@ def _llr_bound(table: _PairTable, w: np.ndarray) -> float:
     # eigenvalue on 1-perp, all soundness needs; alpha >= trace / (n - 1) >= that
     # eigenvalue makes lam_min equal to it
     alpha = abs(float(np.trace(lap))) + 1.0
-    lam_min = np.linalg.eigh(lap + alpha / table.n)[0][0]
+    lam_min = np.linalg.eigvalsh(lap + alpha / table.n)[0]
     w = w - lam_min / table.n
     pos = float(w[w > 0.0] @ table.d2[w > 0.0])
     neg = float(-w[w < 0.0] @ table.d2[w < 0.0])
@@ -354,32 +374,37 @@ def distortion_feasible(m: MetricSpace, c: float
     from the rescaled centered Gram. Every row of that map has unit norm, so
     its squared norm is n/2 and one step size 0.99/sqrt(n/2) serves primal
     and dual. The primal witness is checked every iteration; the dual one, the
-    weights u/2 of the dual iterate u, every 50. At iteration 0, after the
-    primal check, the certificate comes from the centered Gram B itself: when
-    its bottom eigenvector v has v^T B v < 0, the weights w_xy = -v_x v_y have
-    Laplacian v v^T (v is orthogonal to 1), which is PSD, and sum w d^2 =
-    v^T B v < 0, so they bound the distortion above 1 with no iteration run.
+    weights u/2 of the dual iterate u, every LLR_EVERY iterations. At
+    iteration 0, after the primal check, the certificate comes from the
+    centered Gram B itself: when its bottom eigenvector v has v^T B v < 0, the
+    weights w_xy = -v_x v_y have Laplacian v v^T (v is orthogonal to 1), which
+    is PSD, and sum w d^2 = v^T B v < 0, so they bound the distortion above 1
+    with no iteration run.
     """
     table = _PairTable(m)  # an overflowing distance is named before c
     _check_scale(m, "target distortion", c, c)
     return _feasible(table, c)
 
 
-def _feasible(table: _PairTable, c: float) -> tuple[str, Optional[np.ndarray], Optional[float]]:
-    """distortion_feasible on the table's metric and start, with c unchecked."""
+def _feasible(table: _PairTable, c: float, start: Optional[_Iterate] = None
+              ) -> tuple[str, Optional[np.ndarray], Optional[float]]:
+    """distortion_feasible on the table's metric, with c unchecked, from the
+    pair `start`, or cold from table.cold(). A given start is left holding the
+    pair where the run stopped, so the next run can go on from there."""
     n = table.n
     if n < 2:
         return "feasible", np.zeros((n, n)), 1.0
     lo, hi = table.d2 / 2.0, c ** 2 * table.d2 / 2.0
     step = 0.99 / math.sqrt(n / 2.0)
-    g = table.start
+    pair = start if start is not None else table.cold()
+    g, u = pair.g, pair.u
     r = r_bar = table.pair_r(g)  # r(G), and r of the extrapolated 2 G_next - G
-    u = np.zeros_like(r)
     for it in range(FEAS_ITERS + 1):
         if it > 0:
             v = u + step * r_bar / 2.0
             u = v - step * np.clip(v / step, lo, hi)
             g = _psd_project(g - step * table.laplacian(u / 2.0))
+            pair.g, pair.u = g, u
             r_next = table.pair_r(g)
             r, r_bar = r_next, 2.0 * r_next - r
         ratio = r / table.d2
@@ -388,7 +413,7 @@ def _feasible(table: _PairTable, c: float) -> tuple[str, Optional[np.ndarray], O
             return "feasible", g / ratio.min(), dist
         if it == 0 and table.start_bound is not None:
             bound = table.start_bound
-        elif it > 0 and it % 50 == 0:
+        elif it > 0 and it % LLR_EVERY == 0:
             bound = _llr_bound(table, u / 2.0)
         else:
             continue

@@ -409,6 +409,23 @@ def test_overflowing_distance_bound_is_the_only_stderr(capsys, tmp_path, claw_me
                              sort_keys=True) + "\n"
 
 
+def test_large_distances_bracket_without_warnings(capsys, tmp_path, claw_file, claw_metric):
+    # at 6e153 the squared distances are finite, but n d^2 is not: the
+    # distance rows' Gram is formed from rows scaled by a power of two
+    path = str(tmp_path / "claw.txt")
+    write_metric_text(path, from_matrix(claw_metric.dist * 6e153))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["oracle", "distortion", "--metric", path])
+    assert [str(w.message) for w in caught] == []
+    assert code == 0 and err == ""
+    scaled = json.loads(out)
+    code, out, _ = run(capsys, ["oracle", "distortion", "--metric", claw_file])
+    plain = json.loads(out)
+    for key in ("lower_bound", "optimal_distortion"):
+        assert scaled[key] == pytest.approx(plain[key], rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("flag", ["--c", "--gamma", "--zeta"])
 def test_large_search_parameter_still_solves(capsys, claw_file, flag):
     code, out, _ = run(capsys, ["outliers", "solve", "--metric", claw_file,

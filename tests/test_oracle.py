@@ -19,7 +19,7 @@ from metric_outliers import (
     restrict,
 )
 from metric_outliers import oracle, outlier_sdp
-from metric_outliers.errors import BudgetExceeded
+from metric_outliers.errors import BudgetExceeded, DisconnectedGraph
 from metric_outliers.hardness_gadgets import l1_gadget, lp_gadget
 from metric_outliers.oracle import OracleBudget
 from metric_outliers.outlier_sdp import distortion_feasible, upper_distortion
@@ -41,6 +41,34 @@ KNOWN_C2 = (
 
 def cycle(n: int) -> Graph:
     return Graph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def random_connected_graph(rng):
+    """G(n, 0.35) on rng.integers(6, 17) nodes, redrawn until it is connected."""
+    n = int(rng.integers(6, 17))
+    while True:
+        edges = tuple((u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.35)
+        try:
+            return from_graph(Graph(n, edges))
+        except DisconnectedGraph:
+            continue
+
+
+def cold_bracket(m, tol):
+    """distortion_bracket's bisection written with the public functions: every
+    feasibility run starts cold from the centered Gram."""
+    hi, lo, lower = upper_distortion(m), 1.0, 1.0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        verdict, _, bound = distortion_feasible(m, mid)
+        if verdict == "feasible":
+            hi = min(hi, bound)
+        elif verdict == "infeasible":
+            lower = max(lower, min(bound, hi))
+            lo = max(lo, lower)
+        else:
+            lo = mid
+    return lower, hi
 
 
 def enumerated_outliers(m):
@@ -175,8 +203,8 @@ class TestDistortionBracket:
         accepted, certified = [], []
         original = oracle._feasible  # distortion_feasible from a shared pair table
 
-        def recording(table, c):
-            verdict, g, bound = original(table, c)
+        def recording(table, c, start=None):
+            verdict, g, bound = original(table, c, start)
             if verdict == "feasible":
                 accepted.append(g)
             elif verdict == "infeasible":
@@ -191,30 +219,56 @@ class TestDistortionBracket:
             assert distortion_stats(m, points_from_gram(g)).distortion >= c2 - 1e-9
         assert optimal_distortion_l2(m, tol=1e-3) == upper
 
-    @pytest.mark.parametrize("graph", [entry[1] for entry in KNOWN_C2],
+    @pytest.mark.parametrize("graph,c2", [entry[1:] for entry in KNOWN_C2],
                              ids=[entry[0] for entry in KNOWN_C2])
-    def test_one_centered_start_per_bracket(self, monkeypatch, graph):
-        # the bisection written with the public functions, each of which
-        # factors the centered Gram again, gives the same bracket bit for bit
+    def test_one_centered_start_per_bracket(self, monkeypatch, graph, c2):
+        # the warm bracket and the cold one of the public functions, each of
+        # which factors the centered Gram again, hold c2 and overlap
         m = from_graph(graph)
-        hi, lo, lower = upper_distortion(m), 1.0, 1.0
-        while hi - lo > 1e-3:
-            mid = (lo + hi) / 2.0
-            verdict, _, bound = distortion_feasible(m, mid)
-            if verdict == "feasible":
-                hi = min(hi, bound)
-            elif verdict == "infeasible":
-                lower = max(lower, min(bound, hi))
-                lo = max(lo, lower)
-            else:
-                lo = mid
+        cold = cold_bracket(m, 1e-3)
         # the bracket builds one pair table, and with it one centered start
         tables = []
         init = outlier_sdp._PairTable.__init__
         monkeypatch.setattr(outlier_sdp._PairTable, "__init__",
                             lambda table, m_: tables.append(1) or init(table, m_))
-        assert distortion_bracket(m, tol=1e-3) == (lower, hi)
+        warm = distortion_bracket(m, tol=1e-3)
+        for lower, upper in (cold, warm):
+            assert lower <= c2 + 1e-9 and c2 <= upper + 1e-9
+            assert upper - lower <= 1e-3
+        assert max(cold[0], warm[0]) <= min(cold[1], warm[1])
         assert len(tables) == 1
+
+    def test_warm_bisection_decides_where_the_cold_one_does_not(self, monkeypatch):
+        # the cold bisection of this 15-node graph has an undecided run and
+        # ends wider than tol; the warm one decides every run
+        m = random_connected_graph(np.random.default_rng(0))
+        assert m.n == 15
+        cold = cold_bracket(m, 1e-3)
+        verdicts = []
+        original = oracle._feasible
+
+        def recording(table, c, start=None):
+            run = original(table, c, start)
+            verdicts.append(run[0])
+            return run
+
+        monkeypatch.setattr(oracle, "_feasible", recording)
+        lower, upper = distortion_bracket(m, tol=1e-3)
+        assert "undecided" not in verdicts
+        assert upper - lower <= 1e-3
+        assert max(cold[0], lower) <= min(cold[1], upper)
+
+    def test_factorization_budget(self, monkeypatch):
+        # a count repeats exactly, so a regression fails here without timing;
+        # cold starts with a certificate check every 50 iterations make 1 540
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            factor = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, factor=factor, **k: calls.append(1) or factor(*a, **k))
+        for _, graph, _ in KNOWN_C2:
+            distortion_bracket(from_graph(graph), tol=1e-3)
+        assert len(calls) <= 900
 
 
 class TestHypercube:
