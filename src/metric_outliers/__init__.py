@@ -25,7 +25,6 @@ from .metric_core import (
     verify_outlier_embedding,
 )
 from .nested_composition import (
-    BoundQuery,
     ComposedEmbedding,
     CompositionInputs,
     CompositionTranscript,

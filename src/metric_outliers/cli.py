@@ -29,7 +29,6 @@ from .metric_core import (
     write_metric_text,
 )
 from .nested_composition import (
-    BoundQuery,
     CompositionInputs,
     compose_deterministic,
     estimate_expected_expansion,
@@ -149,8 +148,7 @@ def _cmd_compose_bound(args):
     if not 0 <= args.k <= BOUND_MAX_K:
         raise ValueError(f"--k must be in 0..{BOUND_MAX_K}, got {args.k}")
     coef_s, coef_x = expansion_coefficients(args.case, k=args.k, tau=args.tau, kappa=args.kappa)
-    value = expansion_bound(BoundQuery(case=args.case, c_s=args.c_s, c_x=args.c_x,
-                                       k=args.k, tau=args.tau, kappa=args.kappa))
+    value = expansion_bound(args.case, args.c_s, args.c_x, k=args.k, tau=args.tau, kappa=args.kappa)
     payload = {
         "case": args.case,
         "coef_c_s": str(coef_s),

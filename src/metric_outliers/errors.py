@@ -81,10 +81,6 @@ class KappaOutOfRange(DomainError):
     pass
 
 
-class CallbackNotExpanding(DomainError):
-    pass
-
-
 class NotExpanding(DomainError):
     """An embedding that was required to be expanding is not."""
 

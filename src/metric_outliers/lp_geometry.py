@@ -137,9 +137,11 @@ def schoenberg_test(d2: np.ndarray, lam_ref: float = 0.0) -> np.ndarray:
     """Schoenberg criterion on a stack (r, k, k) of squared-distance matrices.
 
     Row i passes iff the smallest eigenvalue of its centered Gram matrix is
-    >= -SCHOENBERG_TOL * max(lam_max, lam_ref, 1e-30), lam_max its largest
-    eigenvalue. lam_ref = 0 is the plain test; a larger lam_ref measures the
-    tolerance against a bound on lam_max known from a larger set.
+    >= -SCHOENBERG_TOL * max(lam_max, lam_ref), lam_max its largest
+    eigenvalue. The floor is relative only, so a scaled metric gets the
+    verdict of the unscaled one, and a 1-point metric passes as 0 >= -0.
+    lam_ref = 0 is the plain test; a larger lam_ref measures the tolerance
+    against a bound on lam_max known from a larger set.
     """
     if d2.shape[-1] == 0:
         return np.ones(d2.shape[0], dtype=bool)
@@ -149,7 +151,7 @@ def schoenberg_test(d2: np.ndarray, lam_ref: float = 0.0) -> np.ndarray:
 def schoenberg_rule(vals: np.ndarray, lam_ref: float = 0.0) -> np.ndarray:
     """schoenberg_test's decision from the ascending eigenvalues (..., k) of
     centered Gram matrices, for callers that have factored them already."""
-    scale = np.maximum(np.maximum(vals[..., -1], lam_ref), 1e-30)
+    scale = np.maximum(vals[..., -1], lam_ref)
     return vals[..., 0] >= -SCHOENBERG_TOL * scale
 
 
@@ -163,19 +165,19 @@ def is_l2_isometric(m: "MetricSpace") -> bool:
     return bool(schoenberg_test(squared_distances(m)[None])[0])
 
 
-def points_from_gram(g: np.ndarray, tol_eig: float = SCHOENBERG_TOL) -> PointSet:
+def points_from_gram(g: np.ndarray) -> PointSet:
     """Factor a PSD matrix G into points whose pairwise inner products match G.
 
-    Eigenvalues in [-tol_eig * lam_max, 0) are clamped to zero; anything below
-    that raises NotPSD.
+    Eigenvalues in [-SCHOENBERG_TOL * lam_max, 0) are clamped to zero;
+    anything below that raises NotPSD.
     """
     g = check_symmetric(g)
     vals, vecs = sorted_eigh(g)
     lam_max = max(float(vals[0]) if vals.size else 0.0, 0.0)
-    floor = -tol_eig * max(lam_max, 1e-30)
+    floor = -SCHOENBERG_TOL * lam_max
     if vals.size and float(vals[-1]) < floor:
         raise NotPSD(
-            f"matrix has eigenvalue {float(vals[-1]):g} below -tol_eig*lam_max = {floor:g}"
+            f"matrix has eigenvalue {float(vals[-1]):g} below -SCHOENBERG_TOL*lam_max = {floor:g}"
         )
     vals = np.clip(vals, 0.0, None)
     pts = vecs * np.sqrt(vals)[None, :]

@@ -23,12 +23,12 @@ written once at weight (count/m)^(1/p). An empty cluster's block is one row
 repeated on every point, adds nothing to any distance, and is not written.
 compose_once keeps the literal one-draw layout, empty clusters included.
 
-The strong composition (compose_strong) builds each cluster block from an
-embedding of that cluster plus its anchor instead of alpha_X. By default a
-cluster that passes the Schoenberg test at p = 2 is factored from its
-centered Gram, an isometry (an empty cluster, the anchor alone, is one zero
-column); the others, and every cluster at p != 2, get a seeded Bourgain
-embedding.
+The strong composition (compose_strong) makes one draw at the paper's
+tau = 2 and builds each cluster block from an embedding of that cluster plus
+its anchor instead of alpha_X. A cluster that passes the Schoenberg test at
+p = 2 is factored from its centered Gram, an isometry (an empty cluster, the
+anchor alone, is one zero column); the others, and every cluster at p != 2,
+get a seeded Bourgain embedding.
 """
 from __future__ import annotations
 
@@ -36,13 +36,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bourgain import BourgainParams, bourgain_embed
 from .errors import (
-    CallbackNotExpanding,
     DomainError,
     EmptyS,
     InconsistentTranscript,
@@ -55,7 +54,6 @@ from .errors import (
 )
 from .lp_geometry import PointSet, centered_gram, points_from_gram
 from .metric_core import (
-    DistortionStats,
     MetricSpace,
     _submetric,
     distortion_stats,
@@ -74,8 +72,8 @@ BLOCK = 512  # Monte Carlo trials per batch: a batch's arrays hold BLOCK x (k + 
 class CompositionInputs:
     """Validated inputs: metric, subset S, host p, the two expanding embeddings.
 
-    alpha_s rows follow sorted(S); alpha_x rows follow 0..n-1. Measured
-    distortions c_s <= c_x are cached at construction.
+    alpha_s rows follow sorted(S); alpha_x rows follow 0..n-1. The
+    measured distortions c_s <= c_x are set at construction.
     """
 
     m: MetricSpace
@@ -84,9 +82,13 @@ class CompositionInputs:
     alpha_s: PointSet
     alpha_x: PointSet
     tau: float = 2.0
+    c_s: float = field(init=False)
+    c_x: float = field(init=False)
 
     def __post_init__(self):
-        s_sorted, c_s = _check_subset(self.m, self.s, self.p, self.alpha_s, self.tau)
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        s_sorted, c_s = _check_subset(self.m, self.s, self.p, self.alpha_s)
         object.__setattr__(self, "s", s_sorted)
         if self.alpha_x.n != self.m.n:
             raise SizeMismatch(f"alpha_x has {self.alpha_x.n} rows, metric has {self.m.n}")
@@ -95,32 +97,20 @@ class CompositionInputs:
         c_x = _require_expanding(self.m, tuple(range(self.m.n)), self.alpha_x, "alpha_x")
         if c_s > c_x * (1.0 + EXPANDING_TOL):
             raise ValueError(f"c_S={c_s:g} exceeds c_X={c_x:g}; the finer embedding must not be coarser")
-        object.__setattr__(self, "_c_s", c_s)
-        object.__setattr__(self, "_c_x", c_x)
-
-    @property
-    def c_s(self) -> float:
-        return self._c_s
-
-    @property
-    def c_x(self) -> float:
-        return self._c_x
+        object.__setattr__(self, "c_s", c_s)
+        object.__setattr__(self, "c_x", c_x)
 
     @cached_property
     def outliers(self) -> tuple[int, ...]:
-        in_s = set(self.s)
-        return tuple(i for i in range(self.m.n) if i not in in_s)
+        return tuple(self.gamma)  # nearest_anchors keys K in increasing order
 
     @property
     def k(self) -> int:
         return self.m.n - len(self.s)
 
     @cached_property
-    def s_row(self) -> dict[int, int]:
-        return {orig: row for row, orig in enumerate(self.s)}
-
-    @cached_property
     def gamma(self) -> dict[int, int]:
+        """gamma(u) for each u outside S; a point is in S iff it is not a key."""
         return nearest_anchors(self.m, self.s)
 
     @cached_property
@@ -131,18 +121,15 @@ class CompositionInputs:
         return anchors
 
 
-def _check_subset(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet,
-                  tau: float) -> tuple[tuple[int, ...], float]:
-    """The checks both compositions share: S a nonempty subset of 0..n-1, tau
-    finite and positive, alpha_s an expanding lp embedding of sorted(S).
-    Returns sorted(S) and c_S."""
+def _check_subset(m: MetricSpace, s: Sequence[int], p: float,
+                  alpha_s: PointSet) -> tuple[tuple[int, ...], float]:
+    """The checks both compositions share: S a nonempty subset of 0..n-1 and
+    alpha_s an expanding lp embedding of sorted(S). Returns sorted(S) and c_S."""
     s_sorted = tuple(sorted(set(int(i) for i in s)))
     if not s_sorted:
         raise EmptyS("S must be nonempty")
     if s_sorted[0] < 0 or s_sorted[-1] >= m.n:
         raise SizeMismatch(f"S contains indices outside 0..{m.n - 1}")
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"tau must be finite and positive, got {tau}")
     if alpha_s.n != len(s_sorted):
         raise SizeMismatch(f"alpha_s has {alpha_s.n} rows, |S|={len(s_sorted)}")
     if alpha_s.p != p:
@@ -213,15 +200,23 @@ class CompositionTranscript:
 def sample_transcript(inputs: CompositionInputs, rng: np.random.Generator) -> CompositionTranscript:
     """Draw b uniform on [2, tau+2], a Fisher-Yates permutation of K, and run
     the greedy cluster loop."""
-    return _draw(inputs.m, inputs.gamma, inputs.tau, rng)
+    (b,), (pi,) = _draw_block(inputs.outliers, inputs.tau, 1, rng)
+    return _greedy_clusters(inputs.m, inputs.gamma, float(b), tuple(pi.tolist()))
 
 
-def _draw(m: MetricSpace, gamma: dict[int, int], tau: float,
-          rng: np.random.Generator) -> CompositionTranscript:
-    b = 2.0 + tau * float(rng.random())
-    outliers = tuple(gamma)  # nearest_anchors keys every outlier, in increasing order
-    pi = tuple(rng.permutation(np.asarray(outliers, dtype=int)).tolist()) if outliers else ()
-    return _greedy_clusters(m, gamma, b, pi)
+def _draw_block(outliers: tuple[int, ...], tau: float, count: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """count draws of b, shape (count,), and of pi, shape (count, k), a
+    permutation of the outliers (K in increasing order). Each draw takes
+    rng.random() for b, then rng.permutation(k) as indices into K, which is
+    the shuffle that rng.permutation of K itself makes."""
+    u = np.empty(count)
+    order = np.empty((count, len(outliers)), dtype=int)
+    for t in range(count):
+        u[t] = rng.random()
+        if outliers:
+            order[t] = rng.permutation(len(outliers))
+    return 2.0 + tau * u, np.asarray(outliers, dtype=int)[order]
 
 
 def _greedy_clusters(m: MetricSpace, gamma: dict[int, int], b: float,
@@ -283,14 +278,14 @@ class ComposedEmbedding:
 # A block is (points, rows): column block points[rows], so point v reads row
 # rows[v] of points.
 
-def _prime_rows(n: int, s: tuple[int, ...], s_row: dict[int, int], gamma: dict[int, int],
+def _prime_rows(n: int, s: tuple[int, ...], gamma: dict[int, int],
                 tr: CompositionTranscript) -> np.ndarray:
-    """Row of alpha_s (rows follow sorted S, s_row maps S to them) that each
-    point reads in alpha': its own on S, the row of gamma(center) on a cluster."""
+    """Row of alpha_s (rows follow sorted S) that each point reads in alpha':
+    its own on S, the row of gamma(center), a point of S, on a cluster."""
     rows = np.empty(n, dtype=int)
     rows[list(s)] = np.arange(len(s))
     for center, members in tr.clusters:
-        rows[list(members)] = s_row[gamma[center]]
+        rows[list(members)] = rows[gamma[center]]
     return rows
 
 
@@ -320,7 +315,7 @@ def compose_once(inputs: CompositionInputs, transcript: CompositionTranscript) -
     with a block for every cluster, empty ones included."""
     _check_transcript(inputs.m, inputs.gamma, transcript)
     n, gamma = inputs.m.n, inputs.gamma
-    blocks = [(inputs.alpha_s.points, _prime_rows(n, inputs.s, inputs.s_row, gamma, transcript), 1.0)]
+    blocks = [(inputs.alpha_s.points, _prime_rows(n, inputs.s, gamma, transcript), 1.0)]
     blocks += [(inputs.alpha_x.points, _cluster_rows(n, members, members, gamma[center]), 1.0)
                for center, members in transcript.clusters]
     return ComposedEmbedding(
@@ -349,7 +344,7 @@ def compose_deterministic(inputs: CompositionInputs, m_samples: int,
     n, gamma = inputs.m.n, inputs.gamma
     counted: dict = {}  # key -> [points, rows, count]; the key determines the block
     for tr in transcripts:
-        prime = _prime_rows(n, inputs.s, inputs.s_row, gamma, tr)
+        prime = _prime_rows(n, inputs.s, gamma, tr)
         counted.setdefault(prime.tobytes(), [inputs.alpha_s.points, prime, 0])[2] += 1
         for center, members in tr.clusters:
             if not members:
@@ -405,23 +400,10 @@ def pair_distance(inputs: CompositionInputs, tr: CompositionTranscript, x: int, 
     return float(_owner_distances(inputs, x, y, cx, cy)[0])
 
 
-def _draw_block(inputs: CompositionInputs, count: int,
-                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """count draws of b, shape (count,), and pi, shape (count, k), with the
-    random calls of count sample_transcript calls in the same order."""
-    u = np.empty(count)
-    order = np.empty((count, inputs.k), dtype=int)
-    for t in range(count):
-        u[t] = rng.random()
-        if inputs.k:
-            order[t] = rng.permutation(inputs.k)
-    return 2.0 + inputs.tau * u, np.asarray(inputs.outliers, dtype=int)[order]
-
-
 def _owners(inputs: CompositionInputs, v: int, b: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Per draw, the center of v's cluster: the first center in pi order with
     d(v, u) <= b d(v, gamma(v)). A point of S is its own owner."""
-    if v in inputs.s_row:
+    if v not in inputs.gamma:
         return np.full(len(b), v)
     d = inputs.m.dist[v]
     grab = d[pi] <= b[:, None] * d[inputs.gamma[v]]
@@ -442,7 +424,7 @@ def estimate_expected_expansion(inputs: CompositionInputs, pair: tuple[int, int]
     _check_pair(inputs.m.n, x, y)
     vals = np.empty(trials)
     for start in range(0, trials, BLOCK):
-        b, pi = _draw_block(inputs, min(BLOCK, trials - start), rng)
+        b, pi = _draw_block(inputs.outliers, inputs.tau, min(BLOCK, trials - start), rng)
         vals[start:start + len(b)] = _owner_distances(
             inputs, x, y, _owners(inputs, x, b, pi), _owners(inputs, y, b, pi))
     mean = float(vals.mean())
@@ -459,24 +441,6 @@ def harmonic_number(k: int) -> Fraction:
     if k < 0:
         raise ValueError("k must be >= 0")
     return sum((Fraction(1, i) for i in range(1, k + 1)), Fraction(0))
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    """Which expansion case applies, with its parameters.
-
-    Cases: 'a' both in S; 'b' same cluster; 'c' one endpoint in S; 'd' outlier
-    pair with an anchor within kappa times the pair distance; 'e' outlier pair
-    with both anchors beyond kappa times the pair distance (bound holds in
-    expectation). tau=kappa=2 gives the fixed-constant bounds.
-    """
-
-    case: str
-    c_s: float
-    c_x: float
-    k: int = 0
-    tau: float = 2.0
-    kappa: float = 2.0
 
 
 def expansion_coefficients(case: str, k: int = 0, tau=2, kappa=2) -> tuple[Fraction, Fraction]:
@@ -512,31 +476,34 @@ def expansion_coefficients(case: str, k: int = 0, tau=2, kappa=2) -> tuple[Fract
     raise InvalidCase(f"unknown case {case!r}; expected one of a..e")
 
 
-def expansion_bound(q: BoundQuery) -> float:
+def expansion_bound(case: str, c_s: float, c_x: float, k: int = 0, tau=2, kappa=2) -> float:
     """The multiplier of d(x,y) bounding the (expected, for case e) expansion.
 
-    c_s and c_x are distortions, so each must be finite and >= 1; a
-    multiplier too large for a float raises ValueError.
+    Cases: 'a' both in S; 'b' same cluster; 'c' one endpoint in S; 'd' outlier
+    pair with an anchor within kappa times the pair distance; 'e' outlier pair
+    with both anchors beyond kappa times the pair distance (bound holds in
+    expectation). tau = kappa = 2 gives the fixed-constant bounds. c_s and
+    c_x are distortions, so each must be finite and >= 1; a multiplier too
+    large for a float raises ValueError.
     """
-    for name, c in (("c_s", q.c_s), ("c_x", q.c_x)):
+    for name, c in (("c_s", c_s), ("c_x", c_x)):
         if not (math.isfinite(c) and c >= 1.0):
             raise ValueError(f"{name} must be finite and >= 1, got {c}")
-    coef_s, coef_x = expansion_coefficients(q.case, k=q.k, tau=q.tau, kappa=q.kappa)
+    coef_s, coef_x = expansion_coefficients(case, k=k, tau=tau, kappa=kappa)
     try:
-        value = float(coef_s) * q.c_s + float(coef_x) * q.c_x
+        value = float(coef_s) * c_s + float(coef_x) * c_x
     except OverflowError:  # a coefficient beyond the float range
         value = math.inf
     if not math.isfinite(value):
-        raise ValueError(f"the case ({q.case}) multiplier overflows a float")
+        raise ValueError(f"the case ({case}) multiplier overflows a float")
     return value
 
 
-def table_case(inputs: CompositionInputs, tr: CompositionTranscript, x: int, y: int,
-               kappa: float = 2.0) -> str:
-    """Classify a pair into exactly one of the cases a..e for this draw."""
+def table_case(inputs: CompositionInputs, tr: CompositionTranscript, x: int, y: int) -> str:
+    """Classify a pair into exactly one of the cases a..e for this draw, at kappa = 2."""
     _check_pair(inputs.m.n, x, y)
-    in_s_x = x in inputs.s_row
-    in_s_y = y in inputs.s_row
+    in_s_x = x not in inputs.gamma
+    in_s_y = y not in inputs.gamma
     if in_s_x and in_s_y:
         return "a"
     if in_s_x or in_s_y:
@@ -547,7 +514,7 @@ def table_case(inputs: CompositionInputs, tr: CompositionTranscript, x: int, y: 
     d = inputs.m.dist[x, y]
     d_ax = inputs.m.dist[x, inputs.gamma[x]]
     d_ay = inputs.m.dist[y, inputs.gamma[y]]
-    if min(d_ax, d_ay) <= kappa * d:
+    if min(d_ax, d_ay) <= 2.0 * d:
         return "d"
     return "e"
 
@@ -561,7 +528,7 @@ def close_pair_split_bound(inputs: CompositionInputs, x: int, y: int) -> float:
         raise ValueError("the closed-form split bound is stated for tau = 2")
     _check_pair(inputs.m.n, x, y)
     for v in (x, y):
-        if v in inputs.s_row:
+        if v not in inputs.gamma:
             raise DomainError(f"the split bound is for outlier pairs; {v} is in S")
     d = inputs.m.dist
     dxy = d[x, y]
@@ -586,64 +553,41 @@ def close_pair_split_bound(inputs: CompositionInputs, x: int, y: int) -> float:
 # strong composition: cluster-local embeddings instead of alpha_X
 # ---------------------------------------------------------------------------
 
-ClusterEmbedder = Callable[[MetricSpace, tuple[int, ...], int], PointSet]
+def _cluster_embedding(sub: MetricSpace, p: float, seed: int) -> PointSet:
+    """An expanding embedding of a cluster plus its anchor. At p = 2 the
+    centered Gram's factor (points_from_gram), an isometry, rescaled to be
+    expanding; an empty cluster is its anchor alone, one zero row in one
+    column. A cluster whose centered Gram fails that factor's PSD test, and
+    every cluster at p != 2, gets the Bourgain embedding with the seed."""
+    if p == 2.0:
+        try:  # one eigendecomposition is both the Schoenberg test and the factor
+            emb = points_from_gram(centered_gram(sub))
+        except NotPSD:
+            pass
+        else:
+            return normalize_expanding(sub, emb)[0] if sub.n >= 2 else emb
+    return bourgain_embed(sub, BourgainParams(seed=seed, p=p))[0]
 
 
 def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet,
-                   rng: np.random.Generator,
-                   cluster_embedder: Optional[ClusterEmbedder] = None,
-                   tau: float = 2.0,
-                   transcript: Optional[CompositionTranscript] = None) -> ComposedEmbedding:
-    """One draw of the composition with each cluster block built from an
-    expanding embedding of that cluster plus its center's anchor.
+                   rng: np.random.Generator) -> ComposedEmbedding:
+    """One draw of the composition at tau = 2, with each cluster block built
+    from an expanding embedding of that cluster plus its center's anchor
+    (_cluster_embedding).
 
-    The callback receives (submetric, original indices, cluster index) and
-    must return an expanding embedding of the submetric. The default draws a
-    seed from rng for every cluster, so rng's stream does not depend on the
-    path a cluster takes. At p = 2 it factors the cluster's centered Gram
-    (points_from_gram), an isometry, rescaled to be expanding; an empty
-    cluster is its anchor alone, one zero row in one column. A cluster whose
-    centered Gram fails that factor's PSD test, and every cluster at p != 2,
-    gets the Bourgain embedding with the drawn seed.
+    rng gives the draw, then one seed per cluster in formation order, drawn
+    whether or not the cluster takes the Bourgain path, so rng's stream does
+    not depend on the path a cluster takes.
     """
-    s_sorted, _ = _check_subset(m, s, p, alpha_s, tau)
+    s_sorted, _ = _check_subset(m, s, p, alpha_s)
     gamma = nearest_anchors(m, s_sorted)
+    (b,), (pi,) = _draw_block(tuple(gamma), 2.0, 1, rng)
+    transcript = _greedy_clusters(m, gamma, float(b), tuple(pi.tolist()))
 
-    if transcript is None:
-        transcript = _draw(m, gamma, tau, rng)
-    _check_transcript(m, gamma, transcript)
-
-    # a cluster's embedding, and its stats when normalize_expanding measured it already
-    if cluster_embedder is None:
-        def embed(sub: MetricSpace, indices: tuple[int, ...], i: int
-                  ) -> tuple[PointSet, Optional[DistortionStats]]:
-            seed = int(rng.integers(0, 2 ** 63 - 1))
-            if p == 2.0:
-                try:  # one eigendecomposition is both the Schoenberg test and the factor
-                    emb = points_from_gram(centered_gram(sub))
-                except NotPSD:
-                    pass
-                else:
-                    return normalize_expanding(sub, emb) if sub.n >= 2 else (emb, None)
-            return bourgain_embed(sub, BourgainParams(seed=seed, p=p))
-    else:
-        def embed(sub: MetricSpace, indices: tuple[int, ...], i: int
-                  ) -> tuple[PointSet, Optional[DistortionStats]]:
-            return cluster_embedder(sub, indices, i), None  # measured below
-
-    s_row = {orig: row for row, orig in enumerate(s_sorted)}
-    blocks = [(alpha_s.points, _prime_rows(m.n, s_sorted, s_row, gamma, transcript), 1.0)]
-    for i, (center, members) in enumerate(transcript.clusters):
+    blocks = [(alpha_s.points, _prime_rows(m.n, s_sorted, gamma, transcript), 1.0)]
+    for center, members in transcript.clusters:
         subset = tuple(sorted(set(members) | {gamma[center]}))
-        sub = _submetric(m, subset)
-        emb, stats = embed(sub, subset, i)
-        if emb.n != sub.n:
-            raise CallbackNotExpanding(f"cluster {i}: embedder returned {emb.n} rows for {sub.n} points")
-        if sub.n >= 2 and stats is None:
-            stats = distortion_stats(sub, emb)
-            if stats.min_ratio < 1.0 - EXPANDING_TOL:
-                raise CallbackNotExpanding(
-                    f"cluster {i}: embedding contracts (min ratio {stats.min_ratio:.12g})")
+        emb = _cluster_embedding(_submetric(m, subset), p, int(rng.integers(0, 2 ** 63 - 1)))
         row_of = {orig: r for r, orig in enumerate(subset)}
         rows = _cluster_rows(m.n, members, [row_of[v] for v in members], row_of[gamma[center]])
         blocks.append((emb.points, rows, 1.0))

@@ -457,7 +457,7 @@ def round_solution(sol: SdpSolution, gamma: float) -> OutlierResult:
         else:
             outliers.append(x)
     survivors = sorted(kept)
-    pts = points_from_gram(sol.gram[np.ix_(survivors, survivors)], tol_eig=1e-7)
+    pts = points_from_gram(sol.gram[np.ix_(survivors, survivors)])
     embedding = PointSet(points=pts.points * scale, p=2.0)
     achieved = 1.0
     if len(survivors) >= 2:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from metric_outliers import (
-    BoundQuery,
     BourgainParams,
     CompositionInputs,
     Graph,
@@ -70,8 +69,7 @@ def composition_sweep():
         m = integer_metric(rng, n)
         inputs = composition_instance(rng, m, k, p, seed=10_000 + inst_idx)
         floor = 3.0 ** (-1.0 + 1.0 / p)
-        bounds = {case: expansion_bound(BoundQuery(case=case, c_s=inputs.c_s,
-                                                   c_x=inputs.c_x, k=inputs.k))
+        bounds = {case: expansion_bound(case, inputs.c_s, inputs.c_x, k=inputs.k)
                   for case in "abcd"}
         in_s = set(inputs.s)
         for _ in range(TRANSCRIPTS_PER_INSTANCE):
@@ -123,8 +121,7 @@ def test_criterion_3_expected_expansion_close_pairs():
         assert inputs.m.dist[x, inputs.gamma[x]] > 2 * d
         assert inputs.m.dist[y, inputs.gamma[y]] > 2 * d
         mean, stderr = estimate_expected_expansion(inputs, pair, trials=2000, rng=rng)
-        bound = expansion_bound(BoundQuery(case="e", c_s=inputs.c_s,
-                                           c_x=inputs.c_x, k=inputs.k))
+        bound = expansion_bound("e", inputs.c_s, inputs.c_x, k=inputs.k)
         if mean > bound * d + 3 * stderr:
             failures.append((i, mean, bound * d))
     _report(3, not failures,
@@ -144,8 +141,7 @@ def test_criterion_4_l1_deterministic_composition():
         inputs = composition_instance(rng, m, k, 1.0, seed=40_000 + i)
         det = compose_deterministic(inputs, 256, rng)
         dmat = pairwise_distances(det.embedding)
-        bounds = {case: expansion_bound(BoundQuery(case=case, c_s=inputs.c_s,
-                                                   c_x=inputs.c_x, k=inputs.k))
+        bounds = {case: expansion_bound(case, inputs.c_s, inputs.c_x, k=inputs.k)
                   for case in ("a", "c", "d", "e")}
         in_s = set(inputs.s)
         for x in range(n):

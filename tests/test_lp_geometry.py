@@ -178,7 +178,7 @@ class TestPointsFromGram:
         rng = np.random.default_rng(6)
         for _ in range(10):
             m = point_metric(rng, int(rng.integers(2, 9)))
-            ps = points_from_gram(centered_gram(m), tol_eig=1e-7)
+            ps = points_from_gram(centered_gram(m))
             assert distortion_stats(m, ps).distortion == pytest.approx(1.0, abs=1e-8)
 
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from metric_outliers import (
-    BoundQuery,
     BourgainParams,
     CompositionInputs,
     PointSet,
@@ -16,6 +15,7 @@ from metric_outliers import (
     compose_deterministic,
     compose_once,
     compose_strong,
+    distortion_stats,
     estimate_expected_expansion,
     expansion_bound,
     expansion_coefficients,
@@ -27,7 +27,6 @@ from metric_outliers import (
 )
 from metric_outliers import nested_composition
 from metric_outliers.errors import (
-    CallbackNotExpanding,
     DomainError,
     EmptyS,
     InconsistentTranscript,
@@ -230,7 +229,7 @@ class TestContraction:
                     for y in range(x + 1, n):
                         d = inputs.m.dist[x, y]
                         assert full[x, y] >= floor * d - 1e-9
-                        if x in inputs.s_row and y in inputs.s_row:
+                        if x not in inputs.gamma and y not in inputs.gamma:
                             assert full[x, y] >= d - 1e-9
 
 
@@ -252,8 +251,7 @@ class TestCaseBounds:
                         seen.add(case)
                         if case == "e":
                             continue
-                        bound = expansion_bound(BoundQuery(
-                            case=case, c_s=inputs.c_s, c_x=inputs.c_x, k=inputs.k))
+                        bound = expansion_bound(case, inputs.c_s, inputs.c_x, k=inputs.k)
                         d = inputs.m.dist[x, y]
                         assert full[x, y] <= bound * d * (1.0 + 1e-9) + 1e-12
         assert {"a", "b", "c"} <= seen
@@ -267,7 +265,7 @@ class TestCaseBounds:
         assert inputs.m.dist[x, inputs.gamma[x]] > 2 * d
         assert inputs.m.dist[y, inputs.gamma[y]] > 2 * d
         mean, stderr = estimate_expected_expansion(inputs, pair, trials=500, rng=rng)
-        bound = expansion_bound(BoundQuery(case="e", c_s=inputs.c_s, c_x=inputs.c_x, k=inputs.k))
+        bound = expansion_bound("e", inputs.c_s, inputs.c_x, k=inputs.k)
         assert mean <= bound * d + 3 * stderr
 
     def test_split_probability_bound(self):
@@ -539,10 +537,10 @@ class TestDeterministicComposition:
 
 class TestBoundCalculator:
     def test_case_c_example(self):
-        assert expansion_bound(BoundQuery(case="c", c_s=1.0, c_x=2.0)) == pytest.approx(25.0)
+        assert expansion_bound("c", 1.0, 2.0) == pytest.approx(25.0)
 
     def test_case_e_k1_unit_distortions(self):
-        value = expansion_bound(BoundQuery(case="e", c_s=1.0, c_x=1.0, k=1))
+        value = expansion_bound("e", 1.0, 1.0, k=1)
         assert value == pytest.approx(155.0 / 2.0 + 225.0 / 2.0 + 1.0)
 
     def test_general_constants_reduce_to_fixed_tau(self):
@@ -555,7 +553,7 @@ class TestBoundCalculator:
 
     def test_invalid_case(self):
         with pytest.raises(InvalidCase):
-            expansion_bound(BoundQuery(case="z", c_s=1.0, c_x=1.0))
+            expansion_bound("z", 1.0, 1.0)
 
     def test_kappa_out_of_range(self):
         with pytest.raises(KappaOutOfRange):
@@ -571,12 +569,12 @@ class TestBoundCalculator:
                                          (0.5, 2.0), (1.0, -1.0)])
     def test_distortion_outside_one_to_inf_rejected(self, c_s, c_x):
         with pytest.raises(ValueError, match="finite and >= 1"):
-            expansion_bound(BoundQuery(case="c", c_s=c_s, c_x=c_x))
+            expansion_bound("c", c_s, c_x)
 
     @pytest.mark.parametrize("c_x,tau", [(1e308, 2.0), (1.0, 1e308)])
     def test_overflowing_multiplier_rejected(self, c_x, tau):
         with pytest.raises(ValueError, match="overflows"):
-            expansion_bound(BoundQuery(case="c", c_s=1.0, c_x=c_x, tau=tau))
+            expansion_bound("c", 1.0, c_x, tau=tau)
 
     def test_harmonic(self):
         assert harmonic_number(0) == 0
@@ -591,24 +589,10 @@ class TestComposeStrong:
         np.testing.assert_allclose(pairwise_distances(composed.embedding),
                                    pairwise_distances(alpha), rtol=1e-12)
 
-    def test_restriction_callback_matches_compose_once(self):
-        rng = np.random.default_rng(67)
-        m = integer_metric(rng, 9)
-        inputs = composition_instance(rng, m, k=3, p=2.0, seed=14)
-        tr = sample_transcript(inputs, rng)
-
-        def restriction(sub, indices, i):
-            return PointSet(points=inputs.alpha_x.points[list(indices)], p=2.0)
-
-        strong = compose_strong(m, inputs.s, 2.0, inputs.alpha_s, rng,
-                                cluster_embedder=restriction, transcript=tr)
-        once = compose_once(inputs, tr)
-        np.testing.assert_allclose(pairwise_distances(strong.embedding),
-                                   pairwise_distances(once.embedding), rtol=1e-10)
-
     def test_default_bourgain_callback_obeys_subset_bound(self):
         # expansion over all pairs stays under 382 * H_{k+1} * (max cluster
-        # distortion) with Monte Carlo headroom
+        # distortion) with Monte Carlo headroom; each cluster's distortion is
+        # measured on its block of the output
         rng = np.random.default_rng(71)
         m = integer_metric(rng, 12)
         inputs = composition_instance(rng, m, k=4, p=2.0, seed=15)
@@ -616,35 +600,45 @@ class TestComposeStrong:
         worst_seen = {}
         zeta_max = 1.0
         for _ in range(20):
-            from metric_outliers import distortion_stats as dstats
-
-            def measuring(sub, indices, i, _z=[zeta_max]):
-                seed = int(rng.integers(0, 2 ** 31))
-                emb, stats = bourgain_embed(sub, BourgainParams(seed=seed, p=2.0))
-                _z[0] = max(_z[0], stats.distortion)
-                measuring.zeta = _z[0]
-                return emb
-
-            composed = compose_strong(m, inputs.s, 2.0, inputs.alpha_s, rng,
-                                      cluster_embedder=measuring)
-            zeta_max = max(zeta_max, getattr(measuring, "zeta", 1.0))
-            full = pairwise_distances(composed.embedding)
+            twin = copy.deepcopy(rng)
+            out = compose_strong(m, inputs.s, 2.0, inputs.alpha_s, rng).embedding
+            tr = sample_transcript(inputs, twin)
+            col = inputs.alpha_s.dims
+            for members, subset, sub in self.cluster_subsets(inputs, tr):
+                seed = int(twin.integers(0, 2 ** 63 - 1))
+                width = nested_composition._cluster_embedding(sub, 2.0, seed).dims
+                if sub.n >= 2:
+                    block = PointSet(points=out.points[subset, col:col + width], p=2.0)
+                    zeta_max = max(zeta_max, distortion_stats(sub, block).distortion)
+                col += width
+            assert col == out.dims
+            full = pairwise_distances(out)
             for x in range(m.n):
                 for y in range(x + 1, m.n):
                     r = full[x, y] / m.dist[x, y]
                     worst_seen[(x, y)] = max(worst_seen.get((x, y), 0.0), r)
         assert max(worst_seen.values()) <= 382.0 * h * zeta_max
 
-    @staticmethod
-    def bourgain_for_every_cluster(rng, p, blocks=None):
-        """The Bourgain callback, seeded from rng as the default embedder does;
-        each cluster's embedding is appended to blocks."""
-        def embed(sub, indices, i):
-            emb, _ = bourgain_embed(sub, BourgainParams(seed=int(rng.integers(0, 2 ** 63 - 1)), p=p))
-            if blocks is not None:
-                blocks.append(emb.points)
-            return emb
-        return embed
+    @classmethod
+    def bourgain_reference(cls, inputs, rng):
+        """compose_strong's draw from rng with the Bourgain embedding for every
+        cluster, built here: the transcript, then one seed per cluster.
+        Returns the composed points and each cluster's block."""
+        tr = sample_transcript(inputs, rng)
+        s_row = {v: r for r, v in enumerate(inputs.s)}
+        prime = dict(s_row)
+        for center, members in tr.clusters:
+            prime.update((v, s_row[inputs.gamma[center]]) for v in members)
+        columns = [inputs.alpha_s.points[[prime[v] for v in range(inputs.m.n)]]]
+        blocks = []
+        for members, subset, sub in cls.cluster_subsets(inputs, tr):
+            seed = int(rng.integers(0, 2 ** 63 - 1))
+            emb, _ = bourgain_embed(sub, BourgainParams(seed=seed, p=inputs.p))
+            anchor = next(r for r, v in enumerate(subset) if v not in members)
+            rows = [subset.index(v) if v in members else anchor for v in range(inputs.m.n)]
+            columns.append(emb.points[rows])
+            blocks.append(emb.points)
+        return np.hstack(columns), blocks
 
     @staticmethod
     def cluster_subsets(inputs, tr):
@@ -663,8 +657,8 @@ class TestComposeStrong:
             m = point_metric(rng, 14)
             inputs = composition_instance(rng, m, k=8, p=2.0, seed=seed)
             for _ in range(5):
-                tr = sample_transcript(inputs, rng)
-                out = compose_strong(m, inputs.s, 2.0, inputs.alpha_s, rng, transcript=tr).embedding
+                composed = compose_strong(m, inputs.s, 2.0, inputs.alpha_s, rng)
+                out, tr = composed.embedding, composed.transcripts[0]
                 col = inputs.alpha_s.dims
                 for members, subset, sub in self.cluster_subsets(inputs, tr):
                     block = out.points[subset, col:col + len(subset)]
@@ -683,17 +677,15 @@ class TestComposeStrong:
     def test_non_euclidean_cluster_gets_the_bourgain_block(self, seed):
         # seed 159 draws clusters that embed, fail, are empty and embed, in that
         # order; a cluster that fails Schoenberg gets the block the Bourgain
-        # callback gives it with a twin rng, so the other clusters' exact
+        # reference gives it with a twin rng, so the other clusters' exact
         # blocks do not move its seed
         rng = np.random.default_rng(seed)
         m = integer_metric(rng, 12)
         inputs = composition_instance(rng, m, k=7, p=2.0, seed=5)
-        tr = sample_transcript(inputs, rng)
         twin = copy.deepcopy(rng)
-        out = compose_strong(m, inputs.s, 2.0, inputs.alpha_s, rng, transcript=tr).embedding
-        blocks = []
-        compose_strong(m, inputs.s, 2.0, inputs.alpha_s, twin, transcript=tr,
-                       cluster_embedder=self.bourgain_for_every_cluster(twin, 2.0, blocks))
+        composed = compose_strong(m, inputs.s, 2.0, inputs.alpha_s, rng)
+        out, tr = composed.embedding, composed.transcripts[0]
+        _, blocks = self.bourgain_reference(inputs, twin)
         col, paths = inputs.alpha_s.dims, ""
         for (members, subset, sub), bourgain in zip(self.cluster_subsets(inputs, tr), blocks):
             if is_l2_isometric(sub):
@@ -715,8 +707,7 @@ class TestComposeStrong:
             inputs = composition_instance(rng, m, k=7, p=2.0, seed=5)
             twin = copy.deepcopy(rng)
             compose_strong(m, inputs.s, 2.0, inputs.alpha_s, rng)
-            compose_strong(m, inputs.s, 2.0, inputs.alpha_s, twin,
-                           cluster_embedder=self.bourgain_for_every_cluster(twin, 2.0))
+            self.bourgain_reference(inputs, twin)
             assert rng.random() == twin.random()
 
     def test_p1_output_is_the_bourgain_composition(self):
@@ -729,39 +720,34 @@ class TestComposeStrong:
             for _ in range(4):
                 twin = copy.deepcopy(rng)
                 out = compose_strong(inputs.m, inputs.s, 1.0, inputs.alpha_s, rng)
-                ref = compose_strong(inputs.m, inputs.s, 1.0, inputs.alpha_s, twin,
-                                     cluster_embedder=self.bourgain_for_every_cluster(twin, 1.0))
-                assert out.embedding.points.tobytes() == ref.embedding.points.tobytes()
+                ref, _ = self.bourgain_reference(inputs, twin)
+                assert out.embedding.points.tobytes() == ref.tobytes()
                 h.update(out.embedding.points.tobytes())
             h.update(np.float64(rng.random()).tobytes())
         assert h.hexdigest() == "d3eec2f08d4c91a404740cb07b49ce8ecb49d77f4e615866ec94716207de2f6a"
 
-    def test_inconsistent_transcript_rejected(self, claw_metric):
-        # outlier 3 is in pi but in no cluster; this once returned a 1-column embedding
-        alpha_s = PointSet(points=np.array([[0.0], [-1.0], [1.0]]), p=2.0)
-        bad = CompositionTranscript(b=3.0, pi=(3,), clusters=(), gamma={3: 0})
-        with pytest.raises(InconsistentTranscript):
-            compose_strong(claw_metric, (0, 1, 2), 2.0, alpha_s, np.random.default_rng(0),
-                           transcript=bad)
-
-    def test_non_expanding_callback_rejected(self):
-        rng = np.random.default_rng(73)
-        m = integer_metric(rng, 8)
-        inputs = composition_instance(rng, m, k=3, p=2.0, seed=16)
-
-        def collapsing(sub, indices, i):
-            return PointSet(points=np.zeros((sub.n, 1)), p=2.0)
-
-        with pytest.raises(CallbackNotExpanding):
-            compose_strong(m, inputs.s, 2.0, inputs.alpha_s, rng,
-                           cluster_embedder=collapsing)
+    def test_p2_output_matches_pinned_digest(self):
+        # the digest pins the bytes of the p = 2 default, factored and Bourgain
+        # blocks alike, and where it leaves rng
+        h = hashlib.sha256()
+        for seed, metric, n, k, emb_seed in ((159, integer_metric, 12, 7, 5),
+                                             (3, point_metric, 12, 7, 5),
+                                             (41, point_metric, 10, 4, 2)):
+            rng = np.random.default_rng(seed)
+            inputs = composition_instance(rng, metric(rng, n), k=k, p=2.0, seed=emb_seed)
+            for _ in range(4):
+                out = compose_strong(inputs.m, inputs.s, 2.0, inputs.alpha_s, rng)
+                h.update(out.embedding.points.tobytes())
+            h.update(np.float64(rng.random()).tobytes())
+        assert h.hexdigest() == "18472bae4d84acdcb1779965e8e1531fa9744efefb7fdf38b2bd21e104d4bb0d"
 
 
 BAD_TAUS = [-1.0, 0.0, float("nan"), float("inf")]
 
 
 class TestSubsetAndTauChecks:
-    """CompositionInputs and compose_strong run the same S, alpha_S and tau checks."""
+    """CompositionInputs and compose_strong run the same S and alpha_S checks;
+    CompositionInputs also checks tau, which compose_strong fixes at 2."""
 
     @pytest.mark.parametrize("tau", BAD_TAUS)
     def test_inputs_reject_bad_tau(self, line_metric, tau):
@@ -769,13 +755,6 @@ class TestSubsetAndTauChecks:
         with pytest.raises(ValueError, match="tau must be finite and positive"):
             CompositionInputs(m=line_metric, s=(0, 1), p=2.0, alpha_s=PointSet(
                 points=alpha.points[:2], p=2.0), alpha_x=alpha, tau=tau)
-
-    @pytest.mark.parametrize("tau", BAD_TAUS)
-    def test_strong_rejects_bad_tau(self, claw_metric, tau):
-        alpha_s = PointSet(points=np.array([[0.0], [-1.0], [1.0]]), p=2.0)
-        with pytest.raises(ValueError, match="tau must be finite and positive"):
-            compose_strong(claw_metric, (0, 1, 2), 2.0, alpha_s, np.random.default_rng(0),
-                           tau=tau)
 
     @pytest.mark.parametrize("s", [(0, 1, 7), (-1, 0, 1)])
     def test_strong_rejects_s_out_of_range(self, claw_metric, s):

@@ -271,6 +271,19 @@ class TestDistortionBracket:
         assert len(calls) <= 900
 
 
+class TestTinyScales:
+    @pytest.mark.parametrize("scale", [1e-20, 1e-30, 1e-60])
+    def test_scaled_six_cycle_keeps_its_answers(self, scale):
+        # the Schoenberg tolerance is relative to lam_max alone, so a metric
+        # whose centered Gram is tiny is judged as it is at scale 1
+        m = from_matrix(from_graph(cycle(6)).dist * scale)
+        assert not is_l2_isometric(m)
+        assert min_outlier_isometric_l2(m) == (2, (0, 1))
+        lower, upper = distortion_bracket(m, tol=1e-3)
+        assert lower - 1e-9 <= 1.5 <= upper + 1e-9
+        assert upper - lower <= 1e-3
+
+
 class TestHypercube:
     def test_k2_scale2_witness(self, single_edge):
         ok, witness = hypercube_embeddable(single_edge, 2)

@@ -1,6 +1,9 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -11,3 +14,16 @@ def test_benchmark_checks_catch_corrupted_outputs():
     proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("workload", ["solve-planted", "oracle-exact", "compose-nested"])
+def test_benchmark_round_is_correct(workload):
+    # one minimal run of each workload: every call the benchmark makes into
+    # the package still exists and every output passes its check
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", "11", "--seconds", "0", "--trace", "0"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, result
+    assert result["failed"] == 0, result
