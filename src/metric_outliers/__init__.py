@@ -9,7 +9,6 @@ from .lp_geometry import (
     PointSet,
     centered_gram,
     is_l2_isometric,
-    lp_distance,
     pairwise_distances,
     points_from_gram,
 )

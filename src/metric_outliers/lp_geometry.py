@@ -1,9 +1,13 @@
-"""lp point arithmetic, the Schoenberg l2-embeddability test, and Gram factorization.
+"""The Schoenberg l2-embeddability test, Gram factorization, lp distances of
+point sets and their JSON interchange.
 
 The classical facts used here: a finite metric embeds isometrically into l2
 iff the double-centered squared-distance matrix B = -1/2 * J * D^2 * J
-(J = I - (1/n) * 1 * 1^T) is positive semidefinite, and any PSD matrix G is
-the Gram matrix of points recoverable by eigendecomposition.
+(J = I - (1/n) * 1 * 1^T) is positive semidefinite (Schoenberg 1935), and any
+PSD matrix G is the Gram matrix of points recoverable by eigendecomposition.
+Each is decided in one place: schoenberg_rule is the PSD test,
+squared_distances the one squaring of a metric and points_from_gram the
+one factor.
 """
 from __future__ import annotations
 
@@ -35,7 +39,8 @@ class PointSet:
             raise DimMismatch(f"points must be a (n, dims) array with dims >= 1, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise DimMismatch("points contain non-finite coordinates")
-        _check_p(self.p)
+        if not np.isfinite(self.p) or self.p < 1.0:
+            raise InvalidP(f"p must be finite and >= 1, got {self.p}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "p", float(self.p))
 
@@ -46,21 +51,6 @@ class PointSet:
     @property
     def dims(self) -> int:
         return self.points.shape[1]
-
-
-def _check_p(p: float) -> None:
-    if not np.isfinite(p) or p < 1.0:
-        raise InvalidP(f"p must be finite and >= 1, got {p}")
-
-
-def lp_distance(a, b, p: float) -> float:
-    """(sum |a_i - b_i|^p)^(1/p) for finite p >= 1."""
-    _check_p(p)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimMismatch(f"point dimensions differ: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b, ord=p))
 
 
 def condensed_distances(ps: PointSet) -> np.ndarray:
@@ -79,35 +69,6 @@ def pairwise_distances(ps: PointSet) -> np.ndarray:
     """All-pairs lp distance matrix of a point set, exactly symmetric."""
     from scipy.spatial.distance import squareform  # imported here, as in condensed_distances
     return squareform(condensed_distances(ps)) if ps.n else np.zeros((0, 0))
-
-
-def check_symmetric(a: np.ndarray) -> np.ndarray:
-    """Validate symmetry within a relative tolerance and return the symmetrized matrix."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimMismatch(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 0.0)
-    if np.abs(a - a.T).max(initial=0.0) > SYMMETRY_TOL * scale:
-        raise DimMismatch("matrix is not symmetric within tolerance")
-    return (a + a.T) / 2.0
-
-
-def sorted_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric eigendecomposition with eigenvalues sorted descending.
-
-    Eigenvector signs are fixed (largest-magnitude component positive) so the
-    factorization is reproducible for CLI output.
-    """
-    vals, vecs = np.linalg.eigh(a)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        pivot = int(np.argmax(np.abs(col)))
-        if col[pivot] < 0:
-            vecs[:, j] = -col
-    return vals, vecs
 
 
 def _center(d2: np.ndarray) -> np.ndarray:
@@ -129,8 +90,9 @@ def squared_distances(m: "MetricSpace") -> np.ndarray:
 
 
 def centered_gram(m: "MetricSpace") -> np.ndarray:
-    """Double-centered squared-distance matrix B = -1/2 * J * D^2 * J."""
-    return _center(np.asarray(m.dist, dtype=float) ** 2)
+    """Double-centered squared-distance matrix B = -1/2 * J * D^2 * J, or
+    squared_distances' ValueError."""
+    return _center(squared_distances(m))
 
 
 def schoenberg_test(d2: np.ndarray, lam_ref: float = 0.0) -> np.ndarray:
@@ -168,51 +130,43 @@ def is_l2_isometric(m: "MetricSpace") -> bool:
 def points_from_gram(g: np.ndarray) -> PointSet:
     """Factor a PSD matrix G into points whose pairwise inner products match G.
 
-    Eigenvalues in [-SCHOENBERG_TOL * lam_max, 0) are clamped to zero;
-    anything below that raises NotPSD.
+    G must pass schoenberg_rule: eigenvalues in [-SCHOENBERG_TOL * lam_max, 0)
+    are clamped to zero, and anything below that raises NotPSD. Column j is
+    the j-th largest eigenvalue's eigenvector, signed so its largest-magnitude
+    entry is positive, times the eigenvalue's square root. So the factor is
+    fixed only up to a rotation within a repeated eigenvalue (and moves by
+    rounding when two eigenvalues nearly meet); the distances between the
+    points are what is stable.
     """
-    g = check_symmetric(g)
-    vals, vecs = sorted_eigh(g)
-    lam_max = max(float(vals[0]) if vals.size else 0.0, 0.0)
-    floor = -SCHOENBERG_TOL * lam_max
-    if vals.size and float(vals[-1]) < floor:
-        raise NotPSD(
-            f"matrix has eigenvalue {float(vals[-1]):g} below -SCHOENBERG_TOL*lam_max = {floor:g}"
-        )
-    vals = np.clip(vals, 0.0, None)
-    pts = vecs * np.sqrt(vals)[None, :]
-    if pts.shape[1] == 0:
-        pts = np.zeros((g.shape[0], 1))
-    return PointSet(points=pts, p=2.0)
-
-
-def gram_of_points(points: np.ndarray) -> np.ndarray:
-    """Gram matrix V V^T of row vectors."""
-    points = np.asarray(points, dtype=float)
-    g = points @ points.T
-    return (g + g.T) / 2.0
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise DimMismatch(f"expected a square matrix, got shape {g.shape}")
+    if not g.size:
+        return PointSet(points=np.zeros((0, 1)), p=2.0)
+    if np.abs(g - g.T).max() > SYMMETRY_TOL * max(1.0, float(np.abs(g).max())):
+        raise DimMismatch("matrix is not symmetric within tolerance")
+    vals, vecs = np.linalg.eigh((g + g.T) / 2.0)
+    if not schoenberg_rule(vals):
+        floor = -SCHOENBERG_TOL * max(float(vals[-1]), 0.0)
+        raise NotPSD(f"matrix has eigenvalue {float(vals[0]):g} below -SCHOENBERG_TOL*lam_max = {floor:g}")
+    order = np.argsort(vals)[::-1]
+    vals, vecs = np.clip(vals[order], 0.0, None), vecs[:, order]
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))]
+    return PointSet(points=vecs * np.where(pivots < 0, -1.0, 1.0) * np.sqrt(vals), p=2.0)
 
 
 # -- embedding JSON interchange ------------------------------------------------
 
-def embedding_to_json(ps: PointSet) -> str:
-    return json.dumps({"p": ps.p, "points": ps.points.tolist()})
-
-
-def embedding_from_json(text: str) -> PointSet:
-    data = json.loads(text)
-    for key in ("p", "points"):
-        if key not in data:
-            raise SizeMismatch(f"embedding JSON has no {key!r} key")
-    return PointSet(points=np.asarray(data["points"], dtype=float), p=float(data["p"]))
-
-
 def write_embedding(path: str, ps: PointSet) -> None:
     with open(path, "w") as fh:
-        fh.write(embedding_to_json(ps))
+        json.dump({"p": ps.p, "points": ps.points.tolist()}, fh)
         fh.write("\n")
 
 
 def read_embedding(path: str) -> PointSet:
     with open(path) as fh:
-        return embedding_from_json(fh.read())
+        data = json.load(fh)
+    for key in ("p", "points"):
+        if key not in data:
+            raise SizeMismatch(f"embedding JSON has no {key!r} key")
+    return PointSet(points=np.asarray(data["points"], dtype=float), p=float(data["p"]))

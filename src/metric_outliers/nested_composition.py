@@ -186,16 +186,6 @@ class CompositionTranscript:
             "gamma": {str(u): g for u, g in sorted(self.gamma.items())},
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "CompositionTranscript":
-        return CompositionTranscript(
-            b=float(data["b"]),
-            pi=tuple(int(v) for v in data["pi"]),
-            clusters=tuple((int(c["center"]), tuple(int(v) for v in c["members"]))
-                           for c in data["clusters"]),
-            gamma={int(u): int(g) for u, g in data["gamma"].items()},
-        )
-
 
 def sample_transcript(inputs: CompositionInputs, rng: np.random.Generator) -> CompositionTranscript:
     """Draw b uniform on [2, tau+2], a Fisher-Yates permutation of K, and run
@@ -578,6 +568,10 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
     rng gives the draw, then one seed per cluster in formation order, drawn
     whether or not the cluster takes the Bourgain path, so rng's stream does
     not depend on the path a cluster takes.
+
+    At p = 2 a distance inside a cluster whose square overflows raises
+    squared_distances' ValueError; the d(x, y) it names are indices of the
+    cluster's submetric (its sorted members and anchor), not of m.
     """
     s_sorted, _ = _check_subset(m, s, p, alpha_s)
     gamma = nearest_anchors(m, s_sorted)

@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import BudgetExceeded, SolverFailure
-from .lp_geometry import centered_gram, schoenberg_test, squared_distances
+from .lp_geometry import _center, schoenberg_test, squared_distances
 from .metric_core import Graph, MetricSpace, from_graph
 from .outlier_sdp import _PairTable, _feasible, _least_distortion
 
@@ -95,18 +95,20 @@ def min_vertex_cover(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> tuple[i
     raise SolverFailure("unreachable: the full vertex set covers all edges")
 
 
-def _cores(m: MetricSpace, d2: np.ndarray, deadline: Optional[float]) -> np.ndarray:
-    """Incidence rows of the first MAX_CORES 4-point sets that fail the
-    Schoenberg test with the tolerance measured against lam_max of all of m."""
-    lam_ref = float(np.linalg.eigvalsh(centered_gram(m))[-1]) if m.n else 0.0
+def _cores(d2: np.ndarray, deadline: Optional[float]) -> np.ndarray:
+    """Incidence rows of the first MAX_CORES 4-point sets of the metric with
+    squared distances d2 that fail the Schoenberg test, with the tolerance
+    measured against lam_max of the whole metric."""
+    n = len(d2)
+    lam_ref = float(np.linalg.eigvalsh(_center(d2))[-1]) if n else 0.0
     found = np.zeros((0, 4), dtype=np.intp)
-    for quads in _subsets(m.n, 4):
+    for quads in _subsets(n, 4):
         if len(found) >= MAX_CORES:
             break
         _check_deadline(deadline)
         sub = d2[quads[:, :, None], quads[:, None, :]]
         found = np.concatenate([found, quads[~schoenberg_test(sub, lam_ref)]])
-    return _incidence(found[:MAX_CORES], m.n)
+    return _incidence(found[:MAX_CORES], n)
 
 
 def min_outlier_isometric_l2(m: MetricSpace, budget: OracleBudget = DEFAULT_BUDGET
@@ -138,7 +140,7 @@ def min_outlier_isometric_l2(m: MetricSpace, budget: OracleBudget = DEFAULT_BUDG
         limit = min(budget.max_subset_size, limit)
     deadline = budget.deadline()
     d2 = squared_distances(m)
-    cores = _cores(m, d2, deadline)
+    cores = _cores(d2, deadline)
     for size in range(0, limit + 1):
         for block in _hitting_sets(m.n, size, cores, deadline):
             kept = np.nonzero(~_incidence(block, m.n))[1].reshape(len(block), m.n - size)

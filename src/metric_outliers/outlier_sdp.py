@@ -31,9 +31,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import Exhausted, GammaNotAboveOne
-from .lp_geometry import (PointSet, centered_gram, points_from_gram, schoenberg_rule,
-                          squared_distances)
-from .metric_core import MetricSpace, distortion_stats, restrict
+from .lp_geometry import PointSet, _center, points_from_gram, schoenberg_rule, squared_distances
+from .metric_core import MetricSpace, _submetric, distortion_stats
 from .nested_composition import harmonic_number
 
 EPS_FEAS = 1e-6   # largest accepted pair-constraint violation, relative to d^2
@@ -171,9 +170,10 @@ class _PairTable:
     def __init__(self, m: MetricSpace):
         self.m, self.n = m, m.n
         self.xs, self.ys = np.triu_indices(m.n, k=1)
-        self.d2 = squared_distances(m)[self.xs, self.ys]
+        d2 = squared_distances(m)
+        self.d2 = d2[self.xs, self.ys]
         self.ends = np.concatenate((self.xs, self.ys))
-        self.start, self.start_bound, self.isometric = _centered_start(self)
+        self.start, self.start_bound, self.isometric = _centered_start(self, d2)
 
     def cold(self) -> _Iterate:
         """The pair a cold feasibility run starts from: `start` with dual u = 0."""
@@ -269,13 +269,13 @@ def _distortion(ratio: np.ndarray) -> float:
     return math.sqrt(ratio.max() / rmin) if rmin > 0.0 else math.inf
 
 
-def _centered_start(table: _PairTable) -> tuple[np.ndarray, Optional[float], bool]:
-    """The PSD-clamped centered Gram, rescaled so no pair contracts, the
-    iteration-0 LLR bound of distortion_feasible and the Schoenberg test. The
-    bound is that of the weights w_xy = -v_x v_y from the bottom eigenvector v
-    of the centered Gram B the Gram is clamped from, when v^T B v < 0 (else
-    None). All three come from one eigendecomposition of B, and none depends
-    on c.
+def _centered_start(table: _PairTable, d2: np.ndarray) -> tuple[np.ndarray, Optional[float], bool]:
+    """The PSD-clamped centered Gram of the n x n squared distances d2,
+    rescaled so no pair contracts, the iteration-0 LLR bound of
+    distortion_feasible and the Schoenberg test. The bound is that of the
+    weights w_xy = -v_x v_y from the bottom eigenvector v of the centered
+    Gram B the Gram is clamped from, when v^T B v < 0 (else None). All three
+    come from one eigendecomposition of B, and none depends on c.
 
     The Gram seeds the feasibility core and is a candidate witness of its own.
     Starting expanding puts any violations on the upper constraints, which
@@ -283,7 +283,7 @@ def _centered_start(table: _PairTable) -> tuple[np.ndarray, Optional[float], boo
     """
     if table.n < 2:
         return np.zeros((table.n, table.n)), None, True
-    b, vals, vecs = _clamp(centered_gram(table.m))
+    b, vals, vecs = _clamp(_center(d2))
     isometric = bool(schoenberg_rule(vals))
     rmin = float((table.pair_r(b) / table.d2).min(initial=1.0))
     # at rmin <= 1e-6 clamping collapsed a pair, which scaling cannot fix
@@ -461,8 +461,7 @@ def round_solution(sol: SdpSolution, gamma: float) -> OutlierResult:
     embedding = PointSet(points=pts.points * scale, p=2.0)
     achieved = 1.0
     if len(survivors) >= 2:
-        sub_metric, _ = restrict(m, set(outliers))
-        achieved = float(distortion_stats(sub_metric, embedding).distortion)
+        achieved = float(distortion_stats(_submetric(m, tuple(survivors)), embedding).distortion)
     return OutlierResult(
         outliers=tuple(sorted(outliers)),
         embedding=embedding,

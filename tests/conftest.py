@@ -34,6 +34,12 @@ def point_metric(rng: np.random.Generator, n: int, dims: int = 3) -> MetricSpace
     return from_matrix(cdist(pts, pts), tol_tri=1e-9)
 
 
+def gram_of(points: np.ndarray) -> np.ndarray:
+    """The Gram matrix V V^T of row vectors, exactly symmetric."""
+    g = points @ points.T
+    return (g + g.T) / 2.0
+
+
 def composition_instance_with_s(rng: np.random.Generator, m: MetricSpace,
                                 s: tuple[int, ...], p: float, seed: int,
                                 reps: int = 4) -> CompositionInputs:

@@ -33,7 +33,7 @@ from metric_outliers import (
     verify_outlier_embedding,
 )
 from metric_outliers.hardness_gadgets import l1_gadget, lp_gadget
-from metric_outliers.lp_geometry import gram_of_points, pairwise_distances
+from metric_outliers.lp_geometry import pairwise_distances
 from metric_outliers.nested_composition import pair_distance, table_case
 from metric_outliers.oracle import OracleBudget
 
@@ -41,6 +41,7 @@ from conftest import (
     close_pair_instance,
     composition_instance,
     composition_instance_with_s,
+    gram_of,
     integer_metric,
     planted_instance,
 )
@@ -194,7 +195,7 @@ def test_criterion_6_certificate_feasibility():
         zeta = max(stats.distortion, 1.0)
         inputs = CompositionInputs(m=m, s=s, p=2.0, alpha_s=alpha_s, alpha_x=alpha_x)
         det = compose_deterministic(inputs, 32, rng)
-        gram = gram_of_points(det.embedding.points)
+        gram = gram_of(det.embedding.points)
         delta = np.zeros(m.n)
         delta[list(planted)] = 1.0
         f_k = f_of_k(k, zeta)

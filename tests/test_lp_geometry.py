@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from metric_outliers import (
     distortion_stats,
     from_matrix,
     is_l2_isometric,
-    lp_distance,
     pairwise_distances,
     points_from_gram,
     verify_outlier_embedding,
@@ -18,14 +19,17 @@ from metric_outliers import (
 from metric_outliers.errors import DimMismatch, InvalidP, NotPSD
 from metric_outliers.lp_geometry import (
     condensed_distances,
-    embedding_from_json,
-    embedding_to_json,
-    gram_of_points,
+    read_embedding,
     schoenberg_test,
-    sorted_eigh,
+    write_embedding,
 )
 
-from conftest import point_metric
+from conftest import gram_of, point_metric
+
+
+def lp_distance(a, b, p: float) -> float:
+    """The lp distance of two points, measured by pairwise_distances."""
+    return float(pairwise_distances(PointSet(points=[a, b], p=p))[0, 1])
 
 
 class TestLpDistance:
@@ -40,11 +44,13 @@ class TestLpDistance:
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            lp_distance([0, 0], [1], 2.0)
+            PointSet(points=[0.0, 1.0], p=2.0)
+        with pytest.raises(DimMismatch):
+            PointSet(points=np.zeros((2, 0)), p=2.0)
 
     def test_invalid_p(self):
         with pytest.raises(InvalidP):
-            lp_distance([0], [1], 0.5)
+            PointSet(points=np.zeros((1, 1)), p=0.5)
         with pytest.raises(InvalidP):
             PointSet(points=np.zeros((1, 1)), p=float("inf"))
 
@@ -117,8 +123,8 @@ class TestCenteredGram:
         np.testing.assert_array_equal(b, [[0.0]])
 
     def test_claw_not_psd(self, claw_metric):
-        vals, _ = sorted_eigh(centered_gram(claw_metric))
-        assert vals[-1] < -1e-6
+        vals = np.linalg.eigvalsh(centered_gram(claw_metric))
+        assert vals[0] < -1e-6
 
 
 class TestSchoenberg:
@@ -172,7 +178,7 @@ class TestPointsFromGram:
             a = rng.normal(size=(n, n))
             g = a @ a.T
             ps = points_from_gram(g)
-            np.testing.assert_allclose(gram_of_points(ps.points), g, atol=1e-8 * max(1, g.max()))
+            np.testing.assert_allclose(gram_of(ps.points), g, atol=1e-8 * max(1, g.max()))
 
     def test_isometric_metric_embeds_exactly(self):
         rng = np.random.default_rng(6)
@@ -182,8 +188,33 @@ class TestPointsFromGram:
             assert distortion_stats(m, ps).distortion == pytest.approx(1.0, abs=1e-8)
 
 
-def test_embedding_json_roundtrip():
+def test_embedding_json_roundtrip(tmp_path):
     ps = PointSet(points=np.array([[0.5, -1.25], [3.0, 4.0]]), p=1.5)
-    back = embedding_from_json(embedding_to_json(ps))
+    write_embedding(str(tmp_path / "e.json"), ps)
+    back = read_embedding(str(tmp_path / "e.json"))
     assert back.p == ps.p
     np.testing.assert_array_equal(back.points, ps.points)
+
+
+def _factor_digest(grams) -> str:
+    h = hashlib.sha256()
+    for g in grams:
+        pts = points_from_gram(g).points
+        h.update(repr(pts.shape).encode())
+        h.update(pts.tobytes())
+    return h.hexdigest()
+
+
+def test_points_from_gram_digest():
+    """The factor's bytes on seeded Grams are pinned: full rank, rank-deficient,
+    a repeated eigenvalue, the centered Gram of points, identity, zero, 1x1
+    and 0x0. The digest holds for one numpy/LAPACK build; on another, re-pin
+    it from a tree whose factor is known good."""
+    rng = np.random.default_rng(25)
+    full, low = rng.normal(size=(6, 6)), rng.normal(size=(7, 3))
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    repeated = (q * [3.0, 3.0, 1.0, 1.0, 0.0]) @ q.T
+    grams = [gram_of(full), gram_of(low), (repeated + repeated.T) / 2.0,
+             centered_gram(point_metric(rng, 8)), np.eye(4), np.zeros((3, 3)),
+             np.array([[2.5]]), np.zeros((0, 0))]
+    assert _factor_digest(grams) == "788584a8280af153aaa553ec67e5b4fde040f8beb6118fb10010ce8bb5bc74c9"

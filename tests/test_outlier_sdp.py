@@ -32,7 +32,7 @@ from metric_outliers import (
 from metric_outliers.cli import dispatch
 from metric_outliers.errors import GammaNotAboveOne
 from metric_outliers.hardness_gadgets import lp_gadget
-from metric_outliers.lp_geometry import gram_of_points, pairwise_distances, points_from_gram
+from metric_outliers.lp_geometry import pairwise_distances, points_from_gram
 from metric_outliers.metric_core import write_metric_text
 from metric_outliers import outlier_sdp
 from metric_outliers.outlier_sdp import (
@@ -51,7 +51,7 @@ from metric_outliers.outlier_sdp import (
     weak_g,
 )
 
-from conftest import atlas_graphs, integer_metric
+from conftest import atlas_graphs, gram_of, integer_metric
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402  (the benchmark's independent output checks)
@@ -410,7 +410,7 @@ class TestRounding:
         inputs = CompositionInputs(m=claw_metric, s=(0, 1, 2), p=2.0,
                                    alpha_s=alpha_s, alpha_x=alpha_x)
         det = compose_deterministic(inputs, 16, np.random.default_rng(0))
-        gram = gram_of_points(det.embedding.points)
+        gram = gram_of(det.embedding.points)
         delta = np.array([0.0, 0.0, 0.0, 1.0])
         zeta = max(stats.distortion, 1.0)
         f_k = f_of_k(1, zeta)
@@ -631,7 +631,7 @@ class TestUpperDistortion:
     def test_one_on_a_line(self):
         x = np.arange(5.0)[:, None]
         m = from_matrix(np.abs(x - x.T))
-        assert upper_distortion(m, [gram_of_points(x)]) == 1.0
+        assert upper_distortion(m, [gram_of(x)]) == 1.0
         assert upper_distortion(m) == pytest.approx(1.0, abs=1e-12)
 
     def test_between_the_certified_lower_end_and_sqrt_n(self):
