@@ -90,6 +90,10 @@ class CompositionInputs:
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
         s_sorted, c_s = _check_subset(self.m, self.s, self.p, self.alpha_s)
         object.__setattr__(self, "s", s_sorted)
+        far = float(np.max(self.m.dist[list(self.gamma), list(self.gamma.values())], initial=0.0))
+        if not math.isfinite((2.0 + self.tau) * far):  # b d(v, gamma(v)) <= (2 + tau) far
+            raise ValueError(f"tau {self.tau:g} is too large: (2 + tau) d(v, gamma(v)) "
+                             f"overflows a float at d(v, gamma(v)) = {far:g}")
         if self.alpha_x.n != self.m.n:
             raise SizeMismatch(f"alpha_x has {self.alpha_x.n} rows, metric has {self.m.n}")
         if self.alpha_x.p != self.p:
@@ -119,6 +123,11 @@ class CompositionInputs:
         anchors = np.arange(self.m.n)
         anchors[list(self.gamma)] = list(self.gamma.values())
         return anchors
+
+    @cached_property
+    def anchor_rows(self) -> np.ndarray:
+        """_anchor_rows of these inputs: the alpha_s row of each point's anchor."""
+        return _anchor_rows(self.m.n, self.s, self.gamma)
 
 
 def _check_subset(m: MetricSpace, s: Sequence[int], p: float,
@@ -198,39 +207,55 @@ def _draw_block(outliers: tuple[int, ...], tau: float, count: int,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """count draws of b, shape (count,), and of pi, shape (count, k), a
     permutation of the outliers (K in increasing order). Each draw takes
-    rng.random() for b, then rng.permutation(k) as indices into K, which is
-    the shuffle that rng.permutation of K itself makes."""
+    rng.random() for b, then shuffles its row of an arange(k) table in place.
+    rng.permutation(k) is arange(k) shuffled, so the random calls and values
+    are those of rng.permutation(k), and of rng.permutation of K itself."""
     u = np.empty(count)
-    order = np.empty((count, len(outliers)), dtype=int)
+    order = np.tile(np.arange(len(outliers)), (count, 1))
     for t in range(count):
         u[t] = rng.random()
-        if outliers:
-            order[t] = rng.permutation(len(outliers))
+        rng.shuffle(order[t])
     return 2.0 + tau * u, np.asarray(outliers, dtype=int)[order]
+
+
+def _cluster_positions(m: MetricSpace, gamma: dict[int, int], v: Sequence[int],
+                       b: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """The grab rule, for every outlier of v in every draw of a batch.
+
+    Center u grabs outlier v when d(v, u) <= b d(v, gamma(v)), and v joins
+    the first center in pi order that grabs it, which is the cluster the
+    greedy loop puts it in. Entry [t, j] is the position in pi[t] of the
+    center of v[j]'s cluster under threshold b[t]; every outlier grabs
+    itself, so there is one. The batch's temporary holds len(v) x pi.size
+    distances.
+    """
+    if not len(v):
+        return np.zeros((len(b), 0), dtype=int)
+    d = m.dist[list(v)]
+    reach = b[:, None] * d[np.arange(len(v)), [gamma[u] for u in v]]
+    grab = d[:, pi] <= reach.T[:, :, None]
+    return grab.argmax(axis=2).T  # the first True in pi order
+
+
+def _transcript(gamma: dict[int, int], b: float, pi: Sequence[int],
+                position: Sequence[int]) -> CompositionTranscript:
+    """The transcript of the draw (b, pi) in which the j-th outlier (gamma's
+    keys, K in increasing order) joins the cluster of pi[position[j]]: t is
+    the last such position plus one, and cluster i holds the outliers whose
+    center is pi[i], in increasing index (possibly none)."""
+    members = [[] for _ in range(max(position, default=-1) + 1)]
+    for v, i in zip(gamma, position):
+        members[i].append(v)
+    return CompositionTranscript(b=b, pi=tuple(pi), clusters=tuple(zip(pi, map(tuple, members))),
+                                 gamma=dict(gamma))
 
 
 def _greedy_clusters(m: MetricSpace, gamma: dict[int, int], b: float,
                      pi: tuple[int, ...]) -> CompositionTranscript:
-    """The greedy cluster loop over pi, computed in one pass over the outlier block.
-
-    Center u grabs outlier v when d(v, u) <= b d(v, gamma(v)). Each outlier
-    joins the first center in pi order that grabs it, which is the cluster the
-    loop puts it in, since every outlier grabs itself; t is the last such
-    position plus one, and cluster i holds the outliers whose first grabbing
-    center is pi[i], in increasing index (possibly none).
-    """
-    if not pi:
-        return CompositionTranscript(b=b, pi=pi, clusters=(), gamma=dict(gamma))
-    centers = np.asarray(pi, dtype=int)
-    outliers = np.sort(centers)
-    reach = b * m.dist[outliers, [gamma[v] for v in outliers.tolist()]]
-    grab = m.dist[outliers][:, centers] <= reach[:, None]
-    owner = grab.argmax(axis=1).tolist()  # the first True in pi order
-    members = [[] for _ in range(max(owner) + 1)]
-    for v, i in zip(outliers.tolist(), owner):
-        members[i].append(v)
-    clusters = tuple(zip(pi, map(tuple, members)))
-    return CompositionTranscript(b=b, pi=pi, clusters=clusters, gamma=dict(gamma))
+    """The greedy cluster loop over pi: _cluster_positions for one draw."""
+    position = _cluster_positions(m, gamma, tuple(gamma), np.array([b]),
+                                  np.asarray(pi, dtype=int).reshape(1, -1))
+    return _transcript(gamma, b, pi, position[0].tolist())
 
 
 def _check_transcript(m: MetricSpace, gamma: dict[int, int], tr: CompositionTranscript) -> None:
@@ -268,15 +293,22 @@ class ComposedEmbedding:
 # A block is (points, rows): column block points[rows], so point v reads row
 # rows[v] of points.
 
-def _prime_rows(n: int, s: tuple[int, ...], gamma: dict[int, int],
-                tr: CompositionTranscript) -> np.ndarray:
-    """Row of alpha_s (rows follow sorted S) that each point reads in alpha':
-    its own on S, the row of gamma(center), a point of S, on a cluster."""
+def _anchor_rows(n: int, s: tuple[int, ...], gamma: dict[int, int]) -> np.ndarray:
+    """The row of alpha_s (rows follow sorted S) of each point's anchor: its
+    own on S, gamma(v)'s on an outlier v. In alpha' a point reads the entry
+    of its cluster's center, its own on S."""
     rows = np.empty(n, dtype=int)
     rows[list(s)] = np.arange(len(s))
-    for center, members in tr.clusters:
-        rows[list(members)] = rows[gamma[center]]
+    rows[list(gamma)] = rows[list(gamma.values())]
     return rows
+
+
+def _prime_rows(anchor_rows: np.ndarray, tr: CompositionTranscript) -> np.ndarray:
+    """Row of alpha_s that each point reads in alpha' in the draw tr."""
+    center = np.arange(len(anchor_rows))
+    for c, members in tr.clusters:
+        center[list(members)] = c
+    return anchor_rows[center]
 
 
 def _cluster_rows(n: int, members: Sequence[int], member_rows: Sequence[int],
@@ -287,15 +319,12 @@ def _cluster_rows(n: int, members: Sequence[int], member_rows: Sequence[int],
     return rows
 
 
-def _write_blocks(n: int, blocks: Sequence[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
-    """Blocks (points, rows, weight) side by side in one preallocated (n, total) array."""
-    out = np.empty((n, sum(points.shape[1] for points, _, _ in blocks)))
+def _write_blocks(n: int, blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Blocks (points, rows) side by side in one preallocated (n, total) array."""
+    out = np.empty((n, sum(points.shape[1] for points, _ in blocks)))
     col = 0
-    for points, rows, weight in blocks:
-        view = out[:, col:col + points.shape[1]]
-        np.take(points, rows, axis=0, out=view)
-        if weight != 1.0:
-            view *= weight
+    for points, rows in blocks:
+        np.take(points, rows, axis=0, out=out[:, col:col + points.shape[1]])
         col += points.shape[1]
     return out
 
@@ -305,8 +334,8 @@ def compose_once(inputs: CompositionInputs, transcript: CompositionTranscript) -
     with a block for every cluster, empty ones included."""
     _check_transcript(inputs.m, inputs.gamma, transcript)
     n, gamma = inputs.m.n, inputs.gamma
-    blocks = [(inputs.alpha_s.points, _prime_rows(n, inputs.s, gamma, transcript), 1.0)]
-    blocks += [(inputs.alpha_x.points, _cluster_rows(n, members, members, gamma[center]), 1.0)
+    blocks = [(inputs.alpha_s.points, _prime_rows(inputs.anchor_rows, transcript))]
+    blocks += [(inputs.alpha_x.points, _cluster_rows(n, members, members, gamma[center]))
                for center, members in transcript.clusters]
     return ComposedEmbedding(
         embedding=PointSet(points=_write_blocks(n, blocks), p=inputs.p),
@@ -327,27 +356,51 @@ def compose_deterministic(inputs: CompositionInputs, m_samples: int,
     distance on every pair equals the arithmetic mean of the per-draw
     distances. Blocks appear in order of first occurrence, and a cluster
     block's rows are built only then.
+
+    The draws come BLOCK // k at a time (at least one), with the random
+    calls and transcripts of m_samples calls of sample_transcript. One
+    _cluster_positions call finds every outlier's cluster in all of a
+    batch's draws (BLOCK x k distances), and a draw's alpha' rows are read
+    off its centers. Each weight multiplies its source, alpha_S or alpha_X,
+    once: the same bits as scaling the taken block. Memory is the batch,
+    the scaled sources and the output.
     """
     if m_samples < 1:
         raise ValueError("m_samples must be >= 1")
-    transcripts = tuple(sample_transcript(inputs, rng) for _ in range(m_samples))
-    n, gamma = inputs.m.n, inputs.gamma
-    counted: dict = {}  # key -> [points, rows, count]; the key determines the block
-    for tr in transcripts:
-        prime = _prime_rows(n, inputs.s, gamma, tr)
-        counted.setdefault(prime.tobytes(), [inputs.alpha_s.points, prime, 0])[2] += 1
-        for center, members in tr.clusters:
-            if not members:
-                continue
-            key = (gamma[center], members)
+    n, gamma, outliers = inputs.m.n, inputs.gamma, inputs.outliers
+    sources = (inputs.alpha_s.points, inputs.alpha_x.points)
+    counted: dict = {}  # key -> [source index, rows, count]; the key determines the block
+    transcripts = []
+    batch = max(1, BLOCK // max(len(outliers), 1))
+    for start in range(0, m_samples, batch):
+        b, pi = _draw_block(outliers, inputs.tau, min(batch, m_samples - start), rng)
+        position = _cluster_positions(inputs.m, gamma, outliers, b, pi)
+        primes = inputs.anchor_rows[np.take_along_axis(pi, position, axis=1)]
+        for b_t, pi_t, position_t, prime in zip(b.tolist(), pi.tolist(), position.tolist(), primes):
+            tr = _transcript(gamma, b_t, pi_t, position_t)
+            transcripts.append(tr)
+            key = prime.tobytes()  # the outliers' alpha' rows; S reads its own
             if key not in counted:
-                counted[key] = [inputs.alpha_x.points, _cluster_rows(n, members, members, key[0]), 0]
+                rows = inputs.anchor_rows.copy()
+                rows[list(outliers)] = prime
+                counted[key] = [0, rows, 0]
             counted[key][2] += 1
-    blocks = [(points, rows, (count / m_samples) ** (1.0 / inputs.p))
-              for points, rows, count in counted.values()]
+            for center, members in tr.clusters:
+                if not members:
+                    continue
+                key = (gamma[center], members)
+                if key not in counted:
+                    counted[key] = [1, _cluster_rows(n, members, members, key[0]), 0]
+                counted[key][2] += 1
+    scaled: dict = {}  # (source index, count) -> the source at that count's weight
+    blocks = []
+    for source, rows, count in counted.values():
+        if (source, count) not in scaled:
+            scaled[source, count] = sources[source] * (count / m_samples) ** (1.0 / inputs.p)
+        blocks.append((scaled[source, count], rows))
     return ComposedEmbedding(
         embedding=PointSet(points=_write_blocks(n, blocks), p=inputs.p),
-        transcripts=transcripts,
+        transcripts=tuple(transcripts),
     )
 
 
@@ -371,8 +424,7 @@ def _owner_distances(inputs: CompositionInputs, x: int, y: int,
     a_s, a_x = inputs.alpha_s.points, inputs.alpha_x.points
     gx, gy = inputs.anchor_of[cx], inputs.anchor_of[cy]
     same = cx == cy
-    total = np.sum(np.abs(a_s[np.searchsorted(inputs.s, gx)]
-                          - a_s[np.searchsorted(inputs.s, gy)]) ** p, axis=1)
+    total = np.sum(np.abs(a_s[inputs.anchor_rows[cx]] - a_s[inputs.anchor_rows[cy]]) ** p, axis=1)
     total += np.sum(np.abs(a_x[x] - a_x[np.where(same, y, gx)]) ** p, axis=1)
     total += np.sum(np.abs(a_x[y] - a_x[np.where(same, y, gy)]) ** p, axis=1)
     root = 1.0 / p  # taken as a float power: numpy's array power can differ in the last bit
@@ -391,13 +443,11 @@ def pair_distance(inputs: CompositionInputs, tr: CompositionTranscript, x: int, 
 
 
 def _owners(inputs: CompositionInputs, v: int, b: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Per draw, the center of v's cluster: the first center in pi order with
-    d(v, u) <= b d(v, gamma(v)). A point of S is its own owner."""
+    """Per draw, the center of v's cluster; a point of S is its own owner."""
     if v not in inputs.gamma:
         return np.full(len(b), v)
-    d = inputs.m.dist[v]
-    grab = d[pi] <= b[:, None] * d[inputs.gamma[v]]
-    return pi[np.arange(len(b)), grab.argmax(axis=1)]  # the first True in pi order
+    position = _cluster_positions(inputs.m, inputs.gamma, (v,), b, pi)
+    return pi[np.arange(len(b)), position[:, 0]]
 
 
 def estimate_expected_expansion(inputs: CompositionInputs, pair: tuple[int, int],
@@ -578,13 +628,13 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
     (b,), (pi,) = _draw_block(tuple(gamma), 2.0, 1, rng)
     transcript = _greedy_clusters(m, gamma, float(b), tuple(pi.tolist()))
 
-    blocks = [(alpha_s.points, _prime_rows(m.n, s_sorted, gamma, transcript), 1.0)]
+    blocks = [(alpha_s.points, _prime_rows(_anchor_rows(m.n, s_sorted, gamma), transcript))]
     for center, members in transcript.clusters:
         subset = tuple(sorted(set(members) | {gamma[center]}))
         emb = _cluster_embedding(_submetric(m, subset), p, int(rng.integers(0, 2 ** 63 - 1)))
         row_of = {orig: r for r, orig in enumerate(subset)}
         rows = _cluster_rows(m.n, members, [row_of[v] for v in members], row_of[gamma[center]])
-        blocks.append((emb.points, rows, 1.0))
+        blocks.append((emb.points, rows))
 
     return ComposedEmbedding(
         embedding=PointSet(points=_write_blocks(m.n, blocks), p=p),

@@ -515,6 +515,24 @@ def test_bad_composition_tau_exits_1(capsys, compose_args, command, tau):
     assert "tau must be finite and positive" in payload["message"]
 
 
+@pytest.mark.parametrize("command", ["run", "estimate"])
+def test_overflowing_composition_tau_exits_1(capsys, tmp_path, compose_args, command):
+    # with S = {1, 2}, leaf 3 is 2 from its anchor, so b d(3, gamma(3)) overflows
+    # at tau = 1.7e308; numpy warned about the multiply and the run carried on
+    from metric_outliers import PointSet
+    alpha_s = tmp_path / "alpha_s12.json"
+    write_embedding(str(alpha_s), PointSet(points=np.array([[-1.0], [1.0]]), p=2.0))
+    args = list(compose_args)
+    args[args.index("--s") + 1] = "1,2"
+    args[args.index("--alpha-s") + 1] = str(alpha_s)
+    extra = ["--pair", "0,3"] if command == "estimate" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = error_of(capsys, ["compose", command] + args + extra + ["--tau", "1.7e308"])
+    assert payload["error"] == "InvalidArgument"
+    assert payload["message"].startswith("tau ") and "overflows" in payload["message"]
+
+
 @pytest.mark.parametrize("flags", [
     ["--tau", "inf"], ["--tau", "nan"], ["--kappa", "inf"], ["--tau", "1e308"],
     ["--c-s", "nan"], ["--c-x", "inf"], ["--c-s", "0.5"], ["--c-x", "1e308"],

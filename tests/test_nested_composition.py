@@ -531,6 +531,80 @@ class TestDeterministicComposition:
         assert h.hexdigest() == "c4d99ac2d1ad9a77c20089ed4f5d872c5348894845e44752fc5db827095d26e4"
 
 
+def reference_deterministic(inputs, m_samples, rng):
+    """compose_deterministic as a loop over draws: sample_transcript, then the
+    alpha' rows of the draw, then each distinct block taken and multiplied by
+    its weight. Returns the points and the transcripts."""
+    transcripts = tuple(sample_transcript(inputs, rng) for _ in range(m_samples))
+    n, gamma = inputs.m.n, inputs.gamma
+    counted = {}
+    for tr in transcripts:
+        prime = np.empty(n, dtype=int)
+        prime[list(inputs.s)] = np.arange(len(inputs.s))
+        for center, members in tr.clusters:
+            prime[list(members)] = prime[gamma[center]]
+        counted.setdefault(prime.tobytes(), [inputs.alpha_s.points, prime, 0])[2] += 1
+        for center, members in tr.clusters:
+            if members:
+                rows = np.full(n, gamma[center])
+                rows[list(members)] = members
+                counted.setdefault((gamma[center], members), [inputs.alpha_x.points, rows, 0])[2] += 1
+    blocks = []
+    for points, rows, count in counted.values():
+        block = np.take(points, rows, axis=0)
+        weight = (count / m_samples) ** (1.0 / inputs.p)
+        if weight != 1.0:
+            block *= weight
+        blocks.append(block)
+    return np.hstack(blocks), transcripts
+
+
+class TestBatchedDraws:
+    """compose_deterministic against the per-draw loop, bit for bit, across the
+    batch boundaries, and _draw_block against the sequential random calls."""
+
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_matches_per_draw_loop(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(nested_composition, "BLOCK", block)
+        block = nested_composition.BLOCK
+        saw_empty = False
+        # ten points with four outliers, eight with four, and S = X (k = 0)
+        for seed, n, k in ((71, 10, 4), (17, 8, 4), (29, 6, 0)):
+            for p in (1.0, 1.5, 2.0):
+                rng = np.random.default_rng(seed)
+                inputs = composition_instance(rng, integer_metric(rng, n), k=k, p=p, seed=3)
+                assert inputs.k == k
+                for m_samples in (1, block - 1, block, block + 1, 2 * block + 1):
+                    state = rng.bit_generator.state
+                    det = compose_deterministic(inputs, m_samples, rng)
+                    after = rng.bit_generator.state
+                    rng.bit_generator.state = state
+                    points, transcripts = reference_deterministic(inputs, m_samples, rng)
+                    case = (seed, p, m_samples)
+                    assert rng.bit_generator.state == after, case
+                    assert det.embedding.points.shape == points.shape, case
+                    assert det.embedding.points.tobytes() == points.tobytes(), case
+                    assert (json.dumps([tr.to_dict() for tr in det.transcripts])
+                            == json.dumps([tr.to_dict() for tr in transcripts])), case
+                    saw_empty |= any(not ms for tr in transcripts for _, ms in tr.clusters)
+        assert saw_empty
+
+    @pytest.mark.parametrize("k", [0, 1, 50])
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_draw_block_is_the_sequential_stream(self, k, count):
+        outliers = tuple(range(3, 3 + 2 * k, 2))
+        rng, ref = np.random.default_rng(83), np.random.default_rng(83)
+        b, pi = nested_composition._draw_block(outliers, 1.5, count, rng)
+        want_b, want_pi = [], []
+        for _ in range(count):
+            want_b.append(2.0 + 1.5 * ref.random())
+            want_pi.append(np.asarray(outliers, dtype=int)[ref.permutation(k)].tolist())
+        assert b.tolist() == want_b
+        assert pi.shape == (count, k) and pi.tolist() == want_pi
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 class TestBoundCalculator:
     def test_case_c_example(self):
         assert expansion_bound("c", 1.0, 2.0) == pytest.approx(25.0)
