@@ -49,7 +49,6 @@ from .oracle import (
 from .outlier_sdp import (
     OutlierResult,
     SdpSolution,
-    bicriteria_bound,
     f_of_k,
     round_solution,
     search_min_outliers,

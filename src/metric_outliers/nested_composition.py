@@ -408,6 +408,8 @@ def _check_pair(n: int, x: int, y: int) -> None:
     for v in (x, y):
         if not 0 <= v < n:
             raise IndexOutOfRange(f"pair index {v} is outside 0..{n - 1}")
+    if x == y:
+        raise DomainError(f"pair ({x}, {y}) names one point twice")
 
 
 def _owner_distances(inputs: CompositionInputs, x: int, y: int,

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BudgetExceeded, SolverFailure
 from .lp_geometry import _center, schoenberg_test, squared_distances
 from .metric_core import Graph, MetricSpace, from_graph
-from .outlier_sdp import _PairTable, _feasible, _least_distortion
+from .outlier_sdp import PairTable, distortion_feasible, upper_distortion
 
 
 BLOCK = 256  # candidate sets per batch: each batch's temporaries stay within a few MB
@@ -157,29 +157,34 @@ def distortion_bracket(m: MetricSpace, tol: float = 1e-3) -> tuple[float, float]
     distortion of an embedding in hand: the best of upper_distortion's, or a
     Gram matrix a run accepted. lower is the best LLR certificate
     found, 1.0 if there is none. An undecided run moves the search past its
-    c but not the certified lower end, so upper - lower <= tol holds unless a
-    run was undecided. tol must be finite and positive.
+    c but not the certified lower end. The bisection also stops when the
+    midpoint of the search interval is not strictly inside it, as happens
+    once its ends are adjacent floats. So upper - lower <= tol holds unless a
+    run was undecided or tol is below the float spacing at c. tol must be
+    finite and positive.
 
     The first run starts from the rescaled centered Gram with dual u = 0, as
-    distortion_feasible does; each later one goes on from the primal-dual
-    pair (G, u) where the previous run stopped, at a nearby c. The start
-    changes how soon a run ends, not whether its verdict holds: a Gram is
-    accepted on its measured distortion, and an LLR bound holds for any
+    a cold distortion_feasible run does; each later one goes on from the
+    primal-dual pair (G, u) where the previous run stopped, at a nearby c. The
+    start changes how soon a run ends, not whether its verdict holds: a Gram
+    is accepted on its measured distortion, and an LLR bound holds for any
     weights.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     # one pair table, with one eigendecomposition of the centered Gram, gives
-    # the Schoenberg test, hi = upper_distortion(m) and every run's start
-    table = _PairTable(m)
+    # the Schoenberg test, hi and every run's start
+    table = PairTable(m)
     if table.isometric:
         return 1.0, 1.0
-    hi = _least_distortion(table, [])
+    hi = upper_distortion(table)
     lo = lower = 1.0
     pair = table.cold()
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        verdict, _, bound = _feasible(table, mid, pair)
+        if not lo < mid < hi:
+            break
+        verdict, _, bound = distortion_feasible(table, mid, pair)
         if verdict == "feasible":
             hi = min(hi, bound)
         elif verdict == "infeasible":

@@ -18,9 +18,10 @@ Gram matrix of distortion <= c or a Linial-London-Rabinovich certificate
 above c. A certificate can come at iteration 0, before any iteration runs,
 from the bottom eigenvector of the centered Gram B = -1/2 J D^2 J; the
 eigendecomposition of B that gives it also gives the run's starting Gram.
-Neither depends on c, so each entry point builds one _PairTable for all its
-runs, witnesses and measurements; c^2 and f(k) are plain arguments. A given
-zeta's c0 scale is checked, like every parameter, before any feasibility run.
+Neither depends on c, so each entry point builds one PairTable and passes it
+to all its runs (distortion_feasible), witnesses and measurements
+(upper_distortion); c^2 and f(k) are plain arguments. A given zeta's c0
+scale is checked, like every parameter, before any feasibility run.
 """
 from __future__ import annotations
 
@@ -42,20 +43,16 @@ LLR_EVERY = 10    # iterations between two LLR checks of a feasibility run's dua
 
 
 # ---------------------------------------------------------------------------
-# f(k) and the bicriteria bound
+# f(k) and the bicriteria cap
 # ---------------------------------------------------------------------------
 
-def weak_g(k: int) -> float:
-    """Explicit envelope of the close-pair expected-expansion multiplier:
-    g(k) = 190 * H_k + 1 (the c_S and c_X coefficients summed, plus one)."""
-    return float(190 * harmonic_number(k) + 1)
-
-
 def _g(k: int, g_mode: str) -> float:
-    """g(k) of f(k) = (g(k) * zeta)^2: weak_g(k) in weak_factor mode, 382 * H_{k+1}
-    in strong_subset mode."""
+    """g(k) of f(k) = (g(k) * zeta)^2. In weak_factor mode it is 190 * H_k + 1,
+    the explicit envelope of the close-pair expected-expansion multiplier (the
+    c_S and c_X coefficients summed, plus one); in strong_subset mode,
+    382 * H_{k+1}."""
     if g_mode == "weak_factor":
-        return weak_g(k)
+        return float(190 * harmonic_number(k) + 1)
     if g_mode == "strong_subset":
         return 382.0 * float(harmonic_number(k + 1))
     raise ValueError(f"unknown g_mode {g_mode!r}")
@@ -73,13 +70,6 @@ def f_of_k(k: int, zeta: float, g_mode: str = "weak_factor") -> float:
     g = _g(k, g_mode)
     _check_distortion("zeta", zeta)
     return _square("zeta", zeta, g * zeta)
-
-
-def bicriteria_bound(k: int, c: float, gamma: float, g_value: float, zeta: float) -> float:
-    """Cap on the rounded outlier set size of a solution whose delta sums to
-    at most k: 2 (g^2 zeta^2 / c^2 + gamma^2) / (gamma^2 - 1) * k."""
-    _check_gamma(gamma)
-    return _cap(k, c, gamma, (g_value * zeta) ** 2)
 
 
 def _cap(weight: float, c: float, gamma: float, f_k: float) -> float:
@@ -160,12 +150,13 @@ class _Iterate:
     u: np.ndarray
 
 
-class _PairTable:
+class PairTable:
     """The pairs x < y of one metric, their squared distances d2 (an overflowing
     one is refused before any eigendecomposition) and the centered start of its
     feasibility runs: the Gram `start` and its iteration-0 bound `start_bound`.
     `isometric` is the metric's Schoenberg test, decided from the eigenvalues
-    the start came from."""
+    the start came from. One table serves every distortion_feasible run and
+    upper_distortion measurement on its metric."""
 
     def __init__(self, m: MetricSpace):
         self.m, self.n = m, m.n
@@ -210,7 +201,7 @@ def _psd_project(g: np.ndarray) -> np.ndarray:
     return _clamp(g)[0]
 
 
-def _lp_polish(table: _PairTable, g: np.ndarray, c2: float, f: float) -> Optional[np.ndarray]:
+def _lp_polish(table: PairTable, g: np.ndarray, c2: float, f: float) -> Optional[np.ndarray]:
     """Minimal-weight delta for a fixed Gram matrix at c^2 = c2: the _min_cover
     of the pair needs, or None when no delta in [0, 1]^n meets them.
 
@@ -269,7 +260,7 @@ def _distortion(ratio: np.ndarray) -> float:
     return math.sqrt(ratio.max() / rmin) if rmin > 0.0 else math.inf
 
 
-def _centered_start(table: _PairTable, d2: np.ndarray) -> tuple[np.ndarray, Optional[float], bool]:
+def _centered_start(table: PairTable, d2: np.ndarray) -> tuple[np.ndarray, Optional[float], bool]:
     """The PSD-clamped centered Gram of the n x n squared distances d2,
     rescaled so no pair contracts, the iteration-0 LLR bound of
     distortion_feasible and the Schoenberg test. The bound is that of the
@@ -294,15 +285,11 @@ def _centered_start(table: _PairTable, d2: np.ndarray) -> tuple[np.ndarray, Opti
     return gram, _llr_bound(table, -bottom[table.xs] * bottom[table.ys]), isometric
 
 
-def upper_distortion(m: MetricSpace, grams: Sequence[np.ndarray] = ()) -> float:
-    """The least measured l2 distortion of the embeddings in hand: `grams`, the
-    rescaled centered Gram and the distance rows x -> d(x, .) (at most sqrt(n/2)).
-    Nothing is drawn at random; relabeling moves the value only by rounding."""
-    return _least_distortion(_PairTable(m), grams)
-
-
-def _least_distortion(table: _PairTable, grams: Sequence[np.ndarray]) -> float:
-    """The least distortion of `grams`, the table's start and the distance rows."""
+def upper_distortion(table: PairTable, grams: Sequence[np.ndarray] = ()) -> float:
+    """The least measured l2 distortion of the embeddings in hand on the
+    table's metric: `grams`, the table's start (the rescaled centered Gram) and
+    the distance rows x -> d(x, .) (at most sqrt(n/2)). Nothing is drawn at
+    random; relabeling moves the value only by rounding."""
     if table.n < 2:
         return 1.0
     # the Gram matrix of the distance rows, whose entries reach n d^2, from rows
@@ -312,7 +299,7 @@ def _least_distortion(table: _PairTable, grams: Sequence[np.ndarray]) -> float:
     return min(_distortion(table.pair_r(g) / table.d2) for g in (*grams, table.start, rows))
 
 
-def _first_witness(table: _PairTable, c: float, f_k: float, level: float,
+def _first_witness(table: PairTable, c: float, f_k: float, level: float,
                    grams: Sequence[np.ndarray]) -> Optional[SdpSolution]:
     """The first Gram matrix in `grams` whose LP-polished delta at distortion c
     and f(k) = f_k sums to at most `level` and meets every pair constraint
@@ -329,7 +316,7 @@ def _first_witness(table: _PairTable, c: float, f_k: float, level: float,
     return None
 
 
-def _llr_bound(table: _PairTable, w: np.ndarray) -> float:
+def _llr_bound(table: PairTable, w: np.ndarray) -> float:
     """Lower bound on the l2 distortion from pair weights w (Linial, London &
     Rabinovich 1995); 1.0 when w is all zero.
 
@@ -358,10 +345,11 @@ def _llr_bound(table: _PairTable, w: np.ndarray) -> float:
     return math.sqrt(neg / pos) if pos > 0.0 else 1.0
 
 
-def distortion_feasible(m: MetricSpace, c: float
+def distortion_feasible(table: PairTable, c: float, start: Optional[_Iterate] = None
                         ) -> tuple[str, Optional[np.ndarray], Optional[float]]:
-    """Plain outlier-free feasibility: does a Gram matrix with distortion <= c
-    exist? Returns (verdict, gram, bound), each verdict checked by a witness:
+    """Plain outlier-free feasibility on the table's metric: does a Gram
+    matrix with distortion <= c exist? Returns (verdict, gram, bound), each
+    verdict checked by a witness:
 
     - "feasible": gram, rescaled so no pair contracts, has distortion bound <= c;
     - "infeasible": an LLR certificate proves the optimal l2 distortion is at
@@ -371,26 +359,19 @@ def distortion_feasible(m: MetricSpace, c: float
 
     The run is the linearized primal-dual iteration of Chambolle & Pock (2011)
     on {G PSD, d^2/2 <= r(G)/2 <= c^2 d^2/2}, r(G) = G_xx + G_yy - 2 G_xy,
-    from the rescaled centered Gram. Every row of that map has unit norm, so
-    its squared norm is n/2 and one step size 0.99/sqrt(n/2) serves primal
-    and dual. The primal witness is checked every iteration; the dual one, the
-    weights u/2 of the dual iterate u, every LLR_EVERY iterations. At
-    iteration 0, after the primal check, the certificate comes from the
-    centered Gram B itself: when its bottom eigenvector v has v^T B v < 0, the
-    weights w_xy = -v_x v_y have Laplacian v v^T (v is orthogonal to 1), which
-    is PSD, and sum w d^2 = v^T B v < 0, so they bound the distortion above 1
-    with no iteration run.
+    from the pair `start`, or cold from table.cold(): the rescaled centered
+    Gram with dual u = 0. A given start is left holding the pair where the run
+    stopped, so the next run can go on from there. Every row of that map has
+    unit norm, so its squared norm is n/2 and one step size 0.99/sqrt(n/2)
+    serves primal and dual. The primal witness is checked every iteration; the
+    dual one, the weights u/2 of the dual iterate u, every LLR_EVERY
+    iterations. At iteration 0, after the primal check, the certificate comes
+    from the centered Gram B itself: when its bottom eigenvector v has
+    v^T B v < 0, the weights w_xy = -v_x v_y have Laplacian v v^T (v is
+    orthogonal to 1), which is PSD, and sum w d^2 = v^T B v < 0, so they bound
+    the distortion above 1 with no iteration run.
     """
-    table = _PairTable(m)  # an overflowing distance is named before c
-    _check_scale(m, "target distortion", c, c)
-    return _feasible(table, c)
-
-
-def _feasible(table: _PairTable, c: float, start: Optional[_Iterate] = None
-              ) -> tuple[str, Optional[np.ndarray], Optional[float]]:
-    """distortion_feasible on the table's metric, with c unchecked, from the
-    pair `start`, or cold from table.cold(). A given start is left holding the
-    pair where the run stopped, so the next run can go on from there."""
+    _check_scale(table.m, "target distortion", c, c)
     n = table.n
     if n < 2:
         return "feasible", np.zeros((n, n)), 1.0
@@ -510,17 +491,17 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
     _check_distortion("target distortion", c)
     _g(0, mode)  # a bad mode is refused before any feasibility run
     # one table, with one eigendecomposition of B, serves every run, zeta and witness
-    table = _PairTable(m)  # an overflowing distance is named before the scales
+    table = PairTable(m)  # an overflowing distance is named before the scales
     _check_scale(m, "gamma * c", gamma * c, gamma * c)
     if zeta is not None:  # a given zeta is refused before any feasibility run
         _check_scale(m, "zeta", zeta, _c0(c, zeta, mode))
-    high = _feasible(table, gamma * c)
+    high = distortion_feasible(table, gamma * c)
     if zeta is None:
         witnesses = [high[1]] if high[0] == "feasible" else []
-        zeta = _least_distortion(table, witnesses)
+        zeta = upper_distortion(table, witnesses)
     c0 = _c0(c, zeta, mode)
     _check_scale(m, "c0", c0, c0)  # only a computed zeta can fail here
-    runs = [_feasible(table, c0), high]
+    runs = [distortion_feasible(table, c0), high]
     # the first witness, not the least delta sum: reclaim can only keep points
     # the accepted Gram embeds within [d, gamma*c*d], and the feasibility
     # witnesses embed the most (least-sum left planted-n128 of the benchmark

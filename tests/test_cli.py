@@ -364,7 +364,7 @@ def test_bad_search_parameter_is_named(capsys, monkeypatch, tmp_path, claw_metri
     def feasibility_run(*args):
         raise AssertionError("a feasibility run started")
 
-    monkeypatch.setattr(outlier_sdp, "_feasible", feasibility_run)
+    monkeypatch.setattr(outlier_sdp, "distortion_feasible", feasibility_run)
     path = str(tmp_path / "claw.txt")
     write_metric_text(path, from_matrix(claw_metric.dist * scale))
     payload = error_of(capsys, ["outliers", "solve", "--metric", path,
@@ -473,6 +473,13 @@ def test_pair_out_of_range_exits_1(capsys, compose_args, pair):
     payload = error_of(capsys, ["compose", "estimate"] + compose_args + ["--pair", pair])
     assert payload["error"] == "IndexOutOfRange"
     assert pair in payload["message"]
+
+
+def test_pair_of_one_point_exits_1(capsys, compose_args):
+    # a mean over zero distances would print 0 with exit 0
+    payload = error_of(capsys, ["compose", "estimate"] + compose_args + ["--pair", "3,3"])
+    assert payload["error"] == "DomainError"
+    assert "pair (3, 3)" in payload["message"]
 
 
 def test_compose_run_reruns_are_byte_identical(capsys, compose_args):

@@ -22,7 +22,7 @@ from metric_outliers import oracle, outlier_sdp
 from metric_outliers.errors import BudgetExceeded, DisconnectedGraph
 from metric_outliers.hardness_gadgets import l1_gadget, lp_gadget
 from metric_outliers.oracle import OracleBudget
-from metric_outliers.outlier_sdp import distortion_feasible, upper_distortion
+from metric_outliers.outlier_sdp import PairTable, distortion_feasible, upper_distortion
 
 from conftest import atlas_graphs, integer_metric
 
@@ -55,12 +55,13 @@ def random_connected_graph(rng):
 
 
 def cold_bracket(m, tol):
-    """distortion_bracket's bisection written with the public functions: every
-    feasibility run starts cold from the centered Gram."""
-    hi, lo, lower = upper_distortion(m), 1.0, 1.0
+    """distortion_bracket's bisection with a new pair table for every
+    measurement and run: every feasibility run starts cold from the centered
+    Gram."""
+    hi, lo, lower = upper_distortion(PairTable(m)), 1.0, 1.0
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
-        verdict, _, bound = distortion_feasible(m, mid)
+        verdict, _, bound = distortion_feasible(PairTable(m), mid)
         if verdict == "feasible":
             hi = min(hi, bound)
         elif verdict == "infeasible":
@@ -201,7 +202,7 @@ class TestDistortionBracket:
     def test_witnesses_bracket_known_c2(self, monkeypatch, graph, c2):
         m = from_graph(graph)
         accepted, certified = [], []
-        original = oracle._feasible  # distortion_feasible from a shared pair table
+        original = oracle.distortion_feasible
 
         def recording(table, c, start=None):
             verdict, g, bound = original(table, c, start)
@@ -211,7 +212,7 @@ class TestDistortionBracket:
                 certified.append(bound)
             return verdict, g, bound
 
-        monkeypatch.setattr(oracle, "_feasible", recording)
+        monkeypatch.setattr(oracle, "distortion_feasible", recording)
         lower, upper = distortion_bracket(m, tol=1e-3)
         assert upper - lower <= 1e-3
         assert lower <= c2 + 1e-9 and all(b <= c2 + 1e-9 for b in certified)
@@ -228,8 +229,8 @@ class TestDistortionBracket:
         cold = cold_bracket(m, 1e-3)
         # the bracket builds one pair table, and with it one centered start
         tables = []
-        init = outlier_sdp._PairTable.__init__
-        monkeypatch.setattr(outlier_sdp._PairTable, "__init__",
+        init = outlier_sdp.PairTable.__init__
+        monkeypatch.setattr(outlier_sdp.PairTable, "__init__",
                             lambda table, m_: tables.append(1) or init(table, m_))
         warm = distortion_bracket(m, tol=1e-3)
         for lower, upper in (cold, warm):
@@ -245,14 +246,14 @@ class TestDistortionBracket:
         assert m.n == 15
         cold = cold_bracket(m, 1e-3)
         verdicts = []
-        original = oracle._feasible
+        original = oracle.distortion_feasible
 
         def recording(table, c, start=None):
             run = original(table, c, start)
             verdicts.append(run[0])
             return run
 
-        monkeypatch.setattr(oracle, "_feasible", recording)
+        monkeypatch.setattr(oracle, "distortion_feasible", recording)
         lower, upper = distortion_bracket(m, tol=1e-3)
         assert "undecided" not in verdicts
         assert upper - lower <= 1e-3
@@ -269,6 +270,25 @@ class TestDistortionBracket:
         for _, graph, _ in KNOWN_C2:
             distortion_bracket(from_graph(graph), tol=1e-3)
         assert len(calls) <= 900
+
+    @pytest.mark.parametrize("name", ["C8", "K1,5"])
+    def test_tol_below_the_float_spacing_returns(self, monkeypatch, name):
+        # at tol = 1e-300 the bisection reaches adjacent floats lo < hi, whose
+        # midpoint rounds onto one of them; it stops there instead of running
+        # the same c again forever
+        graph, c2 = next(entry[1:] for entry in KNOWN_C2 if entry[0] == name)
+        runs = []
+        original = oracle.distortion_feasible
+
+        def recording(table, c, start=None):
+            runs.append(c)
+            assert len(runs) < 2000, f"the bisection does not stop: {len(set(runs))} distinct c"
+            return original(table, c, start)
+
+        monkeypatch.setattr(oracle, "distortion_feasible", recording)
+        lower, upper = distortion_bracket(from_graph(graph), tol=1e-300)
+        assert lower <= c2 + 1e-9 and c2 <= upper + 1e-9
+        assert len(runs) == len(set(runs))
 
 
 class TestTinyScales:

@@ -16,7 +16,6 @@ from metric_outliers import (
     CompositionInputs,
     Graph,
     PointSet,
-    bicriteria_bound,
     bourgain_embed,
     compose_deterministic,
     distortion_bracket,
@@ -38,17 +37,19 @@ from metric_outliers import outlier_sdp
 from metric_outliers.outlier_sdp import (
     EPS,
     EPS_FEAS,
+    PairTable,
     SdpSolution,
-    _PairTable,
+    _cap,
+    _check_gamma,
     _distortion,
     _first_witness,
+    _g,
     _llr_bound,
     _lp_polish,
     _min_cover,
     distortion_feasible,
     round_solution,
     upper_distortion,
-    weak_g,
 )
 
 from conftest import atlas_graphs, gram_of, integer_metric
@@ -91,7 +92,7 @@ class TestFOfK:
 
     def test_weak_k1(self):
         assert f_of_k(1, 2.0) == pytest.approx(145924.0)
-        assert weak_g(1) == pytest.approx(191.0)
+        assert _g(1, "weak_factor") == pytest.approx(191.0)
 
     @pytest.mark.parametrize("zeta", [-1.0, 0.0, 0.5, math.nan])
     def test_strong_rejects_zeta_k_below_one(self, zeta):
@@ -117,8 +118,11 @@ class TestInstance:
 
     @pytest.mark.parametrize("c", [0.5, math.inf, math.nan, 1e200])
     def test_rejects_bad_c(self, line_metric, c):
-        with pytest.raises(ValueError, match=f"target distortion .*got {re.escape(str(c))}$"):
-            solution(line_metric, c, 1.0)
+        # a feasibility run refuses the same c before it starts
+        for call in (lambda: solution(line_metric, c, 1.0),
+                     lambda: distortion_feasible(PairTable(line_metric), c)):
+            with pytest.raises(ValueError, match=f"target distortion .*got {re.escape(str(c))}$"):
+                call()
 
     def test_constraint_reduction_under_delta(self, line_metric):
         # delta = 0 pinches to d^2 <= R <= c^2 d^2; delta_y = 1 voids the
@@ -169,7 +173,7 @@ def pair_needs(draw):
 
 def line_witness(line_metric):
     """The line's own Gram matrix at level 0: every delta is 0."""
-    table = _PairTable(line_metric)
+    table = PairTable(line_metric)
     sol = _first_witness(table, 1.0, 4.0, 0.0, [table.start])
     assert sol is not None and sol.objective == 0.0
     return sol
@@ -181,7 +185,7 @@ class TestSolve:
         # as c or f grows
         rng = np.random.default_rng(5)
         for _ in range(3):
-            table = _PairTable(integer_metric(rng, 6))
+            table = PairTable(integer_metric(rng, 6))
 
             def polished(c, f):
                 return _lp_polish(table, table.start, c ** 2, f).sum()
@@ -194,10 +198,10 @@ class TestSolve:
         # at f(1) ~ 1e5 an absolute LP error of 1e-7 in delta would be 1e-2 of
         # upper slack; the polish must still pass the EPS_FEAS check
         m = integer_metric(np.random.default_rng([101]), 6)
-        verdict, g, _ = distortion_feasible(m, 1.5)
+        verdict, g, _ = distortion_feasible(PairTable(m), 1.5)
         assert verdict == "feasible"
         _, stats = bourgain_embed(m, BourgainParams(seed=0, p=2.0))
-        table, f = _PairTable(m), f_of_k(1, max(stats.distortion, 1.0))
+        table, f = PairTable(m), f_of_k(1, max(stats.distortion, 1.0))
         delta = _lp_polish(table, g, 1.0, f)
         assert delta is not None
         assert table.residual(g, delta, 1.0, f) <= EPS_FEAS
@@ -245,7 +249,7 @@ class TestSolve:
         # dense 8127 x 128 pair constraint matrix alone would take 8.3 MB
         m = from_matrix(workloads.planted_metric(np.random.default_rng([5]), 120, 8),
                         tol_tri=1e-9)
-        table, f = _PairTable(m), f_of_k(1, 1.2)
+        table, f = PairTable(m), f_of_k(1, 1.2)
         _lp_polish(table, table.start, 1.0, f)  # scipy's modules load outside the traced call
         tracemalloc.start()
         try:
@@ -258,10 +262,10 @@ class TestSolve:
 
     def test_distortion_feasibility_direction(self, claw_metric):
         # the claw's optimal l2 distortion is sqrt(4/3)
-        verdict, g, bound = distortion_feasible(claw_metric, 1.0)
+        verdict, g, bound = distortion_feasible(PairTable(claw_metric), 1.0)
         assert verdict == "infeasible" and g is None
         assert 1.0 < bound <= math.sqrt(4.0 / 3.0) + 1e-12
-        verdict, g, bound = distortion_feasible(claw_metric, 2.0)
+        verdict, g, bound = distortion_feasible(PairTable(claw_metric), 2.0)
         assert verdict == "feasible"
         measured = distortion_stats(claw_metric, points_from_gram(g)).distortion
         assert measured <= 2.0 and measured == pytest.approx(bound, rel=1e-9)
@@ -279,15 +283,13 @@ class TestPairTable:
     def test_one_table_per_entry_point_call(self, monkeypatch, claw_metric, label):
         m = claw_metric if label == "claw" else dict(benchmark_corpus())[label]
         built = []
-        init = _PairTable.__init__
-        monkeypatch.setattr(_PairTable, "__init__",
+        init = PairTable.__init__
+        monkeypatch.setattr(PairTable, "__init__",
                             lambda table, m_: built.append(1) or init(table, m_))
         calls = {
             "search_min_outliers": lambda: search_min_outliers(m, 1.0, 1.5),
             "search_min_outliers strong": lambda: search_min_outliers(
                 m, 1.0, 1.1, mode="strong_subset"),
-            "distortion_feasible": lambda: distortion_feasible(m, 1.2),
-            "upper_distortion": lambda: upper_distortion(m),
             "distortion_bracket": lambda: distortion_bracket(m),
         }
         for name, call in calls.items():
@@ -306,7 +308,7 @@ class TestPairTable:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, factored)
         message = re.escape("distance d(0, 1) is too large: its square overflows, got 1e+160")
-        calls = (lambda: distortion_feasible(m, 1.5), lambda: upper_distortion(m),
+        calls = (lambda: PairTable(m), lambda: search_min_outliers(m, 1.0, 1.5),
                  lambda: distortion_bracket(m), lambda: min_outlier_isometric_l2(m))
         for call in calls:
             with warnings.catch_warnings():
@@ -329,7 +331,7 @@ class TestIterationZeroCertificate:
             return project(g)
 
         monkeypatch.setattr(outlier_sdp, "_psd_project", counted)
-        verdict, g, bound = distortion_feasible(claw_metric, 1.1)
+        verdict, g, bound = distortion_feasible(PairTable(claw_metric), 1.1)
         assert verdict == "infeasible" and g is None
         assert bound == pytest.approx(math.sqrt(4.0 / 3.0), abs=1e-12)
         assert calls == []
@@ -337,12 +339,12 @@ class TestIterationZeroCertificate:
     def test_certificate_is_computed_once_per_start(self, monkeypatch, claw_metric):
         # the bound does not depend on c: runs from one start factor nothing
         # before they refuse c at iteration 0
-        table = _PairTable(claw_metric)
+        table = PairTable(claw_metric)
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
         for c in (1.0, 1.05, 1.1):
-            verdict, _, bound = outlier_sdp._feasible(table, c)
+            verdict, _, bound = distortion_feasible(table, c)
             assert verdict == "infeasible" and bound == table.start_bound
         assert calls == []
 
@@ -359,12 +361,13 @@ class TestIterationZeroCertificate:
         for graph in graphs:
             m = from_graph(graph)
             try:
-                verdict, _, bound = distortion_feasible(m, 1.0)
+                table = PairTable(m)
+                verdict, _, bound = distortion_feasible(table, 1.0)
             except _Iterated:
                 continue
             if verdict == "infeasible":
                 certified += 1
-                assert bound <= upper_distortion(m), graph.edges
+                assert bound <= upper_distortion(table), graph.edges
         assert certified >= 900
 
 
@@ -372,7 +375,7 @@ class TestLlrBound:
     def test_scale_invariant(self):
         rng = np.random.default_rng(8)
         m = integer_metric(rng, 7)
-        table = _PairTable(m)
+        table = PairTable(m)
         w = rng.normal(size=len(table.d2))
         bound = _llr_bound(table, w)
         for scale in (1e-14, 1e-3, 1e6):
@@ -388,7 +391,7 @@ class TestLlrBound:
         n, dim = int(rng.integers(4, 40)), int(rng.integers(1, 6))
         x = rng.normal(size=(n, dim)) * 10 ** rng.uniform(-3, 3)
         m = from_matrix(pairwise_distances(PointSet(points=x, p=2.0)), tol_tri=1e-9)
-        assert distortion_feasible(m, 1.0)[0] != "infeasible"
+        assert distortion_feasible(PairTable(m), 1.0)[0] != "infeasible"
 
 
 class TestRounding:
@@ -434,7 +437,7 @@ class TestRounding:
     def test_outlier_count_versus_markov(self, claw_metric):
         _, stats = bourgain_embed(claw_metric, BourgainParams(seed=0, p=2.0))
         f_k = f_of_k(1, max(stats.distortion, 1.0))
-        table, n = _PairTable(claw_metric), claw_metric.n
+        table, n = PairTable(claw_metric), claw_metric.n
         sol = _first_witness(table, 1.0, f_k, 1.0, [table.start, np.zeros((n, n))])
         res = round_solution(sol, gamma=1.25)
         assert len(res.outliers) <= sol.objective / res.metadata["delta_cut"] + 1e-9
@@ -513,6 +516,18 @@ class TestSearch:
     def test_gamma_validation(self, claw_metric):
         with pytest.raises(GammaNotAboveOne):
             search_min_outliers(claw_metric, 1.0, 1.0)
+
+    @pytest.mark.parametrize("label", ["claw", "planted-n19"])
+    def test_two_runs_through_the_module_attribute(self, monkeypatch, claw_metric, label):
+        # the gamma*c run and the c0 run, each looked up as
+        # outlier_sdp.distortion_feasible, so a rebinding of that name sees both
+        m = claw_metric if label == "claw" else dict(benchmark_corpus())[label]
+        targets = []
+        run = outlier_sdp.distortion_feasible
+        monkeypatch.setattr(outlier_sdp, "distortion_feasible",
+                            lambda table, c, start=None: targets.append(c) or run(table, c, start))
+        res = search_min_outliers(m, 1.0, 1.5)
+        assert targets == [1.5, outlier_sdp._c0(1.0, res.metadata["zeta"], "weak_factor")]
 
 
 # K of `outliers solve --c 1 --mode weak` at gamma = 1.5 and at gamma = 1.1.
@@ -602,8 +617,8 @@ class TestK0Skip:
             certified += 1
             zeta = res.metadata["zeta"]
             assert polished_f and min(polished_f) >= f_of_k(1, zeta), (label, gamma)
-            verdict, high, _ = distortion_feasible(m, gamma)
-            table = _PairTable(m)
+            table = PairTable(m)
+            verdict, high, _ = distortion_feasible(table, gamma)
             grams = [high] if verdict == "feasible" else []
             grams += [table.start, np.zeros((m.n, m.n))]
             assert _first_witness(table, 1.0, f_of_k(0, zeta), EPS, grams) is None, \
@@ -618,7 +633,7 @@ class TestK0Skip:
         accepted = 0
         for _ in range(60):
             m = integer_metric(rng, int(rng.integers(4, 9)))
-            table = _PairTable(m)
+            table = PairTable(m)
             g = (table.start, m.dist @ m.dist)[int(rng.integers(2))]
             ratio = table.pair_r(g) / table.d2
             g = g / ratio.min() * rng.uniform(1.0 - 2.0 * EPS, 1.0)
@@ -636,8 +651,8 @@ class TestUpperDistortion:
     def test_one_on_a_line(self):
         x = np.arange(5.0)[:, None]
         m = from_matrix(np.abs(x - x.T))
-        assert upper_distortion(m, [gram_of(x)]) == 1.0
-        assert upper_distortion(m) == pytest.approx(1.0, abs=1e-12)
+        assert upper_distortion(PairTable(m), [gram_of(x)]) == 1.0
+        assert upper_distortion(PairTable(m)) == pytest.approx(1.0, abs=1e-12)
 
     def test_between_the_certified_lower_end_and_sqrt_n(self):
         nx = pytest.importorskip("networkx")
@@ -647,27 +662,31 @@ class TestUpperDistortion:
         metrics += [from_graph(Graph(g.number_of_nodes(), tuple(g.edges())))
                     for g in graph_atlas_g() if 3 <= g.number_of_nodes() <= 5 and nx.is_connected(g)]
         for m in metrics:
-            upper = upper_distortion(m)
+            upper = upper_distortion(PairTable(m))
             assert distortion_bracket(m)[0] <= upper <= math.sqrt(m.n)
 
 
 class TestBicriteriaBound:
+    """The cap 2 (f_k / c^2 + gamma^2) / (gamma^2 - 1) * weight of round_solution."""
+
     def test_formula_example(self):
-        assert bicriteria_bound(1, 1.0, math.sqrt(2.0), 1.0, 1.0) == pytest.approx(6.0)
+        assert _cap(1, 1.0, math.sqrt(2.0), 1.0) == pytest.approx(6.0)
 
     def test_zero_k(self):
-        assert bicriteria_bound(0, 1.0, 2.0, 5.0, 3.0) == 0.0
+        assert _cap(0, 1.0, 2.0, (5.0 * 3.0) ** 2) == 0.0
 
     def test_large_gamma_limit(self):
-        assert bicriteria_bound(3, 1.0, 1e6, 1.0, 1.0) == pytest.approx(6.0, rel=1e-6)
+        assert _cap(3, 1.0, 1e6, 1.0) == pytest.approx(6.0, rel=1e-6)
 
     def test_eps_form(self):
         # gamma = 1 + eps with eps = 0.5: 2 (1 + 2.25) / 1.25 * 2
-        assert bicriteria_bound(2, 1.0, 1.0 + 0.5, 1.0, 1.0) == pytest.approx(10.4)
+        assert _cap(2, 1.0, 1.0 + 0.5, 1.0) == pytest.approx(10.4)
 
     def test_gamma_validation(self):
-        with pytest.raises(GammaNotAboveOne):
-            bicriteria_bound(1, 1.0, 1.0, 1.0, 1.0)
+        # round_solution refuses gamma before it computes the cap
+        for gamma in (1.0, 0.5, math.inf, math.nan):
+            with pytest.raises(GammaNotAboveOne):
+                _check_gamma(gamma)
 
     @pytest.mark.parametrize("gamma", [1.5, 1.1])
     def test_search_reports_the_cap(self, claw_metric, gamma):
@@ -675,10 +694,9 @@ class TestBicriteriaBound:
         # sum(delta), bit for bit, not at the accepted k
         res = search_min_outliers(claw_metric, 1.0, gamma)
         md = res.metadata
-        assert res.certified_bound == bicriteria_bound(md["objective"], 1.0, gamma,
-                                                       md["g_value"], md["zeta"])
-        assert len(res.outliers) <= res.certified_bound < bicriteria_bound(
-            md["k"], 1.0, gamma, md["g_value"], md["zeta"])
+        f_k = (md["g_value"] * md["zeta"]) ** 2
+        assert res.certified_bound == _cap(md["objective"], 1.0, gamma, f_k)
+        assert len(res.outliers) <= res.certified_bound < _cap(md["k"], 1.0, gamma, f_k)
 
 
 class TestSearchQuality:
