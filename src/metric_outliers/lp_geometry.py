@@ -131,12 +131,21 @@ def points_from_gram(g: np.ndarray) -> PointSet:
     """Factor a PSD matrix G into points whose pairwise inner products match G.
 
     G must pass schoenberg_rule: eigenvalues in [-SCHOENBERG_TOL * lam_max, 0)
-    are clamped to zero, and anything below that raises NotPSD. Column j is
-    the j-th largest eigenvalue's eigenvector, signed so its largest-magnitude
-    entry is positive, times the eigenvalue's square root. So the factor is
-    fixed only up to a rotation within a repeated eigenvalue (and moves by
-    rounding when two eigenvalues nearly meet); the distances between the
-    points are what is stable.
+    are clamped to zero, and anything below that raises NotPSD. The factor has
+    one column per eigenvalue above n * eps * lam_max (numpy's matrix_rank
+    rule, eps the float64 machine epsilon), so its width is G's numerical
+    rank; a G with none gets one zero column, and a 0x0 G gives shape (0, 1).
+    Column j is the j-th largest eigenvalue's eigenvector, signed so its
+    largest-magnitude entry is positive, times the eigenvalue's square root.
+    So the factor is fixed only up to a rotation within a repeated eigenvalue
+    (and moves by rounding when two eigenvalues nearly meet); the distances
+    between the points are what is stable.
+
+    Each dropped eigenvalue lam moves a squared distance by lam * (v_x - v_y)^2
+    <= 2 * lam, so against a column for every eigenvalue the trim moves each
+    squared distance by at most 2 * n^2 * eps * lam_max. eigh's own error in
+    an eigenvalue is already a small multiple of n * eps * lam_max, so the
+    trim drops only eigenvalues that eigh cannot tell from zero.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -149,8 +158,9 @@ def points_from_gram(g: np.ndarray) -> PointSet:
     if not schoenberg_rule(vals):
         floor = -SCHOENBERG_TOL * max(float(vals[-1]), 0.0)
         raise NotPSD(f"matrix has eigenvalue {float(vals[0]):g} below -SCHOENBERG_TOL*lam_max = {floor:g}")
-    order = np.argsort(vals)[::-1]
-    vals, vecs = np.clip(vals[order], 0.0, None), vecs[:, order]
+    # eigh's eigenvalues ascend, so those above the floor are its last r
+    r = max(int(np.count_nonzero(vals > len(vals) * np.finfo(float).eps * vals[-1])), 1)
+    vals, vecs = np.clip(vals[::-1][:r], 0.0, None), vecs[:, ::-1][:, :r]
     pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))]
     return PointSet(points=vecs * np.where(pivots < 0, -1.0, 1.0) * np.sqrt(vals), p=2.0)
 

@@ -597,10 +597,15 @@ def close_pair_split_bound(inputs: CompositionInputs, x: int, y: int) -> float:
 
 def _cluster_embedding(sub: MetricSpace, p: float, seed: int) -> PointSet:
     """An expanding embedding of a cluster plus its anchor. At p = 2 the
-    centered Gram's factor (points_from_gram), an isometry, rescaled to be
-    expanding; an empty cluster is its anchor alone, one zero row in one
-    column. A cluster whose centered Gram fails that factor's PSD test, and
-    every cluster at p != 2, gets the Bourgain embedding with the seed."""
+    centered Gram's factor (points_from_gram), rescaled to be expanding. It
+    has one column per eigenvalue above n * eps * lam_max, the Gram's
+    numerical rank, and before the rescale each squared distance is within
+    2 * n * SCHOENBERG_TOL * lam_max of the metric's: the factor clamps
+    negative eigenvalues no larger than SCHOENBERG_TOL * lam_max, and drops
+    positive ones smaller still. An empty cluster is its anchor alone, one zero
+    row in one column. A cluster whose centered Gram fails that factor's PSD
+    test, and every cluster at p != 2, gets the Bourgain embedding with the
+    seed."""
     if p == 2.0:
         try:  # one eigendecomposition is both the Schoenberg test and the factor
             emb = points_from_gram(centered_gram(sub))

@@ -89,14 +89,21 @@ def close_pair_instance(seed: int) -> tuple[MetricSpace, tuple[int, ...], tuple[
 
 
 def planted_instance(seed: int) -> tuple[MetricSpace, np.ndarray, tuple[int, ...]]:
-    """Isometric l2 core plus k adversarial 'antenna' points: each adversarial
-    point adds a positive station cost to all its distances, which keeps the
-    matrix a metric while making it non-embeddable in general.
-
-    Returns (metric, core point coordinates, planted outlier indices)."""
+    """antenna_instance with 5..10 core points and 1..3 antennas, the sizes
+    drawn from the seed."""
     rng = np.random.default_rng(seed)
     n_core = int(rng.integers(5, 11))
-    k = int(rng.integers(1, 4))
+    return antenna_instance(rng, n_core, int(rng.integers(1, 4)))
+
+
+def antenna_instance(rng: np.random.Generator, n_core: int,
+                     k: int) -> tuple[MetricSpace, np.ndarray, tuple[int, ...]]:
+    """Isometric l2 core of n_core points in R^3 plus k adversarial 'antenna'
+    points: each adversarial point adds a positive station cost to all its
+    distances, which keeps the matrix a metric while making it
+    non-embeddable in general.
+
+    Returns (metric, core point coordinates, planted outlier indices)."""
     core = rng.normal(size=(n_core, 3))
     n = n_core + k
     dist = np.zeros((n, n))

@@ -15,7 +15,7 @@ from metric_outliers.cli import BOUND_MAX_K, dispatch
 from metric_outliers.lp_geometry import write_embedding
 from metric_outliers.metric_core import write_graph_text, write_metric_text
 
-from conftest import integer_metric
+from conftest import antenna_instance, integer_metric
 
 
 @pytest.fixture
@@ -159,6 +159,37 @@ def test_outliers_solve_does_not_depend_on_the_seed(capsys, tmp_path):
         assert code == 0 and payload["provenance"].pop("seed") == seed
         payloads.append(payload)
     assert payloads[0] == payloads[1]
+
+
+def test_planted_128_prints_its_witness_rank(capsys, tmp_path):
+    # a 3-D core of 120 points plus 8 antennas, as the benchmark's planted-n128:
+    # the factor keeps the witness's numerical rank, not one column per point
+    m, _, _ = antenna_instance(np.random.default_rng([5]), 120, 8)
+    path, out = tmp_path / "planted128.txt", tmp_path / "planted128.json"
+    write_metric_text(str(path), m)
+    code, _, _ = run(capsys, ["outliers", "solve", "--metric", str(path), "--c", "1",
+                              "--gamma", "1.5", "--mode", "weak", "-o", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["K"] == []
+    assert len(payload["embedding"]["points"][0]) <= 32
+    assert out.stat().st_size < 100_000
+
+
+def test_solve_keeps_a_pair_far_below_the_diameter(capsys, tmp_path):
+    # (0, 0), (1, 0), (2, 0) and (1, 1e-5): the witness's second eigenvalue,
+    # 7.5e-11 of the first, is a column of the embedding, so the pair 1e-5
+    # apart keeps its distance
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1e-5]])
+    path = tmp_path / "spread.txt"
+    write_metric_text(str(path), from_matrix(np.linalg.norm(x[:, None] - x[None], axis=-1),
+                                             tol_tri=1e-9))
+    code, out, _ = run(capsys, ["outliers", "solve", "--metric", str(path), "--c", "1",
+                                "--gamma", "1.5"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["K"] == [] and len(payload["embedding"]["points"][0]) == 2
+    assert payload["achieved_distortion"] < 1.0 + 1e-5
 
 
 def test_byte_identical_reruns(capsys, claw_file):
@@ -469,10 +500,12 @@ def test_embedding_without_p_exits_1(capsys, tmp_path, compose_args):
 
 
 @pytest.mark.parametrize("pair", ["2,7", "2,-1"])
-def test_pair_out_of_range_exits_1(capsys, compose_args, pair):
+def test_pair_out_of_range_exits_1(capsys, compose_args, claw_metric, pair):
+    # the CLI has no range rule of its own: the message is the composition's
     payload = error_of(capsys, ["compose", "estimate"] + compose_args + ["--pair", pair])
     assert payload["error"] == "IndexOutOfRange"
-    assert pair in payload["message"]
+    bad = pair.split(",")[1]
+    assert payload["message"] == f"pair index {bad} is outside 0..{claw_metric.n - 1}"
 
 
 def test_pair_of_one_point_exits_1(capsys, compose_args):

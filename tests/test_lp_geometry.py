@@ -205,16 +205,47 @@ def _factor_digest(grams) -> str:
     return h.hexdigest()
 
 
-def test_points_from_gram_digest():
-    """The factor's bytes on seeded Grams are pinned: full rank, rank-deficient,
-    a repeated eigenvalue, the centered Gram of points, identity, zero, 1x1
-    and 0x0. The digest holds for one numpy/LAPACK build; on another, re-pin
-    it from a tree whose factor is known good."""
+def digest_grams() -> list:
+    """Seeded Grams: full rank, rank 3 of 7 points, a repeated eigenvalue, the
+    centered Gram of points, identity, zero, 1x1 and 0x0."""
     rng = np.random.default_rng(25)
     full, low = rng.normal(size=(6, 6)), rng.normal(size=(7, 3))
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
     repeated = (q * [3.0, 3.0, 1.0, 1.0, 0.0]) @ q.T
-    grams = [gram_of(full), gram_of(low), (repeated + repeated.T) / 2.0,
-             centered_gram(point_metric(rng, 8)), np.eye(4), np.zeros((3, 3)),
-             np.array([[2.5]]), np.zeros((0, 0))]
-    assert _factor_digest(grams) == "788584a8280af153aaa553ec67e5b4fde040f8beb6118fb10010ce8bb5bc74c9"
+    return [gram_of(full), gram_of(low), (repeated + repeated.T) / 2.0,
+            centered_gram(point_metric(rng, 8)), np.eye(4), np.zeros((3, 3)),
+            np.array([[2.5]]), np.zeros((0, 0))]
+
+
+def test_points_from_gram_digest():
+    """The factor's bytes on digest_grams are pinned. The digest holds for one
+    numpy/LAPACK build; on another, re-pin it from a tree whose factor is
+    known good."""
+    assert _factor_digest(digest_grams()) == "4ff57162467c3f9766dc48deea10f7b7d1e94af0ec0c9478fd5ab4263e7c2f9a"
+
+
+def spread_gram() -> np.ndarray:
+    """The centered Gram of (0, 0), (1, 0), (2, 0) and (1, 1e-5): eigenvalues 2
+    and 7.5e-11, the small one real and far above eigh's rounding."""
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 1e-5]])
+    return centered_gram(from_matrix(cdist(x, x), tol_tri=1e-9))
+
+
+def test_factor_keeps_the_eigenvalues_above_the_floor():
+    # one column per eigenvalue above n * eps * lam_max, at least one; against
+    # the factor that keeps every eigenvalue, each squared distance moves by
+    # at most 2 * n^2 * eps * lam_max, and the digest's distances by 1e-12
+    _, low, _, _, eye, zero, one, empty = digest_grams()
+    eps, spread = np.finfo(float).eps, spread_gram()
+    for g in (low, eye, zero, one, empty, spread):
+        n = len(g)
+        vals, vecs = np.linalg.eigh(g)
+        lam_max = vals.max() if n else 0.0
+        pts = points_from_gram(g).points
+        assert pts.shape == (n, max(np.count_nonzero(vals > n * eps * lam_max), 1))
+        full = vecs * np.sqrt(np.clip(vals, 0.0, None))
+        moved = np.abs(cdist(pts, pts, "sqeuclidean") - cdist(full, full, "sqeuclidean"))
+        assert (moved <= 2 * n * n * eps * lam_max).all()
+        if g is not spread:  # its 1e-5 pair moves by rounding, 1e-7 relative
+            np.testing.assert_allclose(cdist(pts, pts), cdist(full, full), rtol=1e-12, atol=0.0)
+

@@ -14,6 +14,7 @@ from metric_outliers import (
     CompositionInputs,
     PointSet,
     bourgain_embed,
+    centered_gram,
     compose_deterministic,
     compose_once,
     compose_strong,
@@ -24,6 +25,7 @@ from metric_outliers import (
     from_matrix,
     harmonic_number,
     nearest_anchors,
+    points_from_gram,
     restrict,
     sample_transcript,
 )
@@ -737,8 +739,9 @@ class TestComposeStrong:
             yield members, subset, sub
 
     def test_default_factors_euclidean_clusters_isometrically(self):
-        # each cluster plus its anchor gets one column per point, and its block
-        # keeps every distance; an empty cluster's block is one zero column
+        # each cluster plus its anchor gets as many columns as its centered
+        # Gram's factor, and its block keeps every distance; an empty
+        # cluster's block is one zero column
         saw_empty = False
         for seed in range(4):
             rng = np.random.default_rng(seed)
@@ -749,8 +752,9 @@ class TestComposeStrong:
                 out, tr = composed.embedding, composed.transcripts[0]
                 col = inputs.alpha_s.dims
                 for members, subset, sub in self.cluster_subsets(inputs, tr):
-                    block = out.points[subset, col:col + len(subset)]
-                    col += len(subset)
+                    width = points_from_gram(centered_gram(sub)).dims
+                    block = out.points[subset, col:col + width]
+                    col += width
                     if not members:
                         saw_empty = True
                         assert block.shape == (1, 1) and block[0, 0] == 0.0
@@ -777,7 +781,7 @@ class TestComposeStrong:
         col, paths = inputs.alpha_s.dims, ""
         for (members, subset, sub), bourgain in zip(self.cluster_subsets(inputs, tr), blocks):
             if is_l2_isometric(sub):
-                col += len(subset)
+                col += points_from_gram(centered_gram(sub)).dims
                 paths += "x"
                 continue
             width = bourgain.shape[1]
@@ -827,7 +831,7 @@ class TestComposeStrong:
                 out = compose_strong(inputs.m, inputs.s, 2.0, inputs.alpha_s, rng)
                 h.update(out.embedding.points.tobytes())
             h.update(np.float64(rng.random()).tobytes())
-        assert h.hexdigest() == "18472bae4d84acdcb1779965e8e1531fa9744efefb7fdf38b2bd21e104d4bb0d"
+        assert h.hexdigest() == "8b5253a3d9fd386682ecab0b54f858d82f662f2e4e70a64115514eaf46fcdc31"
 
 
 BAD_TAUS = [-1.0, 0.0, float("nan"), float("inf")]

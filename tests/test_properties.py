@@ -1,9 +1,10 @@
 """Seeded properties on small metrics, each checked against an independent answer.
 
-Inputs are integer metrics (min-plus closures of random integer weights) and
-the lp gadgets of random graphs, with at most 9 points, and point sets in
-R^d. Every example is drawn derandomized, with no example database, so a
-run is the same on every machine.
+Inputs are integer metrics (min-plus closures of random integer weights),
+planted metrics (conftest's 3-D point core plus antennas) and the lp gadgets
+of random graphs, with at most 9 points, and point sets in R^d, some with
+one axis squashed. Every example is drawn derandomized, with no example database, so a run is the
+same on every machine.
 """
 import io
 import json
@@ -17,10 +18,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from metric_outliers import Graph, distortion_bracket, from_graph, from_matrix
+from metric_outliers import (Graph, centered_gram, distortion_bracket, from_graph, from_matrix,
+                             points_from_gram)
 from metric_outliers.cli import dispatch
 from metric_outliers.hardness_gadgets import lp_gadget
 from metric_outliers.metric_core import write_metric_text
+
+from conftest import planted_instance
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -87,3 +91,40 @@ def test_bracket_of_euclidean_points_is_one(points):
     dist = cdist(x, x)
     assume(dist[np.triu_indices(len(x), k=1)].min() > 0.0)
     assert distortion_bracket(from_matrix(dist, tol_tri=1e-9)) == (1.0, 1.0)
+
+
+@PROPERTY
+@given(st.integers(2, 4).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-100, 100)] * d), min_size=2, max_size=9)))
+def test_factor_of_squashed_points_keeps_their_distances(points):
+    # the last axis scaled by 1e-5 carries an eigenvalue near 1e-10 * lam_max,
+    # which the factor keeps: each squared distance is off by rounding only,
+    # a few n^2 * eps * lam_max, and the width is at most the dimension
+    x = np.array(points, dtype=float)
+    x[:, -1] *= 1e-5
+    dist = cdist(x, x)
+    n = len(x)
+    assume(dist[np.triu_indices(n, k=1)].min() > 0.0)
+    g = centered_gram(from_matrix(dist, tol_tri=1e-9))
+    pts = points_from_gram(g).points
+    assert pts.shape[1] <= x.shape[1]
+    moved = np.abs(cdist(pts, pts, "sqeuclidean") - dist ** 2).max()
+    assert moved <= 8 * n * n * np.finfo(float).eps * np.linalg.eigvalsh(g)[-1], moved
+
+@PROPERTY
+@given(st.one_of(st.integers(0, 2 ** 32 - 1).map(lambda seed: planted_instance(seed)[0])
+                 .filter(lambda m: m.n <= 9), integer_metrics()),
+       st.sampled_from([1.1, 1.5]), st.sampled_from(["weak", "strong"]))
+def test_scaling_the_metric_scales_the_embedding(m, gamma, mode):
+    # every decision is relative, so a metric scaled by 2^j gets the same K, k,
+    # k0 and width, and the same points times 2^j, bit for bit
+    base = solve(m, gamma, mode)
+    points = np.array(base["embedding"]["points"], dtype=float)
+    for j in (-3, 4):
+        scaled = solve(from_matrix(m.dist * 2.0 ** j, tol_tri=1e-9), gamma, mode)
+        for key in ("K", "k"):
+            assert scaled[key] == base[key], (j, key)
+        assert scaled["solver"]["k0"] == base["solver"]["k0"], j
+        got = np.array(scaled["embedding"]["points"], dtype=float)
+        assert got.shape == points.shape, j
+        np.testing.assert_array_equal(got, points * 2.0 ** j)
