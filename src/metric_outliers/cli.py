@@ -107,8 +107,7 @@ def _composition_inputs(args) -> CompositionInputs:
     s = _parse_indices(args.s)
     alpha_s = read_embedding(args.alpha_s)
     alpha_x = read_embedding(args.alpha_x)
-    return CompositionInputs(m=m, s=s, p=alpha_x.p, alpha_s=alpha_s,
-                             alpha_x=alpha_x, tau=args.tau)
+    return CompositionInputs(m=m, s=s, p=alpha_x.p, alpha_s=alpha_s, alpha_x=alpha_x)
 
 
 def _cmd_compose_run(args):
@@ -159,7 +158,7 @@ def _cmd_compose_bound(args):
 def _cmd_outliers_solve(args):
     m = read_metric_text(args.metric)
     mode = {"weak": "weak_factor", "strong": "strong_subset"}[args.mode]
-    result = search_min_outliers(m, args.c, args.gamma, mode=mode, zeta=args.zeta)
+    result = search_min_outliers(m, args.c, args.gamma, mode=mode)
     meta = result.metadata
     payload = {
         "k": meta["k"],
@@ -271,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", required=True, help="comma-separated indices of S")
         p.add_argument("--alpha-s", required=True, help="embedding JSON over sorted(S)")
         p.add_argument("--alpha-x", required=True, help="embedding JSON over all points")
-        p.add_argument("--tau", type=float, default=2.0)
 
     metric = sub.add_parser("metric", help="validate or derive metrics")
     metric_sub = metric.add_subparsers(dest="metric_cmd", required=True)
@@ -314,7 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
     os_.add_argument("--c", type=float, required=True)
     os_.add_argument("--gamma", type=float, required=True)
     os_.add_argument("--mode", choices=["weak", "strong"], default="weak")
-    os_.add_argument("--zeta", type=float, default=None)
 
     oracle = sub.add_parser("oracle", help="small-instance ground truth: exhaustive searches "
                                            "and a witnessed distortion bracket")

@@ -106,10 +106,16 @@ def from_matrix(matrix, tol_tri: float = DEFAULT_TRIANGLE_TOL) -> MetricSpace:
         raise NonpositiveOffDiagonal("matrix contains non-finite entries")
     n = d.shape[0]
     scale = max(1.0, float(np.abs(d).max()) if d.size else 0.0)
-    if np.abs(d - d.T).max(initial=0.0) > 1e-12 * scale:
-        i, j = np.unravel_index(int(np.argmax(np.abs(d - d.T))), d.shape)
+    with np.errstate(over="ignore"):  # only entries above about 8.99e307 overflow
+        gap = np.abs(d - d.T)
+        mean = (d + d.T) / 2.0
+    if gap.max(initial=0.0) > 1e-12 * scale:
+        i, j = np.unravel_index(int(np.argmax(gap)), d.shape)
         raise AsymmetricMatrix(f"d[{i}][{j}]={d[i, j]:g} != d[{j}][{i}]={d[j, i]:g}")
-    d = (d + d.T) / 2.0
+    big = np.isinf(mean)
+    if big.any():
+        mean[big] = d[big] / 2.0 + d.T[big] / 2.0
+    d = mean
     if np.abs(np.diag(d)).max(initial=0.0) > 0:
         i = int(np.argmax(np.abs(np.diag(d))))
         raise NonzeroDiagonal(f"d[{i}][{i}]={d[i, i]:g} != 0")
@@ -118,12 +124,14 @@ def from_matrix(matrix, tol_tri: float = DEFAULT_TRIANGLE_TOL) -> MetricSpace:
         i, j = np.unravel_index(int(np.argmin(off)), d.shape)
         raise NonpositiveOffDiagonal(f"d[{i}][{j}]={d[i, j]:g} must be positive")
     # triangle inequality over all triples (i, j, k): d[i,k] <= d[i,j] + d[j,k]
+    # a path sum may overflow to inf: an infinite path is never the shorter one
     buf = np.empty((n, n))
-    for i in range(n - 1):
-        via = buf[: n - 1 - i]  # via[k - i - 1, j] = d[k,j] + d[j,i], for k > i
-        np.add(d[i + 1:], d[i], out=via)
-        if (d[i, i + 1:] - via.min(axis=1)).max() > tol_tri:
-            _raise_first_violation(d, tol_tri)
+    with np.errstate(over="ignore"):
+        for i in range(n - 1):
+            via = buf[: n - 1 - i]  # via[k - i - 1, j] = d[k,j] + d[j,i], for k > i
+            np.add(d[i + 1:], d[i], out=via)
+            if (d[i, i + 1:] - via.min(axis=1)).max() > tol_tri:
+                _raise_first_violation(d, tol_tri)
     return MetricSpace(n=n, dist=d)
 
 

@@ -23,8 +23,9 @@ written once at weight (count/m)^(1/p). An empty cluster's block is one row
 repeated on every point, adds nothing to any distance, and is not written.
 compose_once keeps the literal one-draw layout, empty clusters included.
 
-The strong composition (compose_strong) makes one draw at the paper's
-tau = 2 and builds each cluster block from an embedding of that cluster plus
+Every draw takes b uniform on [2, 2 + TAU], TAU = 2, the paper's tau at which
+each bound here is stated. The strong composition (compose_strong) makes one
+draw and builds each cluster block from an embedding of that cluster plus
 its anchor instead of alpha_X. A cluster that passes the Schoenberg test at
 p = 2 is factored from its centered Gram, an isometry (an empty cluster, the
 anchor alone, is one zero column); the others, and every cluster at p != 2,
@@ -61,6 +62,7 @@ from .metric_core import (
 )
 
 EXPANDING_TOL = 1e-9
+TAU = 2.0  # b is uniform on [2, 2 + TAU]; every bound here is stated at tau = 2
 BLOCK = 512  # Monte Carlo trials per batch: a batch's arrays hold BLOCK x (k + dims) numbers
 
 
@@ -73,7 +75,8 @@ class CompositionInputs:
     """Validated inputs: metric, subset S, host p, the two expanding embeddings.
 
     alpha_s rows follow sorted(S); alpha_x rows follow 0..n-1. The
-    measured distortions c_s <= c_x are set at construction.
+    measured distortions c_s <= c_x and gamma, gamma(u) for each u outside S
+    (a point is in S iff it is not a key), are set at construction.
     """
 
     m: MetricSpace
@@ -81,19 +84,14 @@ class CompositionInputs:
     p: float
     alpha_s: PointSet
     alpha_x: PointSet
-    tau: float = 2.0
     c_s: float = field(init=False)
     c_x: float = field(init=False)
+    gamma: dict[int, int] = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be finite and positive, got {self.tau}")
-        s_sorted, c_s = _check_subset(self.m, self.s, self.p, self.alpha_s)
+        s_sorted, c_s, gamma = _check_subset(self.m, self.s, self.p, self.alpha_s)
         object.__setattr__(self, "s", s_sorted)
-        far = float(np.max(self.m.dist[list(self.gamma), list(self.gamma.values())], initial=0.0))
-        if not math.isfinite((2.0 + self.tau) * far):  # b d(v, gamma(v)) <= (2 + tau) far
-            raise ValueError(f"tau {self.tau:g} is too large: (2 + tau) d(v, gamma(v)) "
-                             f"overflows a float at d(v, gamma(v)) = {far:g}")
+        object.__setattr__(self, "gamma", gamma)
         if self.alpha_x.n != self.m.n:
             raise SizeMismatch(f"alpha_x has {self.alpha_x.n} rows, metric has {self.m.n}")
         if self.alpha_x.p != self.p:
@@ -113,11 +111,6 @@ class CompositionInputs:
         return self.m.n - len(self.s)
 
     @cached_property
-    def gamma(self) -> dict[int, int]:
-        """gamma(u) for each u outside S; a point is in S iff it is not a key."""
-        return nearest_anchors(self.m, self.s)
-
-    @cached_property
     def anchor_of(self) -> np.ndarray:
         """gamma as an array over 0..n-1, extended by the identity on S."""
         anchors = np.arange(self.m.n)
@@ -131,9 +124,11 @@ class CompositionInputs:
 
 
 def _check_subset(m: MetricSpace, s: Sequence[int], p: float,
-                  alpha_s: PointSet) -> tuple[tuple[int, ...], float]:
-    """The checks both compositions share: S a nonempty subset of 0..n-1 and
-    alpha_s an expanding lp embedding of sorted(S). Returns sorted(S) and c_S."""
+                  alpha_s: PointSet) -> tuple[tuple[int, ...], float, dict[int, int]]:
+    """The S-side setup both compositions share: S a nonempty subset of
+    0..n-1, alpha_s an expanding lp embedding of sorted(S), and every grab
+    radius b d(v, gamma(v)) finite for b <= 2 + TAU. Returns sorted(S), c_S
+    and gamma (nearest_anchors)."""
     s_sorted = tuple(sorted(set(int(i) for i in s)))
     if not s_sorted:
         raise EmptyS("S must be nonempty")
@@ -143,7 +138,13 @@ def _check_subset(m: MetricSpace, s: Sequence[int], p: float,
         raise SizeMismatch(f"alpha_s has {alpha_s.n} rows, |S|={len(s_sorted)}")
     if alpha_s.p != p:
         raise SizeMismatch("alpha_s.p must equal p")
-    return s_sorted, _require_expanding(m, s_sorted, alpha_s, "alpha_s")
+    c_s = _require_expanding(m, s_sorted, alpha_s, "alpha_s")
+    gamma = nearest_anchors(m, s_sorted)
+    far = float(np.max(m.dist[list(gamma), list(gamma.values())], initial=0.0))
+    if not math.isfinite((2.0 + TAU) * far):
+        raise ValueError(f"d(v, gamma(v)) = {far:g} is too large: the grab radius "
+                         f"b d(v, gamma(v)), b <= {2.0 + TAU:g}, overflows a float")
+    return s_sorted, c_s, gamma
 
 
 def _require_expanding(m: MetricSpace, subset: tuple[int, ...], emb: PointSet, name: str) -> float:
@@ -176,10 +177,6 @@ class CompositionTranscript:
     clusters: tuple[tuple[int, tuple[int, ...]], ...]
     gamma: dict[int, int] = field(compare=False)
 
-    @property
-    def t(self) -> int:
-        return len(self.clusters)
-
     def cluster_of(self) -> dict[int, int]:
         owner = {}
         for i, (_, members) in enumerate(self.clusters):
@@ -197,15 +194,15 @@ class CompositionTranscript:
 
 
 def sample_transcript(inputs: CompositionInputs, rng: np.random.Generator) -> CompositionTranscript:
-    """Draw b uniform on [2, tau+2], a Fisher-Yates permutation of K, and run
+    """Draw b uniform on [2, 2 + TAU], a Fisher-Yates permutation of K, and run
     the greedy cluster loop."""
-    (b,), (pi,) = _draw_block(inputs.outliers, inputs.tau, 1, rng)
+    (b,), (pi,) = _draw_block(inputs.outliers, 1, rng)
     return _greedy_clusters(inputs.m, inputs.gamma, float(b), tuple(pi.tolist()))
 
 
-def _draw_block(outliers: tuple[int, ...], tau: float, count: int,
+def _draw_block(outliers: tuple[int, ...], count: int,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """count draws of b, shape (count,), and of pi, shape (count, k), a
+    """count draws of b = 2 + TAU u, shape (count,), and of pi, shape (count, k), a
     permutation of the outliers (K in increasing order). Each draw takes
     rng.random() for b, then shuffles its row of an arange(k) table in place.
     rng.permutation(k) is arange(k) shuffled, so the random calls and values
@@ -215,7 +212,7 @@ def _draw_block(outliers: tuple[int, ...], tau: float, count: int,
     for t in range(count):
         u[t] = rng.random()
         rng.shuffle(order[t])
-    return 2.0 + tau * u, np.asarray(outliers, dtype=int)[order]
+    return 2.0 + TAU * u, np.asarray(outliers, dtype=int)[order]
 
 
 def _cluster_positions(m: MetricSpace, gamma: dict[int, int], v: Sequence[int],
@@ -373,7 +370,7 @@ def compose_deterministic(inputs: CompositionInputs, m_samples: int,
     transcripts = []
     batch = max(1, BLOCK // max(len(outliers), 1))
     for start in range(0, m_samples, batch):
-        b, pi = _draw_block(outliers, inputs.tau, min(batch, m_samples - start), rng)
+        b, pi = _draw_block(outliers, min(batch, m_samples - start), rng)
         position = _cluster_positions(inputs.m, gamma, outliers, b, pi)
         primes = inputs.anchor_rows[np.take_along_axis(pi, position, axis=1)]
         for b_t, pi_t, position_t, prime in zip(b.tolist(), pi.tolist(), position.tolist(), primes):
@@ -466,7 +463,7 @@ def estimate_expected_expansion(inputs: CompositionInputs, pair: tuple[int, int]
     _check_pair(inputs.m.n, x, y)
     vals = np.empty(trials)
     for start in range(0, trials, BLOCK):
-        b, pi = _draw_block(inputs.outliers, inputs.tau, min(BLOCK, trials - start), rng)
+        b, pi = _draw_block(inputs.outliers, min(BLOCK, trials - start), rng)
         vals[start:start + len(b)] = _owner_distances(
             inputs, x, y, _owners(inputs, x, b, pi), _owners(inputs, y, b, pi))
     mean = float(vals.mean())
@@ -564,10 +561,8 @@ def table_case(inputs: CompositionInputs, tr: CompositionTranscript, x: int, y: 
 def close_pair_split_bound(inputs: CompositionInputs, x: int, y: int) -> float:
     """Upper bound on the probability that a mutually close outlier pair is
     split across clusters: sum over eligible u of (5/index(u)) * d(x,y) /
-    d(x_u, gamma(x_u)), for tau = 2.
+    d(x_u, gamma(x_u)), stated for the draws' tau, TAU = 2.
     """
-    if abs(inputs.tau - 2.0) > 1e-12:
-        raise ValueError("the closed-form split bound is stated for tau = 2")
     _check_pair(inputs.m.n, x, y)
     for v in (x, y):
         if v not in inputs.gamma:
@@ -585,7 +580,7 @@ def close_pair_split_bound(inputs: CompositionInputs, x: int, y: int) -> float:
     betas.sort(key=lambda item: (item[0], item[1]))
     total = 0.0
     for index, (beta, _, closer) in enumerate(betas, start=1):
-        if beta > inputs.tau + 2.0:
+        if beta > TAU + 2.0:
             continue
         total += (5.0 / index) * dxy / d[closer, inputs.gamma[closer]]
     return total
@@ -618,7 +613,7 @@ def _cluster_embedding(sub: MetricSpace, p: float, seed: int) -> PointSet:
 
 def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet,
                    rng: np.random.Generator) -> ComposedEmbedding:
-    """One draw of the composition at tau = 2, with each cluster block built
+    """One draw of the composition, with each cluster block built
     from an expanding embedding of that cluster plus its center's anchor
     (_cluster_embedding).
 
@@ -630,9 +625,8 @@ def compose_strong(m: MetricSpace, s: Sequence[int], p: float, alpha_s: PointSet
     squared_distances' ValueError; the d(x, y) it names are indices of the
     cluster's submetric (its sorted members and anchor), not of m.
     """
-    s_sorted, _ = _check_subset(m, s, p, alpha_s)
-    gamma = nearest_anchors(m, s_sorted)
-    (b,), (pi,) = _draw_block(tuple(gamma), 2.0, 1, rng)
+    s_sorted, _, gamma = _check_subset(m, s, p, alpha_s)
+    (b,), (pi,) = _draw_block(tuple(gamma), 1, rng)
     transcript = _greedy_clusters(m, gamma, float(b), tuple(pi.tolist()))
 
     blocks = [(alpha_s.points, _prime_rows(_anchor_rows(m.n, s_sorted, gamma), transcript))]

@@ -20,8 +20,7 @@ from the bottom eigenvector of the centered Gram B = -1/2 J D^2 J; the
 eigendecomposition of B that gives it also gives the run's starting Gram.
 Neither depends on c, so each entry point builds one PairTable and passes it
 to all its runs (distortion_feasible), witnesses and measurements
-(upper_distortion); c^2 and f(k) are plain arguments. A given zeta's c0
-scale is checked, like every parameter, before any feasibility run.
+(upper_distortion); c^2 and f(k) are plain arguments.
 """
 from __future__ import annotations
 
@@ -34,7 +33,7 @@ import numpy as np
 from .errors import Exhausted, GammaNotAboveOne
 from .lp_geometry import PointSet, _center, points_from_gram, schoenberg_rule, squared_distances
 from .metric_core import MetricSpace, _submetric, distortion_stats
-from .nested_composition import harmonic_number
+from .nested_composition import expansion_coefficients, harmonic_number
 
 EPS_FEAS = 1e-6   # largest accepted pair-constraint violation, relative to d^2
 EPS = 5e-4        # slack on the level: k accepts sum(delta) <= k + EPS
@@ -47,12 +46,11 @@ LLR_EVERY = 10    # iterations between two LLR checks of a feasibility run's dua
 # ---------------------------------------------------------------------------
 
 def _g(k: int, g_mode: str) -> float:
-    """g(k) of f(k) = (g(k) * zeta)^2. In weak_factor mode it is 190 * H_k + 1,
-    the explicit envelope of the close-pair expected-expansion multiplier (the
-    c_S and c_X coefficients summed, plus one); in strong_subset mode,
-    382 * H_{k+1}."""
+    """g(k) of f(k) = (g(k) * zeta)^2. In weak_factor mode it is the close-pair
+    expected-expansion multiplier at c_S = c_X = 1, the sum of the case-(e)
+    coefficients; in strong_subset mode, 382 * H_{k+1}."""
     if g_mode == "weak_factor":
-        return float(190 * harmonic_number(k) + 1)
+        return float(sum(expansion_coefficients("e", k)))
     if g_mode == "strong_subset":
         return 382.0 * float(harmonic_number(k + 1))
     raise ValueError(f"unknown g_mode {g_mode!r}")
@@ -461,8 +459,7 @@ def round_solution(sol: SdpSolution, gamma: float) -> OutlierResult:
 
 
 def search_min_outliers(m: MetricSpace, c: float, gamma: float,
-                        mode: str = "weak_factor",
-                        zeta: Optional[float] = None) -> OutlierResult:
+                        mode: str = "weak_factor") -> OutlierResult:
     """Try k = 0, 1, 2, ... until a checked witness shows the SDP with f(k)
     admits value <= k + EPS; round it with round_solution.
 
@@ -482,10 +479,9 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
     at c0 therefore rules k = 0 out, and the search then starts at k = 1
     without trying the witnesses at k = 0.
     metadata["k0"] is the c0 run's verdict: "feasible", "infeasible"
-    (certified) or "undecided". zeta defaults to upper_distortion over the
-    gamma*c witness. Parameters, (gamma c d)^2 and, for a given zeta, (c0 d)^2
-    on the largest d are checked before any feasibility run; c0 from a computed
-    zeta, before the c0 run.
+    (certified) or "undecided". zeta is upper_distortion over the gamma*c
+    witness. Parameters and (gamma c d)^2 on the largest d are checked before
+    any feasibility run, and c0 before the c0 run.
     """
     _check_gamma(gamma)
     _check_distortion("target distortion", c)
@@ -493,14 +489,10 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
     # one table, with one eigendecomposition of B, serves every run, zeta and witness
     table = PairTable(m)  # an overflowing distance is named before the scales
     _check_scale(m, "gamma * c", gamma * c, gamma * c)
-    if zeta is not None:  # a given zeta is refused before any feasibility run
-        _check_scale(m, "zeta", zeta, _c0(c, zeta, mode))
     high = distortion_feasible(table, gamma * c)
-    if zeta is None:
-        witnesses = [high[1]] if high[0] == "feasible" else []
-        zeta = upper_distortion(table, witnesses)
+    zeta = upper_distortion(table, [high[1]] if high[0] == "feasible" else [])
     c0 = _c0(c, zeta, mode)
-    _check_scale(m, "c0", c0, c0)  # only a computed zeta can fail here
+    _check_scale(m, "c0", c0, c0)
     runs = [distortion_feasible(table, c0), high]
     # the first witness, not the least delta sum: reclaim can only keep points
     # the accepted Gram embeds within [d, gamma*c*d], and the feasibility

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,7 +13,7 @@ import pytest
 
 from metric_outliers import (BourgainParams, Graph, bourgain_embed, from_graph, from_matrix,
                              outlier_sdp)
-from metric_outliers.cli import BOUND_MAX_K, dispatch
+from metric_outliers.cli import BOUND_MAX_K, _build_parser, dispatch
 from metric_outliers.lp_geometry import write_embedding
 from metric_outliers.metric_core import write_graph_text, write_metric_text
 
@@ -80,6 +82,27 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _leaf_parsers(parser: argparse.ArgumentParser):
+    commands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not commands:
+        yield parser
+    for action in commands:
+        for sub in action.choices.values():
+            yield from _leaf_parsers(sub)
+
+
+def test_readme_names_exactly_the_cli_flags():
+    # a flag the parser lost (or never had) must not stay documented, and a
+    # new flag must be documented; the Install section's pip flags are not ours
+    flags = {opt for leaf in _leaf_parsers(_build_parser()) for action in leaf._actions
+             for opt in action.option_strings if opt.startswith("--")}
+    flags -= {"--help", "--version"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("\n## Install")
+    readme = readme[:start] + readme[readme.index("\n## ", start + 1):]
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme)) == flags
 
 
 def test_metric_validate_ok(capsys, claw_file):
@@ -376,38 +399,22 @@ def test_invalid_argument_exits_1(capsys, claw_file):
     assert "got 0.5" in payload["message"]  # the --c given, not gamma * c
 
 
-@pytest.mark.parametrize("flags,given,scale", [
-    (["--c", "nan"], "nan", 1.0), (["--c", "inf"], "inf", 1.0),
-    (["--gamma", "nan"], "nan", 1.0), (["--gamma", "inf"], "inf", 1.0),
-    (["--zeta", "nan"], "nan", 1.0), (["--zeta", "inf"], "inf", 1.0),
-    (["--zeta", "0"], "0", 1.0),
-    (["--mode", "strong", "--zeta", "0"], "0", 1.0),
-    (["--mode", "strong", "--zeta", "nan"], "nan", 1.0),
-    (["--mode", "strong", "--zeta", "1e200"], "1e+200", 1.0),
-    # zeta^2 is finite, but c0 ~ 2.2e148 makes (c0 d)^2 overflow at d = 2e10
-    (["--zeta", "1e150"], "1e+150", 1e10),
-], ids=["c-nan", "c-inf", "gamma-nan", "gamma-inf", "zeta-nan", "zeta-inf", "zeta-0",
-        "strong-zeta-0", "strong-zeta-nan", "strong-zeta-1e200", "zeta-1e150-c0-scale"])
-def test_bad_search_parameter_is_named(capsys, monkeypatch, tmp_path, claw_metric, flags, given,
-                                       scale):
-    # each parameter is refused before the first feasibility run starts, on
-    # the claw with its distances multiplied by scale
+@pytest.mark.parametrize("flags,given", [
+    (["--c", "nan"], "nan"), (["--c", "inf"], "inf"),
+    (["--gamma", "nan"], "nan"), (["--gamma", "inf"], "inf"),
+], ids=["c-nan", "c-inf", "gamma-nan", "gamma-inf"])
+def test_bad_search_parameter_is_named(capsys, monkeypatch, claw_file, flags, given):
+    # each parameter is refused before the first feasibility run starts
     def feasibility_run(*args):
         raise AssertionError("a feasibility run started")
 
     monkeypatch.setattr(outlier_sdp, "distortion_feasible", feasibility_run)
-    path = str(tmp_path / "claw.txt")
-    write_metric_text(path, from_matrix(claw_metric.dist * scale))
-    payload = error_of(capsys, ["outliers", "solve", "--metric", path,
+    payload = error_of(capsys, ["outliers", "solve", "--metric", claw_file,
                                 "--c", "1.0", "--gamma", "1.5"] + flags)
-    message = payload["message"]
-    assert f"got {given}" in message
-    if "--zeta" in flags:  # named as the flag the user gave
-        assert "zeta must be" in message or "zeta is too large" in message
-        assert "zeta_k" not in message
+    assert f"got {given}" in payload["message"]
 
 
-@pytest.mark.parametrize("flag", ["--c", "--gamma", "--zeta"])
+@pytest.mark.parametrize("flag", ["--c", "--gamma"])
 def test_huge_search_parameter_is_named(capsys, claw_file, flag):
     # 1e200 is finite, but its square overflows a float
     payload = error_of(capsys, ["outliers", "solve", "--metric", claw_file,
@@ -457,7 +464,7 @@ def test_large_distances_bracket_without_warnings(capsys, tmp_path, claw_file, c
         assert scaled[key] == pytest.approx(plain[key], rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("flag", ["--c", "--gamma", "--zeta"])
+@pytest.mark.parametrize("flag", ["--c", "--gamma"])
 def test_large_search_parameter_still_solves(capsys, claw_file, flag):
     code, out, _ = run(capsys, ["outliers", "solve", "--metric", claw_file,
                                 "--c", "1.0", "--gamma", "1.5", flag, "1e10"])
@@ -546,31 +553,70 @@ def test_bad_oracle_budget_exits_1(capsys, claw_file, edge_file, argv, field):
     assert payload["message"].startswith(f"{argv[-2]} ({field}) ")
 
 
-@pytest.mark.parametrize("command", ["run", "estimate"])
-@pytest.mark.parametrize("tau", ["-1", "0", "nan", "inf"])
-def test_bad_composition_tau_exits_1(capsys, compose_args, command, tau):
-    extra = ["--pair", "0,3"] if command == "estimate" else []
-    payload = error_of(capsys, ["compose", command] + compose_args + extra + ["--tau", tau])
-    assert payload["error"] == "InvalidArgument"
-    assert "tau must be finite and positive" in payload["message"]
+HUGE_METRIC = "3\n0 1e308 1e308\n1e308 0 1e308\n1e308 1e308 0\n"
+
+
+def only_stderr(capsys, argv) -> tuple[int, str, str]:
+    """run, failing on any warning raised before the command returns."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv)
+    assert [str(w.message) for w in caught] == []
+    return code, out, err
+
+
+def test_huge_finite_distances_validate_without_warnings(capsys, tmp_path):
+    # (d + d^T) / 2 overflowed to inf here, and the metric was called valid
+    path = tmp_path / "huge.txt"
+    path.write_text(HUGE_METRIC)
+    code, out, err = only_stderr(capsys, ["metric", "validate", "--metric", str(path)])
+    assert code == 0 and err == ""
+    assert json.loads(out)["valid"] is True
+
+
+def test_huge_finite_distance_is_named_by_outliers_solve(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text(HUGE_METRIC)
+    code, out, err = only_stderr(capsys, ["outliers", "solve", "--metric", str(path),
+                                          "--c", "1", "--gamma", "1.5"])
+    assert code == 1 and out == ""
+    assert err == json.dumps({"error": "InvalidArgument", "message": "distance d(0, 1) is too "
+                              "large: its square overflows, got 1e+308"}, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("command", ["run", "estimate"])
-def test_overflowing_composition_tau_exits_1(capsys, tmp_path, compose_args, command):
-    # with S = {1, 2}, leaf 3 is 2 from its anchor, so b d(3, gamma(3)) overflows
-    # at tau = 1.7e308; numpy warned about the multiply and the run carried on
+def test_overflowing_grab_radius_exits_1(capsys, tmp_path, command):
+    # S = {0}: both outliers are 1e308 from their anchor, so b d(v, gamma(v))
+    # overflows for b near 4. alpha_x = 5e307 I is expanding at p = 1, and its
+    # cityblock distances, 1e308, are finite
     from metric_outliers import PointSet
-    alpha_s = tmp_path / "alpha_s12.json"
-    write_embedding(str(alpha_s), PointSet(points=np.array([[-1.0], [1.0]]), p=2.0))
-    args = list(compose_args)
-    args[args.index("--s") + 1] = "1,2"
-    args[args.index("--alpha-s") + 1] = str(alpha_s)
-    extra = ["--pair", "0,3"] if command == "estimate" else []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        payload = error_of(capsys, ["compose", command] + args + extra + ["--tau", "1.7e308"])
+    path, alpha_s, alpha_x = (tmp_path / name for name in ("huge.txt", "as.json", "ax.json"))
+    path.write_text(HUGE_METRIC)
+    write_embedding(str(alpha_s), PointSet(points=np.array([[0.0]]), p=1.0))
+    write_embedding(str(alpha_x), PointSet(points=5e307 * np.eye(3), p=1.0))
+    extra = ["--pair", "1,2"] if command == "estimate" else []
+    code, out, err = only_stderr(capsys, ["compose", command, "--metric", str(path), "--s", "0",
+                                          "--alpha-s", str(alpha_s), "--alpha-x", str(alpha_x)]
+                                 + extra)
+    assert code == 1 and out == ""
+    payload = json.loads(err)
     assert payload["error"] == "InvalidArgument"
-    assert payload["message"].startswith("tau ") and "overflows" in payload["message"]
+    assert "d(v, gamma(v)) = 1e+308" in payload["message"]
+
+
+def test_computed_c0_overflow_is_the_only_stderr(capsys, tmp_path, claw_metric):
+    # at 1e153 the claw's (gamma c d)^2 is finite; strong mode's f(0) = (382 zeta)^2
+    # puts c0 near 9.9, whose (c0 d)^2 is not, while weak mode's c0 is about 1.0006
+    path = str(tmp_path / "claw.txt")
+    write_metric_text(path, from_matrix(claw_metric.dist * 1e153))
+    argv = ["outliers", "solve", "--metric", path, "--c", "1", "--gamma", "1.5"]
+    code, out, err = only_stderr(capsys, argv + ["--mode", "strong"])
+    assert code == 1 and out == ""
+    assert err == json.dumps({"error": "InvalidArgument", "message": "c0 is too large: a square "
+                              "overflows, got 9.916245860434326"}, sort_keys=True) + "\n"
+    code, out, err = only_stderr(capsys, argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["solver"]["zeta"] == 1.1547005383792517
 
 
 @pytest.mark.parametrize("flags", [

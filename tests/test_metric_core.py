@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,30 @@ class TestFromMatrix:
     def test_rejects_non_square(self):
         with pytest.raises(AsymmetricMatrix):
             from_matrix([[0, 1, 2], [1, 0, 1]])
+
+    def test_huge_finite_distances_are_kept(self):
+        # d + d^T overflows above about 8.99e307, and (d + d^T) / 2 stored inf
+        # there; the triangle sums 1e308 + 1e308 overflow too, without a warning
+        d = np.array([[0.0, 1.0, 1e308, 1.7e308],
+                      [1.0 + 2.0 ** -50, 0.0, 1e308, 1.7e308],
+                      [1e308, 1e308, 0.0, 1e308],
+                      [1.7e308, 1.7e308, 1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = from_matrix(d)
+        assert np.isfinite(m.dist).all() and np.array_equal(m.dist, m.dist.T)
+        assert m.dist[0, 2] == 1e308 and m.dist[0, 3] == 1.7e308
+        with np.errstate(over="ignore"):
+            mean = (d + d.T) / 2.0
+        fits = np.isfinite(mean)  # where the sum fits, the mean is the one it always was
+        assert np.array_equal(m.dist[fits], mean[fits])
+
+    def test_huge_asymmetry_is_named_without_warnings(self):
+        # d - d^T overflows to inf, and numpy warned before the error was raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AsymmetricMatrix, match=r"d\[0\]\[1\]=1e\+308"):
+                from_matrix([[0.0, 1e308], [-1e308, 0.0]])
 
 
 def _ordered_scan(d, tol_tri):

@@ -127,7 +127,7 @@ class TestTranscripts:
         inputs = composition_instance(rng, m, k=4, p=2.0, seed=1)
         for _ in range(50):
             tr = sample_transcript(inputs, rng)
-            assert 2.0 <= tr.b <= 2.0 + inputs.tau
+            assert 2.0 <= tr.b <= 2.0 + nested_composition.TAU
             members = [v for _, ms in tr.clusters for v in ms]
             assert sorted(members) == sorted(inputs.outliers)
             assert len(set(members)) == len(members)
@@ -198,7 +198,7 @@ class TestComposeOnce:
         inputs = composition_instance(rng, m, k=4, p=1.5, seed=2)
         tr = sample_transcript(inputs, rng)
         composed = compose_once(inputs, tr)
-        assert composed.embedding.dims == inputs.alpha_s.dims + tr.t * inputs.alpha_x.dims
+        assert composed.embedding.dims == inputs.alpha_s.dims + len(tr.clusters) * inputs.alpha_x.dims
 
     def test_pair_distance_matches_full_materialization(self):
         rng = np.random.default_rng(19)
@@ -374,7 +374,7 @@ class TestBatchedEstimate:
         for p in (1.0, 2.0):
             inputs = composition_instance(rng, m, k=4, p=p, seed=5)
             for x in range(9):
-                nested_composition._draw_block(inputs.outliers, inputs.tau, 200, rng)
+                nested_composition._draw_block(inputs.outliers, 200, rng)
                 results += [estimate_expected_expansion(inputs, (x, y), 200, rng)
                             for y in range(x + 1, 9)]
         assert hashlib.sha256(repr(results).encode()).hexdigest() == (
@@ -526,7 +526,7 @@ class TestDeterministicComposition:
             assert det.embedding.dims == (len(primes) * inputs.alpha_s.dims
                                           + len(clusters) * inputs.alpha_x.dims)
             dense = (32 * inputs.alpha_s.dims
-                     + sum(tr.t for tr in det.transcripts) * inputs.alpha_x.dims)
+                     + sum(len(tr.clusters) for tr in det.transcripts) * inputs.alpha_x.dims)
             if any(not ms for tr in det.transcripts for _, ms in tr.clusters):
                 saw_empty = True
                 assert det.embedding.dims < dense
@@ -615,10 +615,10 @@ class TestBatchedDraws:
     def test_draw_block_is_the_sequential_stream(self, k, count):
         outliers = tuple(range(3, 3 + 2 * k, 2))
         rng, ref = np.random.default_rng(83), np.random.default_rng(83)
-        b, pi = nested_composition._draw_block(outliers, 1.5, count, rng)
+        b, pi = nested_composition._draw_block(outliers, count, rng)
         want_b, want_pi = [], []
         for _ in range(count):
-            want_b.append(2.0 + 1.5 * ref.random())
+            want_b.append(2.0 + 2.0 * ref.random())
             want_pi.append(np.asarray(outliers, dtype=int)[ref.permutation(k)].tolist())
         assert b.tolist() == want_b
         assert pi.shape == (count, k) and pi.tolist() == want_pi
@@ -834,19 +834,23 @@ class TestComposeStrong:
         assert h.hexdigest() == "8b5253a3d9fd386682ecab0b54f858d82f662f2e4e70a64115514eaf46fcdc31"
 
 
-BAD_TAUS = [-1.0, 0.0, float("nan"), float("inf")]
-
-
 class TestSubsetAndTauChecks:
-    """CompositionInputs and compose_strong run the same S and alpha_S checks;
-    CompositionInputs also checks tau, which compose_strong fixes at 2."""
+    """CompositionInputs and compose_strong run the same S-side checks: S,
+    alpha_S, and the grab radius b d(v, gamma(v)) at b up to 2 + TAU."""
 
-    @pytest.mark.parametrize("tau", BAD_TAUS)
-    def test_inputs_reject_bad_tau(self, line_metric, tau):
-        alpha, _ = bourgain_embed(line_metric, BourgainParams(seed=0))
-        with pytest.raises(ValueError, match="tau must be finite and positive"):
-            CompositionInputs(m=line_metric, s=(0, 1), p=2.0, alpha_s=PointSet(
-                points=alpha.points[:2], p=2.0), alpha_x=alpha, tau=tau)
+    def test_strong_refuses_an_overflowing_grab_radius(self):
+        # with S = {0} both outliers are 1e308 from their anchor; unchecked,
+        # b d(v, gamma(v)) would be inf and every point would grab every other
+        m = from_matrix(np.full((3, 3), 1e308) - np.diag([1e308] * 3))
+        alpha_s = PointSet(points=np.array([[0.0]]), p=1.0)
+        message = re.escape("d(v, gamma(v)) = 1e+308 is too large")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                compose_strong(m, (0,), 1.0, alpha_s, np.random.default_rng(0))
+            with pytest.raises(ValueError, match=message):
+                CompositionInputs(m=m, s=(0,), p=1.0, alpha_s=alpha_s,
+                                  alpha_x=PointSet(points=5e307 * np.eye(3), p=1.0))
 
     @pytest.mark.parametrize("s", [(0, 1, 7), (-1, 0, 1)])
     def test_strong_rejects_s_out_of_range(self, claw_metric, s):
