@@ -127,6 +127,12 @@ def is_l2_isometric(m: "MetricSpace") -> bool:
     return bool(schoenberg_test(squared_distances(m)[None])[0])
 
 
+def _rank(vals: np.ndarray) -> int:
+    """The numerical rank of a PSD matrix with ascending eigenvalues vals: the
+    count above n * eps * lam_max (numpy's matrix_rank rule), and at least 1."""
+    return max(int(np.count_nonzero(vals > len(vals) * np.finfo(float).eps * vals[-1])), 1)
+
+
 def points_from_gram(g: np.ndarray) -> PointSet:
     """Factor a PSD matrix G into points whose pairwise inner products match G.
 
@@ -159,7 +165,7 @@ def points_from_gram(g: np.ndarray) -> PointSet:
         floor = -SCHOENBERG_TOL * max(float(vals[-1]), 0.0)
         raise NotPSD(f"matrix has eigenvalue {float(vals[0]):g} below -SCHOENBERG_TOL*lam_max = {floor:g}")
     # eigh's eigenvalues ascend, so those above the floor are its last r
-    r = max(int(np.count_nonzero(vals > len(vals) * np.finfo(float).eps * vals[-1])), 1)
+    r = _rank(vals)
     vals, vecs = np.clip(vals[::-1][:r], 0.0, None), vecs[:, ::-1][:, :r]
     pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))]
     return PointSet(points=vecs * np.where(pivots < 0, -1.0, 1.0) * np.sqrt(vals), p=2.0)

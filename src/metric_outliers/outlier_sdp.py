@@ -21,6 +21,12 @@ eigendecomposition of B that gives it also gives the run's starting Gram.
 Neither depends on c, so each entry point builds one PairTable and passes it
 to all its runs (distortion_feasible), witnesses and measurements
 (upper_distortion); c^2 and f(k) are plain arguments.
+
+The k-search needs no certificate at gamma*c, only a witness, so it first
+looks for one with a factored search over V, G = V V^T, started from the
+factor of the same start (_factored_witness): no step of it needs an
+eigendecomposition. The run at c0, whose certificate rules k = 0 out, and
+the oracle's distortion bracket keep the primal-dual run.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import Exhausted, GammaNotAboveOne
-from .lp_geometry import PointSet, _center, points_from_gram, schoenberg_rule, squared_distances
+from .lp_geometry import PointSet, _center, _rank, points_from_gram, schoenberg_rule, squared_distances
 from .metric_core import MetricSpace, _submetric, distortion_stats
 from .nested_composition import expansion_coefficients, harmonic_number
 
@@ -151,7 +157,8 @@ class _Iterate:
 class PairTable:
     """The pairs x < y of one metric, their squared distances d2 (an overflowing
     one is refused before any eigendecomposition) and the centered start of its
-    feasibility runs: the Gram `start` and its iteration-0 bound `start_bound`.
+    feasibility runs: the Gram `start`, its factor `factor` and its
+    iteration-0 bound `start_bound`.
     `isometric` is the metric's Schoenberg test, decided from the eigenvalues
     the start came from. One table serves every distortion_feasible run and
     upper_distortion measurement on its metric."""
@@ -162,7 +169,7 @@ class PairTable:
         d2 = squared_distances(m)
         self.d2 = d2[self.xs, self.ys]
         self.ends = np.concatenate((self.xs, self.ys))
-        self.start, self.start_bound, self.isometric = _centered_start(self, d2)
+        self.start, self.factor, self.start_bound, self.isometric = _centered_start(self, d2)
 
     def cold(self) -> _Iterate:
         """The pair a cold feasibility run starts from: `start` with dual u = 0."""
@@ -258,35 +265,41 @@ def _distortion(ratio: np.ndarray) -> float:
     return math.sqrt(ratio.max() / rmin) if rmin > 0.0 else math.inf
 
 
-def _centered_start(table: PairTable, d2: np.ndarray) -> tuple[np.ndarray, Optional[float], bool]:
+def _centered_start(table: PairTable, d2: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, Optional[float], bool]:
     """The PSD-clamped centered Gram of the n x n squared distances d2,
-    rescaled so no pair contracts, the iteration-0 LLR bound of
-    distortion_feasible and the Schoenberg test. The bound is that of the
-    weights w_xy = -v_x v_y from the bottom eigenvector v of the centered
-    Gram B the Gram is clamped from, when v^T B v < 0 (else None). All three
-    come from one eigendecomposition of B, and none depends on c.
+    rescaled so no pair contracts, its factor, the iteration-0 LLR bound of
+    distortion_feasible and the Schoenberg test. The factor V has one column
+    per eigenvalue _rank counts (points_from_gram's rule), so V V^T
+    is the Gram up to rounding. The bound is that of the weights
+    w_xy = -v_x v_y from the bottom eigenvector v of the centered Gram B the
+    Gram is clamped from, when v^T B v < 0 (else None). All four come from
+    one eigendecomposition of B, and none depends on c.
 
-    The Gram seeds the feasibility core and is a candidate witness of its own.
-    Starting expanding puts any violations on the upper constraints, which
-    the delta weights can absorb.
+    The Gram seeds the feasibility core and is a candidate witness of its own;
+    the factor seeds _factored_witness. Starting expanding puts any violations
+    on the upper constraints, which the delta weights can absorb.
     """
     if table.n < 2:
-        return np.zeros((table.n, table.n)), None, True
+        return np.zeros((table.n, table.n)), np.zeros((table.n, 1)), None, True
     b, vals, vecs = _clamp(_center(d2))
     isometric = bool(schoenberg_rule(vals))
     rmin = float((table.pair_r(b) / table.d2).min(initial=1.0))
     # at rmin <= 1e-6 clamping collapsed a pair, which scaling cannot fix
-    gram = b / rmin if 1e-6 < rmin < 1.0 else b
+    scale = rmin if 1e-6 < rmin < 1.0 else 1.0
+    gram = b / scale
+    rank = _rank(vals)
+    factor = vecs[:, -rank:] * np.sqrt(np.clip(vals[-rank:], 0.0, None) / scale)
     if vals[0] >= 0.0:
-        return gram, None, isometric
+        return gram, factor, None, isometric
     bottom = vecs[:, 0]
-    return gram, _llr_bound(table, -bottom[table.xs] * bottom[table.ys]), isometric
+    return gram, factor, _llr_bound(table, -bottom[table.xs] * bottom[table.ys]), isometric
 
 
-def upper_distortion(table: PairTable, grams: Sequence[np.ndarray] = ()) -> float:
+def upper_distortion(table: PairTable) -> float:
     """The least measured l2 distortion of the embeddings in hand on the
-    table's metric: `grams`, the table's start (the rescaled centered Gram) and
-    the distance rows x -> d(x, .) (at most sqrt(n/2)). Nothing is drawn at
+    table's metric: the table's start (the rescaled centered Gram) and the
+    distance rows x -> d(x, .) (at most sqrt(n/2)). Nothing is drawn at
     random; relabeling moves the value only by rounding."""
     if table.n < 2:
         return 1.0
@@ -294,7 +307,7 @@ def upper_distortion(table: PairTable, grams: Sequence[np.ndarray] = ()) -> floa
     # scaled by a power of two to at most 1: exact, and the distortion is a ratio
     rows = np.ldexp(table.m.dist, -math.frexp(float(table.m.dist.max()))[1])
     rows = rows @ rows
-    return min(_distortion(table.pair_r(g) / table.d2) for g in (*grams, table.start, rows))
+    return min(_distortion(table.pair_r(g) / table.d2) for g in (table.start, rows))
 
 
 def _first_witness(table: PairTable, c: float, f_k: float, level: float,
@@ -401,6 +414,54 @@ def distortion_feasible(table: PairTable, c: float, start: Optional[_Iterate] = 
     return "undecided", None, None
 
 
+class _Found(Exception):
+    """Ends _factored_witness's search at the first factor that meets its c."""
+
+
+def _factored_witness(table: PairTable, c: float) -> Optional[np.ndarray]:
+    """A Gram matrix of distortion <= c, rescaled so no pair contracts, or None:
+    L-BFGS-B over factors V in R^{n x r}, G = V V^T (Burer & Monteiro 2003),
+    from the table's factor, on sum over pairs of max(0, 1 - r/d^2)^2 +
+    max(0, r/(c^2 d^2) - 1)^2, r = |v_x - v_y|^2. It returns the first
+    evaluated G whose measured distortion is <= c, so no step factors a
+    matrix, and gives up after FEAS_ITERS // LLR_EVERY iterations. It gives no
+    certificate, and is skipped (None) where distortion_feasible decides at
+    iteration 0: when the start meets c, or start_bound > c.
+
+    V and d^2 are divided by 2^e and 4^e, 2^e within a factor of 2 of the
+    smallest distance, so a metric scaled by a power of two takes bit-identical
+    steps.
+    """
+    if table.n < 2 or table.start_bound is not None and table.start_bound > c:
+        return None
+    if _distortion(table.pair_r(table.start) / table.d2) <= c:
+        return None
+    # imported here: `import metric_outliers.cli` loads no scipy
+    from scipy.optimize import minimize
+    e = math.frexp(float(table.d2.min()))[1] // 2
+    d2, c2 = np.ldexp(table.d2, -2 * e), c * c
+    shape = table.factor.shape
+
+    def objective(flat: np.ndarray) -> tuple[float, np.ndarray]:
+        v = flat.reshape(shape)
+        g = v @ v.T
+        ratio = table.pair_r(g) / d2
+        if _distortion(ratio) <= c:
+            raise _Found(g / ratio.min())
+        low = np.maximum(1.0 - ratio, 0.0)
+        high = np.maximum(ratio / c2 - 1.0, 0.0)
+        # d(loss)/dr = 2 w on each pair, and sum_pairs w r = trace(V^T L(w) V)
+        w = (high / c2 - low) / d2
+        return float(low @ low + high @ high), (4.0 * (table.laplacian(w) @ v)).ravel()
+
+    try:
+        minimize(objective, np.ldexp(table.factor, -e).ravel(), jac=True, method="L-BFGS-B",
+                 options={"maxiter": FEAS_ITERS // LLR_EVERY})
+    except _Found as found:
+        return np.ldexp(found.args[0], 2 * e)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # rounding and the k-search loop
 # ---------------------------------------------------------------------------
@@ -465,10 +526,12 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
 
     The witnesses are Gram matrices, tried in this order for every k, each
     with its LP-polished delta: the Gram of a plain feasibility run at c0
-    (below), the Gram of one at gamma*c (each when that run finds one within
-    FEAS_ITERS iterations), the rescaled centered Gram, and G = 0. The first
-    whose delta sums to at most k + EPS and meets every pair constraint within
-    EPS_FEAS is accepted.
+    (below, when that run finds one within FEAS_ITERS iterations), a Gram of
+    distortion <= gamma*c (when one is found), the rescaled centered Gram, and
+    G = 0. The first whose delta sums to at most k + EPS and meets every pair
+    constraint within EPS_FEAS is accepted. The gamma*c Gram comes from
+    _factored_witness, or, when that misses or is skipped, from a plain
+    feasibility run at gamma*c; its verdict serves only for the witness.
 
     c0 = sqrt((c^2 + EPS * f(0) + EPS_FEAS) / (1 - EPS - EPS_FEAS)) bounds the
     distortion of every witness k = 0 can accept. There sum(delta) <= EPS
@@ -479,9 +542,12 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
     at c0 therefore rules k = 0 out, and the search then starts at k = 1
     without trying the witnesses at k = 0.
     metadata["k0"] is the c0 run's verdict: "feasible", "infeasible"
-    (certified) or "undecided". zeta is upper_distortion over the gamma*c
-    witness. Parameters and (gamma c d)^2 on the largest d are checked before
-    any feasibility run, and c0 before the c0 run.
+    (certified) or "undecided". zeta is upper_distortion, or at most gamma*c
+    when a gamma*c Gram is in hand: that Gram proves an embedding within
+    gamma*c exists, and gamma*c, unlike its measured distortion, does not
+    depend on where a search stopped. Parameters and (gamma c d)^2 on the
+    largest d are checked before any feasibility run, and c0 before the c0
+    run.
     """
     _check_gamma(gamma)
     _check_distortion("target distortion", c)
@@ -489,18 +555,22 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
     # one table, with one eigendecomposition of B, serves every run, zeta and witness
     table = PairTable(m)  # an overflowing distance is named before the scales
     _check_scale(m, "gamma * c", gamma * c, gamma * c)
-    high = distortion_feasible(table, gamma * c)
-    zeta = upper_distortion(table, [high[1]] if high[0] == "feasible" else [])
+    high = _factored_witness(table, gamma * c)
+    if high is None:
+        high = distortion_feasible(table, gamma * c)[1]
+    zeta = upper_distortion(table)
+    if high is not None:
+        zeta = min(gamma * c, zeta)
     c0 = _c0(c, zeta, mode)
     _check_scale(m, "c0", c0, c0)
-    runs = [distortion_feasible(table, c0), high]
+    k0, low, _ = distortion_feasible(table, c0)
     # the first witness, not the least delta sum: reclaim can only keep points
     # the accepted Gram embeds within [d, gamma*c*d], and the feasibility
     # witnesses embed the most (least-sum left planted-n128 of the benchmark
     # corpus with K = [126])
-    grams = [g for verdict, g, _ in runs if verdict == "feasible"]
+    grams = [g for g in (low, high) if g is not None]
     grams += [table.start, np.zeros((m.n, m.n))]
-    for k in range(1 if runs[0][0] == "infeasible" else 0, m.n + 1):
+    for k in range(1 if k0 == "infeasible" else 0, m.n + 1):
         sol = _first_witness(table, c, f_of_k(k, zeta, mode), k + EPS, grams)
         if sol is not None:
             result = round_solution(sol, gamma)
@@ -509,7 +579,7 @@ def search_min_outliers(m: MetricSpace, c: float, gamma: float,
                 "mode": mode,
                 "g_value": _g(k, mode),
                 "zeta": zeta,
-                "k0": runs[0][0],
+                "k0": k0,
             })
             return result
     raise Exhausted("no k <= n admitted an SDP value <= k; this should be unreachable")

@@ -488,12 +488,14 @@ class TestSearch:
         # several optima and the one taken decides K. integer-n5 at gamma = 1.1
         # has the automorphism (0 4)(2 3), and removing 0 or 4 is each optimal,
         # so the labels pick one of two K of the same size: there only |K|, the
-        # accepted k, the k = 0 verdict and zeta must stay put
+        # accepted k, the k = 0 verdict and zeta must stay put. planted-n128 at
+        # gamma = 1.5 gets its gamma*c witness from the factored search
         corpus = dict(benchmark_corpus())
         cases = [(label, m, gamma, "weak_factor") for label, m, gamma in benchmark_instances()]
         cases += [(label, corpus[label], gamma, "strong_subset")
                   for label in ("planted-n14", "integer-n7") for gamma in (1.5, 1.1)]
         cases.append(("integer-n5", corpus["integer-n5"], 1.1, "weak_factor"))
+        cases.append(("planted-n128", corpus["planted-n128"], 1.5, "weak_factor"))
         for label, m, gamma, mode in cases:
             base = search_min_outliers(m, 1.0, gamma, mode=mode)
             for s in range(1, 6):
@@ -647,11 +649,76 @@ class TestK0Skip:
         assert accepted >= 10
 
 
+class TestFactoredWitness:
+    """The gamma*c witness comes from a search over factors V, G = V V^T, with
+    no eigendecomposition per step; a miss falls back to distortion_feasible."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        targets, projections = [], []
+        run, project = outlier_sdp.distortion_feasible, outlier_sdp._psd_project
+        monkeypatch.setattr(outlier_sdp, "distortion_feasible",
+                            lambda table, c, start=None: targets.append(c) or run(table, c, start))
+        monkeypatch.setattr(outlier_sdp, "_psd_project",
+                            lambda g: projections.append(1) or project(g))
+        return targets, projections
+
+    def test_planted_n128_runs_feasibility_only_at_c0(self, monkeypatch):
+        m = dict(benchmark_corpus())["planted-n128"]
+        targets, projections = self._counted(monkeypatch)
+        res = search_min_outliers(m, 1.0, 1.5)
+        assert res.metadata["zeta"] == 1.5
+        assert targets == [outlier_sdp._c0(1.0, 1.5, "weak_factor")]
+        assert projections == [] and res.outliers == ()
+
+    def test_a_miss_falls_back_to_the_feasibility_run(self, monkeypatch):
+        m = dict(benchmark_corpus())["planted-n128"]
+        base = search_min_outliers(m, 1.0, 1.5)
+        targets, _ = self._counted(monkeypatch)
+        monkeypatch.setattr(outlier_sdp, "_factored_witness", lambda table, c: None)
+        res = search_min_outliers(m, 1.0, 1.5)
+        assert targets == [1.5, outlier_sdp._c0(1.0, res.metadata["zeta"], "weak_factor")]
+        assert ((res.outliers, res.metadata["k"], res.metadata["k0"])
+                == (base.outliers, base.metadata["k"], base.metadata["k0"]))
+
+    @pytest.mark.parametrize("c, verdict", [(1.5, "feasible"), (1.1, "infeasible")])
+    def test_skipped_where_the_run_decides_at_iteration_0(self, monkeypatch, claw_metric, c,
+                                                          verdict):
+        # the claw's start meets 1.5, and its iteration-0 bound refuses 1.1
+        table = PairTable(claw_metric)
+        _, projections = self._counted(monkeypatch)
+        assert outlier_sdp._factored_witness(table, c) is None
+        assert distortion_feasible(table, c)[0] == verdict
+        assert projections == []
+
+    def test_witness_scales_exactly_with_the_metric(self):
+        m = dict(benchmark_corpus())["planted-n128"]
+        table = PairTable(m)
+        g = outlier_sdp._factored_witness(table, 1.5)
+        assert _distortion(table.pair_r(g) / table.d2) <= 1.5
+        for j in (-3, 5):
+            scaled = outlier_sdp._factored_witness(PairTable(from_matrix(m.dist * 2.0 ** j)), 1.5)
+            assert np.array_equal(scaled, g * 4.0 ** j), j
+
+    def test_256_points_solve_without_psd_projections(self, monkeypatch, capsys, tmp_path):
+        # 240 core points and 16 antennas: a primal-dual run at gamma*c takes
+        # 463 eigendecompositions here
+        dist = workloads.planted_metric(np.random.default_rng([9]), 240, 16)
+        m = from_matrix(dist, tol_tri=1e-9)
+        path = str(tmp_path / "planted-n256.txt")
+        write_metric_text(path, m)
+        _, projections = self._counted(monkeypatch)
+        assert dispatch(["outliers", "solve", "--metric", path, "--c", "1", "--gamma", "1.5",
+                         "--mode", "weak"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["K"] == [] and projections == []
+        assert checks.check_outlier_solution(m.dist, payload, 1.5) == []
+
+
 class TestUpperDistortion:
     def test_one_on_a_line(self):
         x = np.arange(5.0)[:, None]
         m = from_matrix(np.abs(x - x.T))
-        assert upper_distortion(PairTable(m), [gram_of(x)]) == 1.0
         assert upper_distortion(PairTable(m)) == pytest.approx(1.0, abs=1e-12)
 
     def test_between_the_certified_lower_end_and_sqrt_n(self):
@@ -715,9 +782,9 @@ class TestSearchQuality:
         assert verify_outlier_embedding(m, res.outliers, res.embedding, 2.25, tol=1e-3)
 
     def test_reclaim_count_reported(self, claw_metric):
-        # the threshold cuts points the reclaim returns: 1 on the claw, 3 on
-        # integer-n7 of the benchmark corpus
+        # the threshold cuts points the reclaim returns: 1 on the claw, and 1
+        # on integer-n7 of the benchmark corpus
         integer_n7 = integer_metric(np.random.default_rng([102]), 7)
-        for m, gamma, reclaimed in ((claw_metric, 1.25, 1), (integer_n7, 1.5, 3)):
+        for m, gamma, reclaimed in ((claw_metric, 1.25, 1), (integer_n7, 1.5, 1)):
             res = search_min_outliers(m, 1.0, gamma)
             assert res.metadata["reclaimed"] == reclaimed and res.outliers == ()
