@@ -52,7 +52,7 @@ def frechet_coordinates(m: MetricSpace, params: BourgainParams) -> np.ndarray:
                 np.random.SeedSequence(entropy=int(params.seed), spawn_key=(t, j))
             )
             subset = rng.choice(n, size=size, replace=False)
-            cols.append(m.dist[:, subset].min(axis=1))
+            cols.append(m.dist[subset].min(axis=0))  # rows: the matrix is symmetric
     return np.column_stack(cols)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -187,7 +188,9 @@ def _pair_ratios(m: MetricSpace, e: PointSet) -> np.ndarray:
         raise SizeMismatch(f"embedding has {e.n} points, metric has {m.n}")
     if m.n < 2:
         raise SizeMismatch("distortion needs at least two points")
-    src = m.dist[np.triu_indices(m.n, k=1)]
+    # imported here, as in condensed_distances; the pairs i < j, row-major
+    from scipy.spatial.distance import squareform
+    src = squareform(m.dist, checks=False)
     if (src <= 0).any():
         raise ZeroSourceDistance("source metric has a zero distance between distinct points")
     return condensed_distances(e) / src
@@ -218,7 +221,8 @@ def verify_outlier_embedding(m: MetricSpace, outliers: Iterable[int], e: PointSe
         raise SizeMismatch(f"embedding has {e.n} points, {sub.n} survivors expected")
     if sub.n < 2:
         return True
-    src = sub.dist[np.triu_indices(sub.n, k=1)]
+    from scipy.spatial.distance import squareform  # imported here, as in _pair_ratios
+    src = squareform(sub.dist, checks=False)
     img = condensed_distances(e)
     ok_low = img >= src * (1.0 - tol)
     ok_high = img <= c * src * (1.0 + tol)
@@ -235,12 +239,18 @@ def write_metric_text(path: str, m: MetricSpace) -> None:
 def metric_to_text(m: MetricSpace) -> str:
     lines = [str(m.n)]
     for row in m.dist:
-        lines.append(" ".join(repr(float(x)) for x in row))
+        lines.append(" ".join(map(repr, row.tolist())))
     return "\n".join(lines) + "\n"
 
 
 def read_metric_text(path: str, tol_tri: float = DEFAULT_TRIANGLE_TOL) -> MetricSpace:
-    """Metric text format: first line n, then n whitespace-separated rows."""
+    """Metric text format: first line n, then n whitespace-separated rows.
+
+    Each row is converted from its diagonal entry rightwards and mirrored into
+    the lower triangle; only a column whose tokens below the diagonal are not
+    the same text as the row right of it is converted as well. Equal text
+    gives an equal float, so the matrix from_matrix validates is the file's.
+    """
     with open(path) as fh:
         tokens = fh.read().split()
     if not tokens:
@@ -251,7 +261,16 @@ def read_metric_text(path: str, tol_tri: float = DEFAULT_TRIANGLE_TOL) -> Metric
     vals = tokens[1:]
     if len(vals) != n * n:
         raise SizeMismatch(f"expected {n * n} entries after n={n}, got {len(vals)}")
-    mat = np.fromiter(map(float, vals), float, count=n * n).reshape(n, n)
+    rightwards = chain.from_iterable(vals[i * n + i:(i + 1) * n] for i in range(n))
+    upper = np.fromiter(map(float, rightwards), np.float64, count=n * (n + 1) // 2)
+    rows, cols = np.triu_indices(n)  # row-major, the order of upper
+    mat = np.empty((n, n))
+    mat[rows, cols] = upper
+    mat[cols, rows] = upper
+    for i in range(n - 1):
+        below = vals[(i + 1) * n + i::n]
+        if below != vals[i * n + i + 1:(i + 1) * n]:
+            mat[i + 1:, i] = np.fromiter(map(float, below), np.float64, count=n - 1 - i)
     return from_matrix(mat, tol_tri=tol_tri)
 
 

@@ -30,6 +30,7 @@ the oracle's distortion bracket keep the primal-dual run.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -51,6 +52,7 @@ LLR_EVERY = 10    # iterations between two LLR checks of a feasibility run's dua
 # f(k) and the bicriteria cap
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _g(k: int, g_mode: str) -> float:
     """g(k) of f(k) = (g(k) * zeta)^2. In weak_factor mode it is the close-pair
     expected-expansion multiplier at c_S = c_X = 1, the sum of the case-(e)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from metric_outliers import (
     from_matrix,
 )
 
-from conftest import integer_metric
+from conftest import antenna_instance, integer_metric
 
 
 def test_single_point_is_origin():
@@ -88,3 +89,21 @@ def test_log_bound_on_moderate_instance():
         _, stats = bourgain_embed(m, BourgainParams(seed=seed))
         hits += stats.distortion <= 4.0 * math.log(32)
     assert hits >= 9
+
+
+def _coords_digest(coords: np.ndarray) -> str:
+    h = hashlib.sha256()
+    h.update(repr(coords.shape).encode())
+    h.update(np.ascontiguousarray(coords).tobytes())
+    return h.hexdigest()
+
+
+def test_frechet_coordinates_match_pinned_digests():
+    # each coordinate is a min over exact distances, so the bytes do not
+    # depend on the BLAS build
+    m = integer_metric(np.random.default_rng(4), 30)
+    assert _coords_digest(frechet_coordinates(m, BourgainParams(seed=7))) == (
+        "cbcc7c012d45737fe3cb1d7cf720e90a5930eba7d6afeee7bf901d4877f6a95a")
+    m, _, _ = antenna_instance(np.random.default_rng(5), 192, 8)
+    assert _coords_digest(frechet_coordinates(m, BourgainParams(repetitions_per_scale=8, seed=3))) == (
+        "c4ebe1368dcb74f728f3010a2d821238650f5dee923a68287f536774834f2f17")

@@ -5,6 +5,7 @@ import pytest
 
 from metric_outliers import (
     Graph,
+    MetricSpace,
     PointSet,
     distortion_stats,
     from_graph,
@@ -22,6 +23,7 @@ from metric_outliers.errors import (
     SizeMismatch,
     TriangleViolation,
 )
+from metric_outliers import metric_core
 from metric_outliers.hardness_gadgets import lp_gadget
 from metric_outliers.metric_core import (
     metric_to_text,
@@ -31,7 +33,7 @@ from metric_outliers.metric_core import (
     write_metric_text,
 )
 
-from conftest import integer_metric, point_metric
+from conftest import antenna_instance, integer_metric, point_metric
 
 
 class TestFromMatrix:
@@ -332,8 +334,91 @@ class TestTextFormats:
         with pytest.raises(ValueError, match="'x'"):
             read_metric_text(str(path))
 
+    @pytest.mark.parametrize("where", [(0, 2), (1, 1)], ids=["above", "diagonal"])
+    def test_non_numeric_token_is_named_wherever_it_stands(self, tmp_path, where):
+        # the test above has its bad token below the diagonal
+        rows = [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]]
+        rows[where[0]][where[1]] = "bad"
+        path = tmp_path / "m.txt"
+        path.write_text("3\n" + "\n".join(" ".join(r) for r in rows) + "\n")
+        with pytest.raises(ValueError, match="'bad'"):
+            read_metric_text(str(path))
+
     def test_graph_roundtrip(self, tmp_path, claw_graph):
         path = tmp_path / "g.txt"
         write_graph_text(str(path), claw_graph)
         back = read_graph_text(str(path))
         assert back == claw_graph
+
+
+def _full_parse(path) -> MetricSpace:
+    """The reader converting every token: all n^2 of them, then from_matrix."""
+    with open(path) as fh:
+        tokens = fh.read().split()
+    n = int(tokens[0])
+    return from_matrix(np.fromiter(map(float, tokens[1:]), float, count=n * n).reshape(n, n))
+
+
+class TestMirroredRead:
+    def assert_bitwise_full_parse(self, path):
+        got, want = read_metric_text(str(path)), _full_parse(str(path))
+        assert got.dist.tobytes() == want.dist.tobytes()
+        return got
+
+    def test_planted_metric(self, tmp_path):
+        m, _, _ = antenna_instance(np.random.default_rng(3), 40, 5)
+        path = tmp_path / "m.txt"
+        write_metric_text(str(path), m)
+        assert self.assert_bitwise_full_parse(path).dist.tobytes() == m.dist.tobytes()
+
+    def test_mirror_in_another_spelling(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("3\n0 1 2.0\n1.0 0 1e0\n2 1 0.0\n")
+        m = self.assert_bitwise_full_parse(path)
+        np.testing.assert_array_equal(m.dist, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+    def test_mirror_off_by_an_accepted_asymmetry(self, tmp_path):
+        # from_matrix stores the mean of the two entries, so both are read
+        d = point_metric(np.random.default_rng(4), 12).dist.copy()
+        d[7, 2] += 1e-13
+        d[11, 0] -= 1e-13
+        path = tmp_path / "m.txt"
+        write_metric_text(str(path), MetricSpace(n=12, dist=d))
+        m = self.assert_bitwise_full_parse(path)
+        assert m.dist[7, 2] != d[2, 7] and m.dist[7, 2] == m.dist[2, 7]
+
+    def test_symmetric_file_converts_each_pair_once(self, tmp_path, monkeypatch):
+        n = 40
+        path = tmp_path / "m.txt"
+        write_metric_text(str(path), integer_metric(np.random.default_rng(5), n))
+        converted = []
+
+        def counting_float(token):
+            converted.append(token)
+            return float(token)
+
+        # the reader's float is the module's name; from_matrix is left out of the count
+        monkeypatch.setattr(metric_core, "float", counting_float, raising=False)
+        monkeypatch.setattr(metric_core, "from_matrix", lambda mat, tol_tri: mat)
+        read_metric_text(str(path))
+        assert len(converted) == n * (n + 1) // 2  # 820, not 1600
+
+
+def _scalar_metric_to_text(m: MetricSpace) -> str:
+    """The reference formatter: repr of each entry as a Python float."""
+    lines = [str(m.n)]
+    for row in m.dist:
+        lines.append(" ".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_metric_text_bytes_match_the_scalar_formatter():
+    rng = np.random.default_rng(6)
+    d = rng.uniform(1e-3, 1e3, size=(5, 5))
+    d[0, 1:] = [1e-300, 1e300, 0.1 + 0.2, 5e-324]
+    d[1:, 0] = [1.7976931348623157e308, 2.0 / 3.0, 1e16, 123456789.0]
+    np.fill_diagonal(d, 0.0)
+    m = MetricSpace(n=5, dist=d)  # not a metric: only the formatter is under test
+    assert metric_to_text(m) == _scalar_metric_to_text(m)
+    pm, _, _ = antenna_instance(rng, 30, 3)
+    assert metric_to_text(pm) == _scalar_metric_to_text(pm)
